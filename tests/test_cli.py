@@ -250,6 +250,103 @@ class TestProbeCommand:
         assert err.startswith("ill_conditioned ")
 
 
+def _pretty(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestPinnedOutput:
+    """Byte-exact output of the command/format paths that have no golden file."""
+
+    DRIFT = str(DATA / "scenario_drift06.json")
+    SMALL_SCAN = ["scan", "--beta-min", "-0.5", "--beta-max", "0.5", "--step", "0.25"]
+    TRANSFORM = ["transform", "--beta", "0.6", "--k", "0.2", "--k-prime", "-0.3",
+                 "--event", "1.5,-2.5"]
+    CASES = {
+        "transform_csv": (
+            None, TRANSFORM + ["--format", "csv"],
+            "source_t,source_x,source_y,source_z,image_t,image_x,image_y,image_z,"
+            "a_tt,a_tx,a_xt,a_xx\n"
+            "1.5,-2.5,0,0,1.69181973775125,-3.59511694272142,0,0,"
+            "0.993944095928862,-0.0803614375431845,-0.63443240165672,1.05738733609453\n",
+        ),
+        "transform_precision_6": (
+            None, TRANSFORM + ["--precision", "6"],
+            _pretty({
+                "command": "transform",
+                "parameters": {"beta": 0.6, "k": 0.2, "k_prime": -0.3},
+                "source": {"t": 1.5, "x": -2.5, "y": 0.0, "z": 0.0, "chart": "S"},
+                "image": {"t": 1.69182, "x": -3.59512, "y": 0.0, "z": 0.0, "chart": "S'"},
+                "coefficients": {"a_tt": 0.993944, "a_tx": -0.0803614,
+                                 "a_xt": -0.634432, "a_xx": 1.05739},
+            }),
+        ),
+        "oneway_csv": (
+            None, ["oneway", "--k", "1", "--format", "csv"],
+            "k,c_plus,c_minus,two_way_mean\n1,inf,0.5,1\n",
+        ),
+        "sync_jsonl": (
+            None, ["sync", "--scenario", DRIFT, "--format", "jsonl"],
+            '{"beta": 0.6, "protocol": "superluminal", "from": 0, "to": 1, "kind": "light", '
+            '"direction": "+x", "distance": 1.25, "elapsed": 0.5, "speed": 2.5}\n'
+            '{"beta": 0.6, "protocol": "superluminal", "from": 1, "to": 0, "kind": "light", '
+            '"direction": "-x", "distance": 1.25, "elapsed": 2.0, "speed": 0.625}\n'
+            '{"beta": 0.6, "protocol": "superluminal", "from": 0, "to": 2, "kind": "light", '
+            '"direction": "+x", "distance": 3.125, "elapsed": 1.25, "speed": 2.5}\n'
+            '{"beta": 0.6, "protocol": "superluminal", "from": 0, "to": 2, "kind": "light", '
+            '"direction": "two-way", "distance": 6.25, "elapsed": 6.25, "speed": 1.0}\n'
+            '{"beta": 0.6, "protocol": "superluminal", "from": 0, "to": 1, '
+            '"kind": "instantaneous", "direction": "+x", "distance": 1.25, "elapsed": 0.0, '
+            '"speed": "inf"}\n',
+        ),
+        "sync_csv_c25": (
+            "2.5", ["sync", "--scenario", DRIFT, "--format", "csv"],
+            "beta,protocol,direction,distance,elapsed,speed\n"
+            "0.6,superluminal,+x,1.25,0.5,6.25\n"
+            "0.6,superluminal,-x,1.25,2,1.5625\n"
+            "0.6,superluminal,+x,3.125,1.25,6.25\n"
+            "0.6,superluminal,two-way,6.25,6.25,2.5\n"
+            "0.6,superluminal,+x,1.25,0,inf\n",
+        ),
+        "scan_json": (
+            None, SMALL_SCAN + ["--format", "json"],
+            _pretty({
+                "command": "scan",
+                "points": [
+                    {"beta": -0.5, "c_plus": 0.666666666666667, "c_minus": 2.0,
+                     "anisotropy": -1.33333333333333},
+                    {"beta": -0.25, "c_plus": 0.8, "c_minus": 1.33333333333333,
+                     "anisotropy": -0.533333333333333},
+                    {"beta": 0.0, "c_plus": 1.0, "c_minus": 1.0, "anisotropy": 0.0},
+                    {"beta": 0.25, "c_plus": 1.33333333333333, "c_minus": 0.8,
+                     "anisotropy": 0.533333333333333},
+                    {"beta": 0.5, "c_plus": 2.0, "c_minus": 0.666666666666667,
+                     "anisotropy": 1.33333333333333},
+                ],
+                "argmin": {"beta": 0.0, "anisotropy": 0.0},
+            }),
+        ),
+        "scan_csv_c25": (
+            "2.5", SMALL_SCAN,
+            "beta,c_plus,c_minus,anisotropy\n"
+            "-0.5,1.66666666666667,5,-3.33333333333333\n"
+            "-0.25,2,3.33333333333333,-1.33333333333333\n"
+            "0,2.5,2.5,0\n"
+            "0.25,3.33333333333333,2,1.33333333333333\n"
+            "0.5,5,1.66666666666667,3.33333333333333\n"
+            "# argmin beta=0 anisotropy=0\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes(self, case, monkeypatch):
+        speed_of_light, argv, expected = self.CASES[case]
+        if speed_of_light is None:
+            monkeypatch.delenv("SYNCHRONY_LAB_C", raising=False)
+        else:
+            monkeypatch.setenv("SYNCHRONY_LAB_C", speed_of_light)
+        assert run_cli(argv) == (0, expected, "")
+
+
 class TestDeterminism:
     COMMANDS = [
         ["transform", "--preset", "superluminal", "--beta", "0.6", "--event", "1,0,0,0"],
