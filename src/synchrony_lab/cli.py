@@ -20,10 +20,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 
 from . import kinematics, probe, syncsim
-from .errors import DegenerateConvention, IllConditioned
+from .errors import DegenerateConvention, IllConditioned, SynchronyError
 
 PRESETS = ("lorentz", "superluminal")
 
@@ -31,17 +31,6 @@ EXIT_OK = 0
 EXIT_DEGENERATE = 2
 EXIT_INVALID_INPUT = 3
 EXIT_ILL_CONDITIONED = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible batch run; identical configs yield identical bytes."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    seed: int | None = None
-    output: str = "json"
-    precision: int = 15
 
 
 class Formatter:
@@ -78,169 +67,108 @@ def _speed_scale() -> float:
     return value
 
 
-def _scaled(speed: float, scale: float) -> float:
-    if math.isinf(speed):
-        return speed
-    return speed * scale
+def _walk(value, leaf):
+    """Copy of a nested dict/list structure with every float mapped through ``leaf``."""
+    if isinstance(value, dict):
+        return {key: _walk(item, leaf) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_walk(item, leaf) for item in value]
+    return leaf(value) if isinstance(value, float) else value
 
 
-def _emit_json(stream, payload: dict) -> None:
-    stream.write(json.dumps(payload, indent=2))
-    stream.write("\n")
+def _render(stream, fmt: Formatter, output: str, document: dict,
+            rows=(), columns=(), footer: str | None = None) -> None:
+    """Write one command's result as pretty JSON, JSON lines, or CSV.
 
-
-def _csv_writer(stream):
-    return csv.writer(stream, lineterminator="\n")
+    JSON prints ``document``; JSON lines print ``rows``; CSV prints the
+    ``columns`` of ``rows``, then ``document[footer]`` as one ``# footer
+    key=value ...`` comment line.
+    """
+    if output == "json":
+        stream.write(json.dumps(_walk(document, fmt.num), indent=2) + "\n")
+    elif output == "jsonl":
+        for row in rows:
+            stream.write(json.dumps(_walk(row, fmt.num)) + "\n")
+    else:
+        writer = csv.DictWriter(stream, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_walk(rows, fmt.text))
+        if footer is not None:
+            pairs = _walk(document[footer], fmt.text).items()
+            stream.write(f"# {footer} " + " ".join(f"{k}={v}" for k, v in pairs) + "\n")
 
 
 def _parse_event(text: str) -> kinematics.Event:
     parts = text.split(",")
     if len(parts) not in (2, 3, 4):
         raise ValueError("event must be 't,x', 't,x,y' or 't,x,y,z'")
-    values = [float(p) for p in parts] + [0.0] * (4 - len(parts))
-    return kinematics.Event(t=values[0], x=values[1], y=values[2], z=values[3])
+    return kinematics.Event(*(float(p) for p in parts))
 
 
-def _event_dict(e: kinematics.Event, fmt: Formatter) -> dict:
-    return {
-        "t": fmt.num(e.t),
-        "x": fmt.num(e.x),
-        "y": fmt.num(e.y),
-        "z": fmt.num(e.z),
-        "chart": e.chart,
-    }
-
-
-def cmd_transform(config: RunConfig, stream) -> int:
-    fmt = Formatter(config.precision)
-    p = config.parameters
-    beta = p["beta"]
-    preset = p.get("preset")
-    if preset == "lorentz":
+def cmd_transform(args):
+    if args.preset == "lorentz":
         k, k_prime = 0.0, 0.0
-    elif preset == "superluminal":
-        k, k_prime = 0.0, kinematics.induced_synchrony(0.0, beta)
+    elif args.preset == "superluminal":
+        k, k_prime = 0.0, kinematics.induced_synchrony(0.0, args.beta)
     else:
-        k = p.get("k") if p.get("k") is not None else 0.0
-        k_prime = p.get("k_prime") if p.get("k_prime") is not None else 0.0
+        k = args.k if args.k is not None else 0.0
+        k_prime = args.k_prime if args.k_prime is not None else 0.0
 
-    source = _parse_event(p["event"])
-    coeffs = kinematics.edwards_coeffs(beta, k, k_prime)
-    image = coeffs.apply(source, chart=p.get("chart_to", "S'"))
-
-    payload = {
+    source = _parse_event(args.event)
+    coeffs = kinematics.edwards_coeffs(args.beta, k, k_prime)
+    image = coeffs.apply(source, chart="S'")
+    document = {
         "command": "transform",
-        "parameters": {"beta": fmt.num(beta), "k": fmt.num(k), "k_prime": fmt.num(k_prime)},
-        "source": _event_dict(source, fmt),
-        "image": _event_dict(image, fmt),
-        "coefficients": {
-            "a_tt": fmt.num(coeffs.a_tt),
-            "a_tx": fmt.num(coeffs.a_tx),
-            "a_xt": fmt.num(coeffs.a_xt),
-            "a_xx": fmt.num(coeffs.a_xx),
-        },
+        "parameters": {"beta": args.beta, "k": k, "k_prime": k_prime},
+        "source": asdict(source),
+        "image": asdict(image),
+        "coefficients": asdict(coeffs),
     }
-    if config.output == "csv":
-        writer = _csv_writer(stream)
-        writer.writerow(
-            ["source_t", "source_x", "source_y", "source_z",
-             "image_t", "image_x", "image_y", "image_z",
-             "a_tt", "a_tx", "a_xt", "a_xx"]
-        )
-        writer.writerow(
-            [fmt.text(v) for v in (source.t, source.x, source.y, source.z,
-                                   image.t, image.x, image.y, image.z,
-                                   coeffs.a_tt, coeffs.a_tx, coeffs.a_xt, coeffs.a_xx)]
-        )
-    else:
-        _emit_json(stream, payload)
-    return EXIT_OK
+    row = {f"{name}_{axis}": document[name][axis]
+           for name in ("source", "image") for axis in "txyz"}
+    row.update(document["coefficients"])
+    return document, [row], list(row)
 
 
-def cmd_oneway(config: RunConfig, stream) -> int:
-    fmt = Formatter(config.precision)
+def cmd_oneway(args):
     scale = _speed_scale()
-    k = config.parameters["k"]
-    c_plus = kinematics.one_way_speed(k, kinematics.PLUS_X)
-    c_minus = kinematics.one_way_speed(k, kinematics.MINUS_X)
-    two_way = kinematics.C
-    if config.output == "csv":
-        writer = _csv_writer(stream)
-        writer.writerow(["k", "c_plus", "c_minus", "two_way_mean"])
-        writer.writerow(
-            [fmt.text(k)]
-            + [fmt.text(_scaled(v, scale)) for v in (c_plus, c_minus, two_way)]
-        )
-    else:
-        _emit_json(
-            stream,
-            {
-                "command": "oneway",
-                "k": fmt.num(k),
-                "c_plus": fmt.num(_scaled(c_plus, scale)),
-                "c_minus": fmt.num(_scaled(c_minus, scale)),
-                "two_way_mean": fmt.num(_scaled(two_way, scale)),
-            },
-        )
-    return EXIT_OK
-
-
-def _measurement_dict(row: syncsim.MeasurementRow, fmt: Formatter, scale: float) -> dict:
-    m = row.result
-    return {
-        "from": row.spec.source,
-        "to": row.spec.target,
-        "kind": row.spec.kind,
-        "direction": m.direction,
-        "distance": fmt.num(m.distance),
-        "elapsed": fmt.num(m.elapsed),
-        "speed": fmt.num(_scaled(m.speed, scale)),
+    document = {
+        "command": "oneway",
+        "k": args.k,
+        "c_plus": kinematics.one_way_speed(args.k, kinematics.PLUS_X) * scale,
+        "c_minus": kinematics.one_way_speed(args.k, kinematics.MINUS_X) * scale,
+        "two_way_mean": kinematics.C * scale,
     }
+    return document, [document], ["k", "c_plus", "c_minus", "two_way_mean"]
 
 
-def cmd_sync(config: RunConfig, stream) -> int:
-    fmt = Formatter(config.precision)
+def cmd_sync(args):
     scale = _speed_scale()
-    p = config.parameters
-    scenario = syncsim.load_scenario(p["scenario"])
-    report = syncsim.run_scenario(
-        scenario, protocol=p.get("protocol"), master=p.get("master", 0)
-    )
-    if config.output == "csv":
-        writer = _csv_writer(stream)
-        writer.writerow(["beta", "protocol", "direction", "distance", "elapsed", "speed"])
-        for row in report.measurements:
-            m = row.result
-            writer.writerow(
-                [fmt.text(report.beta), report.protocol, m.direction,
-                 fmt.text(m.distance), fmt.text(m.elapsed),
-                 fmt.text(_scaled(m.speed, scale))]
-            )
-    elif config.output == "jsonl":
-        for row in report.measurements:
-            record = {"beta": fmt.num(report.beta), "protocol": report.protocol}
-            record.update(_measurement_dict(row, fmt, scale))
-            stream.write(json.dumps(record))
-            stream.write("\n")
-    else:
-        _emit_json(
-            stream,
-            {
-                "command": "sync",
-                "beta": fmt.num(report.beta),
-                "protocol": report.protocol,
-                "realized_k": fmt.num(report.realized_k),
-                "clock_rate": fmt.num(report.clock_rate),
-                "offsets": [
-                    {"node": node_id, "offset": fmt.num(offset)}
-                    for node_id, offset in report.offsets
-                ],
-                "measurements": [
-                    _measurement_dict(row, fmt, scale) for row in report.measurements
-                ],
-            },
-        )
-    return EXIT_OK
+    scenario = syncsim.load_scenario(args.scenario)
+    report = syncsim.run_scenario(scenario, protocol=args.protocol, master=args.master)
+    measurements = [
+        {
+            "from": row.spec.source,
+            "to": row.spec.target,
+            "kind": row.spec.kind,
+            "direction": row.result.direction,
+            "distance": row.result.distance,
+            "elapsed": row.result.elapsed,
+            "speed": row.result.speed * scale,
+        }
+        for row in report.measurements
+    ]
+    document = {
+        "command": "sync",
+        "beta": report.beta,
+        "protocol": report.protocol,
+        "realized_k": report.realized_k,
+        "clock_rate": report.clock_rate,
+        "offsets": [{"node": node, "offset": offset} for node, offset in report.offsets],
+        "measurements": measurements,
+    }
+    rows = [{"beta": report.beta, "protocol": report.protocol, **m} for m in measurements]
+    return document, rows, ["beta", "protocol", "direction", "distance", "elapsed", "speed"]
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -252,97 +180,33 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def cmd_scan(config: RunConfig, stream) -> int:
-    fmt = Formatter(config.precision)
+def cmd_scan(args):
     scale = _speed_scale()
-    p = config.parameters
-    betas = _grid(p["beta_min"], p["beta_max"], p["step"])
+    betas = _grid(args.beta_min, args.beta_max, args.step)
     if any(abs(b) >= 1.0 for b in betas):
         raise ValueError("scan range must stay within (-1, 1)")
-    points = syncsim.isotropy_scan(betas)
-    best = min(points, key=lambda pt: abs(pt.anisotropy))
-    if config.output == "json":
-        _emit_json(
-            stream,
-            {
-                "command": "scan",
-                "points": [
-                    {
-                        "beta": fmt.num(pt.beta),
-                        "c_plus": fmt.num(_scaled(pt.c_plus, scale)),
-                        "c_minus": fmt.num(_scaled(pt.c_minus, scale)),
-                        "anisotropy": fmt.num(_scaled(pt.anisotropy, scale)),
-                    }
-                    for pt in points
-                ],
-                "argmin": {
-                    "beta": fmt.num(best.beta),
-                    "anisotropy": fmt.num(_scaled(best.anisotropy, scale)),
-                },
-            },
-        )
-    else:
-        writer = _csv_writer(stream)
-        writer.writerow(["beta", "c_plus", "c_minus", "anisotropy"])
-        for pt in points:
-            writer.writerow(
-                [fmt.text(pt.beta)]
-                + [fmt.text(_scaled(v, scale))
-                   for v in (pt.c_plus, pt.c_minus, pt.anisotropy)]
-            )
-        stream.write(
-            f"# argmin beta={fmt.text(best.beta)} "
-            f"anisotropy={fmt.text(_scaled(best.anisotropy, scale))}\n"
-        )
-    return EXIT_OK
+    scan = syncsim.isotropy_scan(betas)
+    points = [
+        {"beta": pt.beta, "c_plus": pt.c_plus * scale, "c_minus": pt.c_minus * scale,
+         "anisotropy": pt.anisotropy * scale}
+        for pt in scan
+    ]
+    best = points[min(range(len(scan)), key=lambda i: abs(scan[i].anisotropy))]
+    document = {
+        "command": "scan",
+        "points": points,
+        "argmin": {"beta": best["beta"], "anisotropy": best["anisotropy"]},
+    }
+    return document, points, ["beta", "c_plus", "c_minus", "anisotropy"], "argmin"
 
 
-def cmd_probe(config: RunConfig, stream) -> int:
-    fmt = Formatter(config.precision)
-    p = config.parameters
-    samples = probe.load_samples(p["samples"])
-    grid = _grid(p["beta_min"], p["beta_max"], p["step"])
+def cmd_probe(args):
+    samples = probe.load_samples(args.samples)
+    grid = _grid(args.beta_min, args.beta_max, args.step)
     if any(abs(b) >= 1.0 for b in grid):
         raise ValueError("probe grid must stay within (-1, 1)")
-    beta_hat, report = probe.estimate_absolute_frame(samples, grid)
-    payload = {"command": "probe"}
-    raw = report.to_dict()
-    payload.update(
-        {
-            "beta_hat": fmt.num(raw["beta_hat"]),
-            "grid_beta_hat": fmt.num(raw["grid_beta_hat"]),
-            "refined": raw["refined"],
-            "scale": fmt.num(raw["scale"]),
-            "n_samples": raw["n_samples"],
-            "distinct_velocities": raw["distinct_velocities"],
-            "velocity_composition": raw["velocity_composition"],
-            "constants": {
-                "hbar": fmt.num(raw["constants"]["hbar"]),
-                "planck_energy": fmt.num(raw["constants"]["planck_energy"]),
-                "units": raw["constants"]["units"],
-            },
-            "residual_curve": [
-                {"beta": fmt.num(b), "residual": fmt.num(r)}
-                for b, r in zip(raw["beta_grid"], raw["residuals"])
-            ],
-        }
-    )
-    _emit_json(stream, payload)
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "transform": cmd_transform,
-    "oneway": cmd_oneway,
-    "sync": cmd_sync,
-    "scan": cmd_scan,
-    "probe": cmd_probe,
-}
-
-
-def run(config: RunConfig, stream) -> int:
-    """Dispatch a RunConfig; deterministic for identical configs."""
-    return _HANDLERS[config.command](config, stream)
+    _, report = probe.estimate_absolute_frame(samples, grid)
+    return {"command": "probe", **report.to_dict()}, [], []
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,47 +222,38 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--k", type=float, default=None)
     tr.add_argument("--k-prime", dest="k_prime", type=float, default=None)
     tr.add_argument("--preset", choices=PRESETS, default=None)
-    tr.add_argument("--format", choices=("json", "csv"), default="json")
-    tr.add_argument("--precision", type=int, default=15)
 
     ow = sub.add_parser("oneway", help="closed-form one-way speeds for a convention")
     ow.add_argument("--k", type=float, required=True)
-    ow.add_argument("--format", choices=("json", "csv"), default="json")
-    ow.add_argument("--precision", type=int, default=15)
 
     sy = sub.add_parser("sync", help="run a synchronization scenario file")
     sy.add_argument("--scenario", required=True)
     sy.add_argument("--protocol", choices=syncsim.PROTOCOLS, default=None)
     sy.add_argument("--master", type=int, default=0)
-    sy.add_argument("--format", choices=("json", "csv", "jsonl"), default="json")
-    sy.add_argument("--precision", type=int, default=15)
 
     sc = sub.add_parser("scan", help="anisotropy scan over candidate drift velocities")
     sc.add_argument("--beta-min", dest="beta_min", type=float, required=True)
     sc.add_argument("--beta-max", dest="beta_max", type=float, required=True)
     sc.add_argument("--step", type=float, required=True)
-    sc.add_argument("--format", choices=("csv", "json"), default="csv")
-    sc.add_argument("--precision", type=int, default=15)
 
     pr = sub.add_parser("probe", help="fit the preferred-frame velocity from samples")
     pr.add_argument("--samples", required=True)
     pr.add_argument("--beta-min", dest="beta_min", type=float, default=-0.9)
     pr.add_argument("--beta-max", dest="beta_max", type=float, default=0.9)
     pr.add_argument("--step", type=float, default=0.01)
-    pr.add_argument("--format", choices=("json",), default="json")
-    pr.add_argument("--precision", type=int, default=15)
+
+    # The first format listed is the command's default.
+    for command, handler, formats in (
+        (tr, cmd_transform, ("json", "csv")),
+        (ow, cmd_oneway, ("json", "csv")),
+        (sy, cmd_sync, ("json", "csv", "jsonl")),
+        (sc, cmd_scan, ("csv", "json")),
+        (pr, cmd_probe, ("json",)),
+    ):
+        command.add_argument("--format", choices=formats, default=formats[0])
+        command.add_argument("--precision", type=int, default=15)
+        command.set_defaults(handler=handler)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    skip = {"command", "format", "precision"}
-    parameters = {k: v for k, v in vars(args).items() if k not in skip}
-    return RunConfig(
-        command=args.command,
-        parameters=parameters,
-        output=args.format,
-        precision=args.precision,
-    )
 
 
 def _fail(stderr, code: int, error_code: str, **fields) -> int:
@@ -415,11 +270,11 @@ def main(argv=None, *, stdout=None, stderr=None) -> int:
     if args.command == "transform" and args.preset is not None:
         if args.k is not None or args.k_prime is not None:
             parser.error("--preset conflicts with explicit --k/--k-prime")
-    config = _config_from_args(args)
 
     buffer = io.StringIO()
     try:
-        code = run(config, buffer)
+        fmt = Formatter(args.precision)
+        _render(buffer, fmt, args.format, *args.handler(args))
     except DegenerateConvention as exc:
         return _fail(stderr, EXIT_DEGENERATE, "degenerate_convention",
                      beta=exc.beta, k=exc.k)
@@ -432,11 +287,11 @@ def main(argv=None, *, stdout=None, stderr=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(stderr, EXIT_INVALID_INPUT, "file_invalid",
                      reason=type(exc).__name__)
-    except ValueError as exc:
+    except (ValueError, SynchronyError) as exc:
         return _fail(stderr, EXIT_INVALID_INPUT, "invalid_input",
                      reason=str(exc).replace(" ", "_"))
     stdout.write(buffer.getvalue())
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

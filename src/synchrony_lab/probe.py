@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import IllConditioned
 
 #: Reduced Planck constant in eV*s (CODATA).
@@ -101,6 +99,7 @@ class FitReport:
         return self.scale / math.sqrt(1.0 - w * w)
 
     def to_dict(self) -> dict:
+        """The published fit report, with the residual curve as (beta, residual) pairs."""
         return {
             "beta_hat": self.beta_hat,
             "grid_beta_hat": self.grid_beta_hat,
@@ -114,18 +113,26 @@ class FitReport:
                 "planck_energy": self.planck_energy,
                 "units": self.units,
             },
-            "beta_grid": list(self.beta_grid),
-            "residuals": list(self.residuals),
+            "residual_curve": [
+                {"beta": b, "residual": r} for b, r in zip(self.beta_grid, self.residuals)
+            ],
         }
 
 
-def _parabolic_vertex(bs: np.ndarray, rs: np.ndarray) -> float | None:
-    """Vertex of the quadratic through three points; None if not a minimum."""
-    a, b, _ = np.polyfit(bs, rs, 2)
+def _parabolic_vertex(bs, rs) -> float | None:
+    """Vertex of the quadratic through three points; None if not a minimum.
+
+    Newton form: with divided differences s = f[b0, b1] and
+    a = f[b0, b1, b2], the vertex of s*(b - b0) + a*(b - b0)*(b - b1) is
+    (b0 + b1)/2 - s/(2a).
+    """
+    (b0, b1, b2), (r0, r1, r2) = bs, rs
+    slope = (r1 - r0) / (b1 - b0)
+    a = ((r2 - r1) / (b2 - b1) - slope) / (b2 - b0)
     if a <= 0.0:
         return None
-    vertex = -b / (2.0 * a)
-    if not (bs[0] <= vertex <= bs[2]):
+    vertex = 0.5 * (b0 + b1) - slope / (2.0 * a)
+    if not (b0 <= vertex <= b2):
         return None
     return float(vertex)
 
@@ -146,6 +153,8 @@ def estimate_absolute_frame(
     velocities are present (the curve's location and scale would be
     unconstrained or untestable).
     """
+    import numpy as np  # deferred so that importing the package does not load numpy
+
     samples = list(samples)
     grid = np.asarray(list(beta_grid), dtype=float)
     if grid.size == 0:

@@ -380,9 +380,14 @@ class Scenario:
     signals: tuple[SignalSpec, ...]
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _scenario_number(raw: dict, key: str) -> float:
     value = raw.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ScenarioError("must_be_number", key)
     return float(value)
 
@@ -399,7 +404,7 @@ def parse_scenario(raw: dict) -> Scenario:
     if not isinstance(positions, list) or len(positions) < 2:
         raise ScenarioError("at_least_two_nodes", "node_positions")
     for p in positions:
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or not math.isfinite(p):
+        if not (_is_number(p) and math.isfinite(p)):
             raise ScenarioError("positions_finite_numbers", "node_positions")
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise ScenarioError("strictly_increasing_positions", "node_positions")
@@ -418,23 +423,26 @@ def parse_scenario(raw: dict) -> Scenario:
         kind = s.get("kind", LIGHT)
         if kind not in SIGNAL_KINDS:
             raise ScenarioError("known_signal_kind", f"signals[{i}].kind", f"got {kind!r}")
-        try:
-            source = int(s["from"])
-            target = int(s["to"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError("signal_endpoints", f"signals[{i}]") from None
-        n = len(positions)
-        if not (0 <= source < n and 0 <= target < n) or source == target:
+        source, target = s.get("from"), s.get("to")
+        endpoints_ok = all(
+            isinstance(end, int) and not isinstance(end, bool) and 0 <= end < len(positions)
+            for end in (source, target)
+        )
+        if not endpoints_ok or source == target:
             raise ScenarioError("signal_endpoints", f"signals[{i}]")
+        two_way = s.get("two_way", False)
+        if not isinstance(two_way, bool):
+            raise ScenarioError("two_way_boolean", f"signals[{i}].two_way")
         speed = s.get("speed")
-        if speed is not None and (not isinstance(speed, (int, float)) or speed <= 0):
-            raise ScenarioError("positive_signal_speed", f"signals[{i}].speed")
+        if speed is not None or kind == SUPERLUMINAL_FINITE:
+            if not (_is_number(speed) and math.isfinite(speed) and speed > 0):
+                raise ScenarioError("positive_signal_speed", f"signals[{i}].speed")
         signals.append(
             SignalSpec(
                 source=source,
                 target=target,
                 kind=kind,
-                two_way=bool(s.get("two_way", False)),
+                two_way=two_way,
                 speed=None if speed is None else float(speed),
             )
         )

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from synchrony_lab.cli import Formatter, RunConfig
+from synchrony_lab.cli import Formatter
 
 from conftest import run_cli
 
@@ -165,6 +168,19 @@ class TestSyncCommand:
         assert err.splitlines() == [
             "scenario_invalid invariant=strictly_increasing_positions field=node_positions"
         ]
+
+    def test_unreachable_signal_exits_3(self, tmp_path):
+        # A finite-speed signal slower than the receding target never arrives.
+        scenario = tmp_path / "unreachable.json"
+        scenario.write_text(json.dumps({
+            "beta": 0.6, "node_positions": [0.0, 1.0], "protocol": "superluminal",
+            "signals": [{"from": 1, "to": 0, "kind": "superluminal-finite", "speed": 0.5}],
+        }))
+        code, out, err = run_cli(["sync", "--scenario", str(scenario)])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("invalid_input reason=")
 
     def test_missing_file_exits_3(self):
         code, _, err = run_cli(["sync", "--scenario", "no-such-file.json"])
@@ -347,6 +363,15 @@ class TestPinnedOutput:
         assert run_cli(argv) == (0, expected, "")
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    check = "import sys, synchrony_lab.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 class TestDeterminism:
     COMMANDS = [
         ["transform", "--preset", "superluminal", "--beta", "0.6", "--event", "1,0,0,0"],
@@ -362,9 +387,3 @@ class TestDeterminism:
         second = run_cli(argv)
         assert first == second
         assert first[0] == 0
-
-    def test_run_config_is_hashable_record(self):
-        config = RunConfig(command="oneway", parameters={"k": 0.0})
-        assert config.output == "json"
-        assert config.precision == 15
-        assert config.seed is None

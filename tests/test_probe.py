@@ -17,6 +17,8 @@ from synchrony_lab import (
     map_velocity,
 )
 
+from synchrony_lab.probe import _parabolic_vertex
+
 from conftest import (
     ORACLE_HBAR_EV_S,
     ORACLE_PLANCK_ENERGY_EV,
@@ -119,7 +121,7 @@ class TestEstimator:
         assert report.n_samples == len(samples)
         payload = report.to_dict()
         assert payload["constants"]["units"] == "eV,s"
-        assert len(payload["residuals"]) == len(GRID_001)
+        assert len(payload["residual_curve"]) == len(GRID_001)
 
     def test_velocity_composition_matches_kinematics(self):
         # The estimator's u (-) b rule is the same map the transform library
@@ -177,3 +179,35 @@ class TestSampleIO:
         path.write_text("delta_E,lab_beta,t_c,sigma\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_samples(path)
+
+
+def polyfit_vertex(bs, rs):
+    """Least-squares parabola through the three points, via numpy as an oracle."""
+    a, b, _ = np.polyfit(bs, rs, 2)
+    if a <= 0.0:
+        return None
+    vertex = -b / (2.0 * a)
+    return float(vertex) if bs[0] <= vertex <= bs[2] else None
+
+
+def test_parabolic_vertex_matches_polyfit():
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for _ in range(2000):
+        bs = np.sort(rng.uniform(-0.95, 0.95, 3))
+        if np.min(np.diff(bs)) < 1e-3:
+            continue
+        span = bs[2] - bs[0]
+        apex = rng.uniform(bs[0] - span, bs[2] + span)
+        if min(abs(apex - bs[0]), abs(apex - bs[2])) < 1e-6 * span:
+            continue  # too close to the bracket edge for the oracle to decide
+        curvature = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0)
+        rs = curvature * (bs - apex) ** 2 + rng.uniform(0.0, 5.0)
+        expected = polyfit_vertex(bs, rs)
+        got = _parabolic_vertex(bs, rs)
+        outcomes.add(expected is None)
+        if expected is None:
+            assert got is None
+        else:
+            assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12)
+    assert outcomes == {True, False}

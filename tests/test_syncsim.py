@@ -289,6 +289,16 @@ class TestScenario:
             ({"signals": [{"from": 0, "to": 0}]}, "signal_endpoints"),
             ({"signals": [{"from": 0, "to": 1, "kind": "carrier-pigeon"}]},
              "known_signal_kind"),
+            ({"signals": [{"from": 0.9, "to": 1.2}]}, "signal_endpoints"),
+            ({"signals": [{"from": False, "to": True}]}, "signal_endpoints"),
+            ({"signals": [{"from": 0, "to": 1, "two_way": "no"}]}, "two_way_boolean"),
+            ({"signals": [{"from": 0, "to": 1, "speed": True}]}, "positive_signal_speed"),
+            ({"signals": [{"from": 0, "to": 1, "kind": "superluminal-finite"}]},
+             "positive_signal_speed"),
+            ({"signals": [{"from": 0, "to": 1, "kind": "superluminal-finite",
+                           "speed": math.nan}]}, "positive_signal_speed"),
+            ({"signals": [{"from": 0, "to": 1, "kind": "superluminal-finite",
+                           "speed": math.inf}]}, "positive_signal_speed"),
         ],
     )
     def test_violations_name_the_invariant(self, patch, invariant):
