@@ -7,8 +7,9 @@ Setting the environment variable ``SYNCHRONY_LAB_C`` rescales printed
 speed-valued fields (and only those) into SI units.
 
 Exit codes: 0 success, 2 degenerate convention (or usage error), 3 invalid
-input file or parameters, 4 ill-conditioned fit.  Every error path writes a
-single machine-parsable line ``error_code key=value ...`` to stderr.
+input file or parameters (including a ``scan``/``probe`` grid of more than
+:data:`MAX_GRID_POINTS` points), 4 ill-conditioned fit.  Every error path
+writes a single machine-parsable line ``error_code key=value ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ EXIT_OK = 0
 EXIT_DEGENERATE = 2
 EXIT_INVALID_INPUT = 3
 EXIT_ILL_CONDITIONED = 4
+
+#: Largest beta grid ``scan`` and ``probe`` accept; checked before allocation.
+MAX_GRID_POINTS = 10**6
 
 
 class Formatter:
@@ -172,11 +176,16 @@ def cmd_sync(args):
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ValueError("grid bounds and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
         raise ValueError("grid maximum is below its minimum")
-    count = max(int(math.floor((hi - lo) / step + 1e-9)) + 1, 1)
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # floor(span) + 1 points; also catches overflow to inf
+        raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points")
+    count = max(int(math.floor(span)) + 1, 1)
     return [lo + i * step for i in range(count)]
 
 

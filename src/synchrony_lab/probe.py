@@ -151,7 +151,9 @@ def estimate_absolute_frame(
 
     Raises :class:`IllConditioned` when fewer than three distinct lab
     velocities are present (the curve's location and scale would be
-    unconstrained or untestable).
+    unconstrained or untestable), or when a residual is not finite (samples
+    or grid points so close to |beta| = 1, or times so large, that the
+    arithmetic overflows).
     """
     import numpy as np  # deferred so that importing the package does not load numpy
 
@@ -173,12 +175,15 @@ def estimate_absolute_frame(
             f"got {len(samples)} samples at {distinct}"
         )
 
-    w = (u[None, :] - grid[:, None]) / (1.0 - u[None, :] * grid[:, None])
-    g = 1.0 / np.sqrt(1.0 - w * w)
-    gy = g @ y
-    gg = np.sum(g * g, axis=1)
-    scales = gy / gg
-    residuals = float(y @ y) - gy * gy / gg
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual
+        w = (u[None, :] - grid[:, None]) / (1.0 - u[None, :] * grid[:, None])
+        g = 1.0 / np.sqrt(1.0 - w * w)
+        gy = g @ y
+        gg = np.sum(g * g, axis=1)
+        scales = gy / gg
+        residuals = float(y @ y) - gy * gy / gg
+    if not np.isfinite(residuals).all():
+        raise IllConditioned("fit residuals are not finite")
     residuals = np.maximum(residuals, 0.0)  # clip rounding just below zero
 
     i = int(np.argmin(residuals))

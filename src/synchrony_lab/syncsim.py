@@ -62,13 +62,13 @@ class ScenarioError(ValueError):
 class ClockNode:
     """One clock of the lattice.
 
+    A node has no id of its own: it *is* its index in ``ClockLattice.nodes``.
     ``xi0`` is its absolute-chart position at absolute time 0; ``rate`` is
     its tick rate per absolute time unit; ``offset`` is the correction a
     protocol applied (zero until one runs).  Its displayed reading at
     absolute time t is ``rate*t + offset``.
     """
 
-    id: int
     xi0: float
     offset: float = 0.0
     rate: float = 1.0
@@ -110,7 +110,11 @@ class SpeedMeasurement:
 
 @dataclass
 class ClockLattice:
-    """Simulator ground truth: the carried frame, its clocks, and a signal log."""
+    """Simulator ground truth: the carried frame, its clocks, and a signal log.
+
+    Nodes are addressed by their index in ``nodes`` (ordered by position),
+    so every lookup is O(1) and a protocol run costs O(n).
+    """
 
     frame: FrameSpec
     nodes: list[ClockNode]
@@ -123,15 +127,13 @@ class ClockLattice:
         positions = [n.xi0 for n in self.nodes]
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ValueError("node positions must be strictly increasing")
-        if len({n.id for n in self.nodes}) != len(self.nodes):
-            raise ValueError("node ids must be unique")
 
     @classmethod
     def build(cls, beta: float, positions, label: str = "lab") -> "ClockLattice":
         """Comoving lattice at drift ``beta`` with nodes at the given absolute positions."""
         frame = FrameSpec(beta=beta, k=0.0, label=label)
         rate = math.sqrt(1.0 - beta * beta)
-        nodes = [ClockNode(i, float(x), 0.0, rate) for i, x in enumerate(positions)]
+        nodes = [ClockNode(float(x), 0.0, rate) for x in positions]
         return cls(frame=frame, nodes=nodes)
 
     @property
@@ -144,9 +146,12 @@ class ClockLattice:
         return 1.0 / math.sqrt(1.0 - self.frame.beta**2)
 
     def node(self, node_id: int) -> ClockNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
+        """The node at index ``node_id``; negative, bool or non-integer ids are rejected."""
+        try:
+            if node_id >= 0 and not isinstance(node_id, bool):
+                return self.nodes[node_id]
+        except (TypeError, IndexError):  # not an integer, or past the end
+            pass
         raise ValueError(f"no node with id {node_id!r}")
 
     def position(self, node_id: int, t: float) -> float:
@@ -251,22 +256,22 @@ def run_protocol(
         for n in lattice.nodes:
             n.offset = 0.0
 
-    slaves = [n for n in lattice.nodes if n.id != master]
+    slaves = ((i, n) for i, n in enumerate(lattice.nodes) if i != master)
     if protocol == EINSTEIN:
-        for n in slaves:
-            out = propagate(lattice, master, n.id, LIGHT, t_emit=sync_time)
-            back = propagate(lattice, n.id, master, LIGHT, t_emit=out.absorb.t)
+        for i, n in slaves:
+            out = propagate(lattice, master, i, LIGHT, t_emit=sync_time)
+            back = propagate(lattice, i, master, LIGHT, t_emit=out.absorb.t)
             midpoint = 0.5 * (m.reading(out.emit.t) + m.reading(back.absorb.t))
             n.offset = midpoint - n.rate * out.absorb.t
         realized_k = 0.0
     elif protocol == SUPERLUMINAL:
-        for n in slaves:
-            rec = propagate(lattice, master, n.id, INSTANTANEOUS, t_emit=sync_time)
+        for i, n in slaves:
+            rec = propagate(lattice, master, i, INSTANTANEOUS, t_emit=sync_time)
             n.offset = m.reading(rec.emit.t) - n.rate * rec.absorb.t
         realized_k = lattice.frame.beta
     else:  # EXTERNAL_REGULATION
         reference_offset = m.reading(sync_time) - sync_time
-        for n in slaves:
+        for _, n in slaves:
             n.offset = (sync_time + reference_offset) - n.rate * sync_time
         realized_k = lattice.frame.beta
 
@@ -354,9 +359,8 @@ def isotropy_scan(
     for beta in betas:
         lattice = ClockLattice.build(float(beta), positions)
         run_protocol(lattice, SUPERLUMINAL, master=master)
-        a, b = lattice.nodes[0].id, lattice.nodes[1].id
-        c_plus = measure_one_way(lattice, a, b, kind).speed
-        c_minus = measure_one_way(lattice, b, a, kind).speed
+        c_plus = measure_one_way(lattice, 0, 1, kind).speed
+        c_minus = measure_one_way(lattice, 1, 0, kind).speed
         points.append(ScanPoint(float(beta), c_plus, c_minus, c_plus - c_minus))
     return points
 
@@ -489,6 +493,6 @@ def run_scenario(
         protocol=chosen,
         realized_k=lattice.frame.k,
         clock_rate=lattice.nodes[0].rate,
-        offsets=tuple((n.id, n.offset) for n in lattice.nodes),
+        offsets=tuple(enumerate(n.offset for n in lattice.nodes)),
         measurements=tuple(rows),
     )

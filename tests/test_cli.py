@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,25 @@ from synchrony_lab.cli import Formatter
 from conftest import run_cli
 
 DATA = Path(__file__).parent / "data"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _limit_memory():
+    # A regression that allocates a huge grid fails fast instead of exhausting memory.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_cli_process(argv):
+    """Run the CLI as a fresh process (real stderr, warnings included), memory-capped."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "synchrony_lab.cli", *argv],
+        # One BLAS thread: per-thread stacks would otherwise count against the cap.
+        env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1",
+             "OMP_NUM_THREADS": "1"},
+        capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_memory,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestFormatter:
@@ -182,6 +202,13 @@ class TestSyncCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("invalid_input reason=")
 
+    @pytest.mark.parametrize("master", ["-1", "3"])
+    def test_master_outside_the_lattice_exits_3(self, master):
+        code, out, err = run_cli(["sync", "--scenario", str(DATA / "scenario_rest.json"),
+                                  "--master", master])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"invalid_input reason=no_node_with_id_{master}"]
+
     def test_missing_file_exits_3(self):
         code, _, err = run_cli(["sync", "--scenario", "no-such-file.json"])
         assert code == 3
@@ -237,6 +264,24 @@ class TestScanCommand:
         assert code == 3
         assert err.startswith("invalid_input ")
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--beta-min", "-0.5", "--beta-max", "0.5", "--step", "1e-12"],
+        ["scan", "--beta-min", "-0.5", "--beta-max", "0.5", "--step", "1e-320"],
+        ["probe", "--samples", str(DATA / "collapse_samples_beta03.csv"), "--step", "1e-12"],
+    ], ids=["scan", "scan-overflow", "probe"])
+    def test_oversized_grid_exits_3_before_allocating(self, argv):
+        code, out, err = run_cli_process(argv)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "invalid_input reason=grid_would_have_more_than_1000000_points"
+        ]
+
+    def test_non_finite_step_exits_3(self):
+        code, out, err = run_cli(["scan", "--beta-min", "0", "--beta-max", "0.5",
+                                  "--step", "nan"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["invalid_input reason=grid_bounds_and_step_must_be_finite"]
+
     def test_json_format(self):
         _, out, _ = run_cli(
             ["scan", "--beta-min", "0", "--beta-max", "0.5", "--step", "0.25",
@@ -264,6 +309,19 @@ class TestProbeCommand:
         )
         assert code == 4
         assert err.startswith("ill_conditioned ")
+
+    def test_non_finite_residuals_exit_4_without_warnings(self, tmp_path):
+        # Samples at |beta| -> 1 with huge times overflow the residuals to NaN.
+        samples = tmp_path / "overflow.csv"
+        samples.write_text("delta_E,lab_beta,t_c,sigma\n"
+                           "1.0,0.9999999999,1e300,\n"
+                           "1.0,-0.9999999999,1e300,\n"
+                           "1.0,0.0,1e-300,\n")
+        code, out, err = run_cli_process(
+            ["probe", "--samples", str(samples),
+             "--beta-min", "-0.99", "--beta-max", "0.99", "--step", "0.33"])
+        assert (code, out) == (4, "")
+        assert err.splitlines() == ["ill_conditioned reason=fit_residuals_are_not_finite"]
 
 
 def _pretty(payload: dict) -> str:
@@ -364,8 +422,7 @@ class TestPinnedOutput:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     check = "import sys, synchrony_lab.cli; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", check], env=env,
                           capture_output=True, text=True, check=True)

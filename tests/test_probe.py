@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,16 @@ class TestEstimator:
                 via_kinematics = map_velocity(u, ABSOLUTE_FRAME, FrameSpec(b, 0.0, "lab"))
                 assert math.isclose(velocity_subtract(u, b), via_kinematics,
                                     rel_tol=1e-12, abs_tol=1e-15)
+
+    def test_non_finite_residuals_are_ill_conditioned_and_silent(self):
+        samples = [CollapseSample(1.0, 0.9999999999, 1e300),
+                   CollapseSample(1.0, -0.9999999999, 1e300),
+                   CollapseSample(1.0, 0.0, 1e-300)]
+        grid = [-0.99 + 0.33 * i for i in range(7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IllConditioned, match="not finite"):
+                estimate_absolute_frame(samples, grid)
 
     def test_empty_grid_rejected(self):
         samples = synth_collapse_samples(0.0, self.velocities)

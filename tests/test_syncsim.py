@@ -10,6 +10,7 @@ from synchrony_lab import (
     ClockLattice,
     NotSynchronized,
     UnresolvableChase,
+    edwards_coeffs,
     isotropy_scan,
     measure_one_way,
     measure_two_way,
@@ -34,6 +35,19 @@ from synchrony_lab.syncsim import (
 
 def lattice(beta=0.6, positions=(0.0, 1.0)):
     return ClockLattice.build(beta, positions)
+
+
+class TestNodeLookup:
+    def test_node_is_its_index(self):
+        lat = lattice(positions=(0.0, 1.0, 2.5))
+        for i in range(len(lat.nodes)):
+            assert lat.node(i) is lat.nodes[i]
+
+    @pytest.mark.parametrize("bad", [-1, 3, True, 1.0, "1", None])
+    def test_out_of_range_or_non_integer_ids_are_rejected(self, bad):
+        lat = lattice(positions=(0.0, 1.0, 2.5))
+        with pytest.raises(ValueError, match="no node with id"):
+            lat.node(bad)
 
 
 class TestPropagate:
@@ -128,7 +142,7 @@ class TestProtocols:
     def test_superluminal_equalizes_readings_at_one_instant(self):
         lat = lattice(beta=0.6, positions=(0.0, 1.0, 2.0))
         run_protocol(lat, SUPERLUMINAL)
-        readings = [lat.reading(n.id, 1.7) for n in lat.nodes]
+        readings = [lat.reading(i, 1.7) for i in range(len(lat.nodes))]
         assert max(readings) - min(readings) == 0.0
         assert lat.frame.k == 0.6
 
@@ -228,12 +242,57 @@ class TestChartConsistency:
         instants = [(2.0 - n.offset) / n.rate for n in lat.nodes]
         events = [
             superluminal_transform(
-                type(lat.log[0].emit)(t=t, x=lat.position(n.id, t), chart="S"), beta
+                type(lat.log[0].emit)(t=t, x=lat.position(i, t), chart="S"), beta
             )
-            for t, n in zip(instants, lat.nodes)
+            for i, t in enumerate(instants)
         ]
         times = [e.t for e in events]
         assert max(times) - min(times) <= 1e-9
+
+    MASTER = 1
+    POSITIONS = (-1.5, 0.5, 2.0, 4.5)
+
+    @staticmethod
+    def chart_misses(lat, master, velocity):
+        """Count protocol signals whose absorb event misses the receiver in the lattice chart.
+
+        The absorb event is mapped from the absolute chart into the chart of
+        a frame moving at ``velocity`` with the lattice's realized k.  There
+        t' less the master's term a_tx*xi0(master) must be the receiver's
+        clock reading, and x' must be the receiver's rest position
+        gamma*xi0.  The coefficients are built directly, not via FrameSpec.
+        """
+        coeffs = edwards_coeffs(velocity, 0.0, lat.frame.k)
+        slaves = [i for i in range(len(lat.nodes)) if i != master]
+        if lat.protocol == EINSTEIN:
+            receivers = [r for i in slaves for r in (i, master)]  # out, then back
+        else:
+            receivers = slaves
+        assert len(lat.log) == len(receivers)
+        master_term = coeffs.a_tx * lat.node(master).xi0
+        misses = 0
+        for rec, r in zip(lat.log, receivers):
+            image = coeffs.apply(rec.absorb)
+            t_ok = math.isclose(image.t - master_term, lat.reading(r, rec.absorb.t),
+                                rel_tol=0.0, abs_tol=1e-9)
+            x_ok = math.isclose(image.x, lat.gamma * lat.node(r).xi0,
+                                rel_tol=0.0, abs_tol=1e-9)
+            misses += not (t_ok and x_ok)
+        return misses
+
+    @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
+    @pytest.mark.parametrize("drift", [0.6, -0.6, 0.8, -0.8])
+    def test_absorb_events_land_on_receiver_readings(self, protocol, drift):
+        lat = lattice(beta=drift, positions=self.POSITIONS)
+        run_protocol(lat, protocol, master=self.MASTER)
+        assert self.chart_misses(lat, self.MASTER, lat.velocity) == 0
+
+    @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
+    @pytest.mark.parametrize("drift", [0.6, -0.6, 0.8, -0.8])
+    def test_flipped_velocity_sign_is_caught(self, protocol, drift):
+        lat = lattice(beta=drift, positions=self.POSITIONS)
+        run_protocol(lat, protocol, master=self.MASTER)
+        assert self.chart_misses(lat, self.MASTER, -lat.velocity) == len(lat.log)
 
 
 class TestIsotropyScan:
