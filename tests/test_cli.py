@@ -276,9 +276,12 @@ class TestScanCommand:
             "invalid_input reason=grid_would_have_more_than_1000000_points"
         ]
 
-    def test_non_finite_step_exits_3(self):
-        code, out, err = run_cli(["scan", "--beta-min", "0", "--beta-max", "0.5",
-                                  "--step", "nan"])
+    @pytest.mark.parametrize("bounds", [
+        ["--beta-min", "0", "--beta-max", "0.5", "--step", "nan"],
+        ["--beta-min=-inf", "--beta-max", "0.5", "--step", "0.1"],  # was an OverflowError traceback
+    ], ids=["nan-step", "infinite-bound"])
+    def test_non_finite_grid_exits_3(self, bounds):
+        code, out, err = run_cli(["scan", *bounds])
         assert (code, out) == (3, "")
         assert err.splitlines() == ["invalid_input reason=grid_bounds_and_step_must_be_finite"]
 
