@@ -8,8 +8,10 @@ speed-valued fields (and only those) into SI units.
 
 Exit codes: 0 success, 2 degenerate convention (or usage error), 3 invalid
 input file or parameters (including a ``scan``/``probe`` grid of more than
-:data:`MAX_GRID_POINTS` points), 4 ill-conditioned fit.  Every error path
-writes a single machine-parsable line ``error_code key=value ...`` to stderr.
+:data:`MAX_GRID_POINTS` points, or a ``probe`` fit of more than
+:data:`MAX_FIT_CELLS` grid points times samples), 4 ill-conditioned fit.
+Every error path writes a single machine-parsable line
+``error_code key=value ...`` to stderr.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ EXIT_ILL_CONDITIONED = 4
 #: Largest beta grid ``scan`` and ``probe`` accept; checked before allocation.
 MAX_GRID_POINTS = 10**6
 
+#: Largest grid points x samples ``probe`` fits; checked before the estimator allocates.
+MAX_FIT_CELLS = 10**7
+
 
 class Formatter:
     """Renders numbers at a fixed significant-digit budget."""
@@ -49,8 +54,8 @@ class Formatter:
         """JSON-ready value: rounded float, or 'inf'/'-inf' strings."""
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        rounded = float(f"{value:.{self.digits}g}")
-        return rounded + 0.0  # normalize -0.0
+        rounded = float(f"{value:.{self.digits}g}")  # inf if it rounds past the largest float
+        return (rounded if math.isfinite(rounded) else value) + 0.0  # normalize -0.0
 
     def text(self, value: float) -> str:
         if math.isinf(value):
@@ -149,29 +154,29 @@ def cmd_oneway(args):
 def cmd_sync(args):
     scale = _speed_scale()
     scenario = syncsim.load_scenario(args.scenario)
-    report = syncsim.run_scenario(scenario, protocol=args.protocol, master=args.master)
+    lattice, results = syncsim.run_scenario(scenario, protocol=args.protocol, master=args.master)
     measurements = [
         {
-            "from": row.spec.source,
-            "to": row.spec.target,
-            "kind": row.spec.kind,
-            "direction": row.result.direction,
-            "distance": row.result.distance,
-            "elapsed": row.result.elapsed,
-            "speed": row.result.speed * scale,
+            "from": spec.source,
+            "to": spec.target,
+            "kind": spec.kind,
+            "direction": result.direction,
+            "distance": result.distance,
+            "elapsed": result.elapsed,
+            "speed": result.speed * scale,
         }
-        for row in report.measurements
+        for spec, result in zip(scenario.signals, results)
     ]
     document = {
         "command": "sync",
-        "beta": report.beta,
-        "protocol": report.protocol,
-        "realized_k": report.realized_k,
-        "clock_rate": report.clock_rate,
-        "offsets": [{"node": node, "offset": offset} for node, offset in report.offsets],
+        "beta": scenario.beta,
+        "protocol": lattice.protocol,
+        "realized_k": lattice.frame.k,
+        "clock_rate": lattice.rate,
+        "offsets": [{"node": i, "offset": n.offset} for i, n in enumerate(lattice.nodes)],
         "measurements": measurements,
     }
-    rows = [{"beta": report.beta, "protocol": report.protocol, **m} for m in measurements]
+    rows = [{"beta": scenario.beta, "protocol": lattice.protocol, **m} for m in measurements]
     return document, rows, ["beta", "protocol", "direction", "distance", "elapsed", "speed"]
 
 
@@ -214,6 +219,8 @@ def cmd_probe(args):
     grid = _grid(args.beta_min, args.beta_max, args.step)
     if any(abs(b) >= 1.0 for b in grid):
         raise ValueError("probe grid must stay within (-1, 1)")
+    if len(grid) * len(samples) > MAX_FIT_CELLS:
+        raise ValueError(f"fit would have more than {MAX_FIT_CELLS} grid-sample cells")
     _, report = probe.estimate_absolute_frame(samples, grid)
     return {"command": "probe", **report.to_dict()}, [], []
 

@@ -91,8 +91,6 @@ class FrameSpec:
         _check_k(self.k)
         if not self.label:
             raise ValueError("frame label must be non-empty")
-        if (1.0 + self.beta * self.k) ** 2 - self.beta**2 <= 0.0:
-            raise DegenerateConvention(self.beta, self.k)
 
 
 #: The preferred chart: at rest, isotropic convention.

@@ -60,6 +60,8 @@ class CollapseSample:
             raise ValueError("t_c must be positive")
         if not (math.isfinite(self.beta) and abs(self.beta) < 1.0):
             raise ValueError("|beta| must be < 1")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("sigma must be positive and finite when given")
 
 
 def collapse_time(model: CollapseModel, delta_E: float, beta: float) -> float:
@@ -167,7 +169,10 @@ def estimate_absolute_frame(
         model = CollapseModel()
 
     u = np.array([s.beta for s in samples], dtype=float)
-    y = np.array([s.t_c * s.delta_E**2 for s in samples], dtype=float)
+    try:
+        y = np.array([s.t_c * s.delta_E**2 for s in samples], dtype=float)
+    except OverflowError:  # float ** raises where * would give inf
+        raise IllConditioned("fit residuals are not finite") from None
     distinct = np.unique(u).size
     if len(samples) < 3 or distinct < 3:
         raise IllConditioned(

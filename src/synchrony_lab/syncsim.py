@@ -8,16 +8,19 @@ time-stepped.
 
 Sign convention
 ---------------
-A lattice is tagged with a drift parameter ``beta``: the velocity of the
-isotropy frame measured along the lattice's +x axis (an "ether wind" as seen
-in the laboratory).  The lattice hardware therefore moves at ``-beta*C``
-through the absolute chart, its clocks tick at ``sqrt(1 - beta^2)`` per
-absolute time unit, and comoving rulers are contracted by the same factor,
-so the frame-chart distance between nodes is ``gamma`` times their absolute
-gap.  After zero-delay synchronization the lattice realizes the synchrony
-parameter ``k = +beta``: light measures ``C/(1 - beta)`` toward +x
-(downwind) and ``C/(1 + beta)`` toward -x (upwind), while every round trip
-averages to ``C`` regardless of protocol.
+A lattice is built from a drift: the velocity of the isotropy frame measured
+along the lattice's +x axis (an "ether wind" seen in the laboratory).
+Scenario files, :meth:`ClockLattice.build` and the printed ``beta`` are the
+drift.  ``ClockLattice.frame`` is the kinematics frame of the hardware, so
+its ``beta`` is ``-drift``: the hardware moves at ``frame.beta*C`` through
+the absolute chart, its clocks tick at ``sqrt(1 - beta^2)`` per absolute time
+unit, and comoving rulers are contracted by the same factor, so the
+frame-chart distance between nodes is ``gamma`` times their absolute gap.
+Zero-delay synchronization realizes ``k = induced_synchrony(0, frame.beta)``,
+which is ``+drift``: light measures ``C/(1 - k)`` toward +x and ``C/(1 + k)``
+toward -x, while every round trip averages to ``C`` under every protocol.
+``frame_coeffs(lattice.frame)`` therefore maps absolute events into the
+lattice chart.
 
 A lattice is owned by one simulation run at a time; independent runs (for
 example the points of an isotropy scan) share nothing.
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import NotSynchronized, UnresolvableChase
-from .kinematics import C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X
+from .kinematics import C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, induced_synchrony
 
 LIGHT = "light"
 SUPERLUMINAL_FINITE = "superluminal-finite"
@@ -63,24 +66,17 @@ class ClockNode:
     """One clock of the lattice.
 
     A node has no id of its own: it *is* its index in ``ClockLattice.nodes``.
-    ``xi0`` is its absolute-chart position at absolute time 0; ``rate`` is
-    its tick rate per absolute time unit; ``offset`` is the correction a
-    protocol applied (zero until one runs).  Its displayed reading at
-    absolute time t is ``rate*t + offset``.
+    ``xi0`` is its absolute-chart position at absolute time 0; ``offset`` is
+    the correction a protocol applied (zero until one runs).  Its displayed
+    reading at absolute time t is ``lattice.rate*t + offset``.
     """
 
     xi0: float
     offset: float = 0.0
-    rate: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError("clock rate must be positive and finite")
         if not math.isfinite(self.offset):
             raise ValueError("clock offset must be finite")
-
-    def reading(self, t: float) -> float:
-        return self.rate * t + self.offset
 
 
 @dataclass(frozen=True)
@@ -110,10 +106,12 @@ class SpeedMeasurement:
 
 @dataclass
 class ClockLattice:
-    """Simulator ground truth: the carried frame, its clocks, and a signal log.
+    """Simulator ground truth: the hardware's frame, its clocks, and a signal log.
 
-    Nodes are addressed by their index in ``nodes`` (ordered by position),
-    so every lookup is O(1) and a protocol run costs O(n).
+    ``frame`` is the kinematics frame of the hardware (``beta = -drift``,
+    ``k`` as realized by the last protocol run).  Nodes are addressed by
+    their index in ``nodes`` (ordered by position), so every lookup is O(1)
+    and a protocol run costs O(n).
     """
 
     frame: FrameSpec
@@ -129,17 +127,20 @@ class ClockLattice:
             raise ValueError("node positions must be strictly increasing")
 
     @classmethod
-    def build(cls, beta: float, positions, label: str = "lab") -> "ClockLattice":
-        """Comoving lattice at drift ``beta`` with nodes at the given absolute positions."""
-        frame = FrameSpec(beta=beta, k=0.0, label=label)
-        rate = math.sqrt(1.0 - beta * beta)
-        nodes = [ClockNode(float(x), 0.0, rate) for x in positions]
-        return cls(frame=frame, nodes=nodes)
+    def build(cls, drift: float, positions) -> "ClockLattice":
+        """Comoving lattice at ``drift`` with nodes at the given absolute positions."""
+        return cls(FrameSpec(-drift, 0.0, "lab"), [ClockNode(float(x)) for x in positions])
 
     @property
     def velocity(self) -> float:
         """Absolute-chart velocity of the hardware (the wind blows the other way)."""
-        return -self.frame.beta * C
+        return self.frame.beta * C
+
+    @property
+    def rate(self) -> float:
+        """Tick rate of every clock per absolute time unit."""
+        b = self.frame.beta
+        return math.sqrt(1.0 - b * b)
 
     @property
     def gamma(self) -> float:
@@ -158,7 +159,7 @@ class ClockLattice:
         return self.node(node_id).xi0 + self.velocity * t
 
     def reading(self, node_id: int, t: float) -> float:
-        return self.node(node_id).reading(t)
+        return self.rate * t + self.node(node_id).offset
 
     def chart_distance(self, a: int, b: int) -> float:
         """Rest length between two nodes (absolute gap undone for contraction)."""
@@ -224,15 +225,8 @@ def propagate(
     return record
 
 
-def run_protocol(
-    lattice: ClockLattice,
-    protocol: str,
-    master: int = 0,
-    *,
-    sync_time: float = 0.0,
-    reset: bool = True,
-) -> ClockLattice:
-    """Synchronize the lattice's clocks against ``master``; returns the lattice.
+def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> ClockLattice:
+    """Reset every clock, then synchronize against ``master`` from absolute time 0.
 
     einstein
         Literal two-way light exchange per slave: emit, reflect, return;
@@ -252,30 +246,27 @@ def run_protocol(
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     m = lattice.node(master)
-    if reset:
-        for n in lattice.nodes:
-            n.offset = 0.0
+    rate = lattice.rate
+    for n in lattice.nodes:
+        n.offset = 0.0
 
     slaves = ((i, n) for i, n in enumerate(lattice.nodes) if i != master)
     if protocol == EINSTEIN:
         for i, n in slaves:
-            out = propagate(lattice, master, i, LIGHT, t_emit=sync_time)
+            out = propagate(lattice, master, i, LIGHT)
             back = propagate(lattice, i, master, LIGHT, t_emit=out.absorb.t)
-            midpoint = 0.5 * (m.reading(out.emit.t) + m.reading(back.absorb.t))
-            n.offset = midpoint - n.rate * out.absorb.t
-        realized_k = 0.0
+            sent, returned = rate * out.emit.t + m.offset, rate * back.absorb.t + m.offset
+            n.offset = 0.5 * (sent + returned) - rate * out.absorb.t
     elif protocol == SUPERLUMINAL:
         for i, n in slaves:
-            rec = propagate(lattice, master, i, INSTANTANEOUS, t_emit=sync_time)
-            n.offset = m.reading(rec.emit.t) - n.rate * rec.absorb.t
-        realized_k = lattice.frame.beta
-    else:  # EXTERNAL_REGULATION
-        reference_offset = m.reading(sync_time) - sync_time
+            rec = propagate(lattice, master, i, INSTANTANEOUS)
+            n.offset = (rate * rec.emit.t + m.offset) - rate * rec.absorb.t
+    else:  # EXTERNAL_REGULATION: at absolute time 0 the reference reads the master's offset
         for _, n in slaves:
-            n.offset = (sync_time + reference_offset) - n.rate * sync_time
-        realized_k = lattice.frame.beta
+            n.offset = m.offset
 
     lattice.protocol = protocol
+    realized_k = 0.0 if protocol == EINSTEIN else induced_synchrony(0.0, lattice.frame.beta)
     lattice.frame = replace(lattice.frame, k=realized_k)
     return lattice
 
@@ -292,7 +283,6 @@ def measure_one_way(
     kind: str = LIGHT,
     *,
     speed: float | None = None,
-    t_emit: float = 0.0,
 ) -> SpeedMeasurement:
     """Measure a signal's one-way speed with the synchronized lattice clocks.
 
@@ -301,7 +291,7 @@ def measure_one_way(
     elapsed yields :data:`~synchrony_lab.kinematics.INFINITE_SPEED`.
     """
     _require_synced(lattice)
-    rec = propagate(lattice, from_id, to_id, kind, speed=speed, t_emit=t_emit)
+    rec = propagate(lattice, from_id, to_id, kind, speed=speed)
     elapsed = lattice.reading(to_id, rec.absorb.t) - lattice.reading(from_id, rec.emit.t)
     distance = lattice.chart_distance(from_id, to_id)
     direction = PLUS_X if lattice.node(to_id).xi0 > lattice.node(from_id).xi0 else MINUS_X
@@ -316,7 +306,6 @@ def measure_two_way(
     kind: str = LIGHT,
     *,
     speed: float | None = None,
-    t_emit: float = 0.0,
 ) -> SpeedMeasurement:
     """Round-trip measurement: out, reflect, back, timed on the emitter's clock.
 
@@ -324,7 +313,7 @@ def measure_two_way(
     comes out at ``C`` under every protocol.
     """
     _require_synced(lattice)
-    out = propagate(lattice, from_id, to_id, kind, speed=speed, t_emit=t_emit)
+    out = propagate(lattice, from_id, to_id, kind, speed=speed)
     back = propagate(lattice, to_id, from_id, kind, speed=speed, t_emit=out.absorb.t)
     elapsed = lattice.reading(from_id, back.absorb.t) - lattice.reading(from_id, out.emit.t)
     distance = 2.0 * lattice.chart_distance(from_id, to_id)
@@ -342,25 +331,20 @@ class ScanPoint:
     anisotropy: float
 
 
-def isotropy_scan(
-    betas,
-    positions=(0.0, 1.0),
-    kind: str = LIGHT,
-    master: int = 0,
-) -> list[ScanPoint]:
+def isotropy_scan(betas) -> list[ScanPoint]:
     """Measure the one-way anisotropy for each candidate drift velocity.
 
-    Each candidate gets a fresh lattice, zero-delay synchronization, and a
-    signal in each direction between the first two nodes.  The anisotropy
+    Each candidate gets a fresh two-node lattice, zero-delay synchronization
+    from node 0, and a light signal in each direction.  The anisotropy
     ``c_plus - c_minus`` equals 2*beta/(1 - beta^2) and vanishes exactly in
     the isotropy frame, so the argmin of its magnitude locates that frame.
     """
     points = []
     for beta in betas:
-        lattice = ClockLattice.build(float(beta), positions)
-        run_protocol(lattice, SUPERLUMINAL, master=master)
-        c_plus = measure_one_way(lattice, 0, 1, kind).speed
-        c_minus = measure_one_way(lattice, 1, 0, kind).speed
+        lattice = ClockLattice.build(float(beta), (0.0, 1.0))
+        run_protocol(lattice, SUPERLUMINAL)
+        c_plus = measure_one_way(lattice, 0, 1).speed
+        c_minus = measure_one_way(lattice, 1, 0).speed
         points.append(ScanPoint(float(beta), c_plus, c_minus, c_plus - c_minus))
     return points
 
@@ -458,41 +442,18 @@ def load_scenario(path) -> Scenario:
         return parse_scenario(json.load(fh))
 
 
-@dataclass(frozen=True)
-class MeasurementRow:
-    """A scenario measurement joined with the signal request that produced it."""
-
-    spec: SignalSpec
-    result: SpeedMeasurement
-
-
-@dataclass(frozen=True)
-class SyncReport:
-    beta: float
-    protocol: str
-    realized_k: float
-    clock_rate: float
-    offsets: tuple[tuple[int, float], ...]
-    measurements: tuple[MeasurementRow, ...]
-
-
 def run_scenario(
     scenario: Scenario, *, protocol: str | None = None, master: int = 0
-) -> SyncReport:
-    """Build the lattice, run the (optionally overridden) protocol, measure."""
+) -> tuple[ClockLattice, list[SpeedMeasurement]]:
+    """Build the lattice, run the (optionally overridden) protocol, measure.
+
+    Returns the synchronized lattice and one measurement per
+    ``scenario.signals`` entry, in order.
+    """
     lattice = ClockLattice.build(scenario.beta, scenario.node_positions)
-    chosen = protocol if protocol is not None else scenario.protocol
-    run_protocol(lattice, chosen, master=master)
-    rows = []
+    run_protocol(lattice, protocol if protocol is not None else scenario.protocol, master)
+    results = []
     for spec in scenario.signals:
         measure = measure_two_way if spec.two_way else measure_one_way
-        result = measure(lattice, spec.source, spec.target, spec.kind, speed=spec.speed)
-        rows.append(MeasurementRow(spec, result))
-    return SyncReport(
-        beta=scenario.beta,
-        protocol=chosen,
-        realized_k=lattice.frame.k,
-        clock_rate=lattice.nodes[0].rate,
-        offsets=tuple(enumerate(n.offset for n in lattice.nodes)),
-        measurements=tuple(rows),
-    )
+        results.append(measure(lattice, spec.source, spec.target, spec.kind, speed=spec.speed))
+    return lattice, results

@@ -313,6 +313,26 @@ class TestProbeCommand:
         assert code == 4
         assert err.startswith("ill_conditioned ")
 
+    def test_oversized_fit_exits_3_before_allocating(self, tmp_path):
+        # 900001 grid points pass the grid cap, but times 1000 samples the
+        # estimator's arrays would need several GB.
+        samples = tmp_path / "many.csv"
+        rows = "".join(f"1.0,{-0.8 + 1.6 * i / 999!r},1e12,\n" for i in range(1000))
+        samples.write_text("delta_E,lab_beta,t_c,sigma\n" + rows)
+        code, out, err = run_cli_process(["probe", "--samples", str(samples), "--step", "2e-6"])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "invalid_input reason=fit_would_have_more_than_10000000_grid-sample_cells"
+        ]
+
+    def test_bad_sigma_exits_3(self, tmp_path):
+        samples = tmp_path / "bad_sigma.csv"
+        samples.write_text("delta_E,lab_beta,t_c,sigma\n1,0.1,1,-5\n1,0.2,1,nan\n1,0.3,1,\n")
+        code, out, err = run_cli(["probe", "--samples", str(samples)])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["invalid_input reason=bad_sample_on_line_2:"
+                                    "_sigma_must_be_positive_and_finite_when_given"]
+
     def test_non_finite_residuals_exit_4_without_warnings(self, tmp_path):
         # Samples at |beta| -> 1 with huge times overflow the residuals to NaN.
         samples = tmp_path / "overflow.csv"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from synchrony_lab import (
@@ -30,7 +30,7 @@ from synchrony_lab import (
     superluminal_transform,
     transform_between,
 )
-from synchrony_lab.kinematics import between_coeffs
+from synchrony_lab.kinematics import between_coeffs, frame_coeffs
 
 from conftest import textbook_boost
 
@@ -356,9 +356,18 @@ class TestMapVelocity:
 
 
 class TestFrameSpecValidation:
-    def test_degenerate_frame_rejected(self):
-        with pytest.raises(DegenerateConvention):
-            FrameSpec(0.8, -1.0, "bad")
+    @example(beta=-0.8, k=0.8)
+    @example(beta=-0.9, k=0.9)
+    @example(beta=0.8, k=-1.0)
+    @given(beta=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           k=st.floats(-1.0, 1.0))
+    def test_every_subluminal_frame_is_a_unit_determinant_chart(self, beta, k):
+        # frame_coeffs normalizes with eta(beta, 0) = gamma, so no frame is singular.
+        frame = FrameSpec(beta, k, "A")
+        if abs(beta) <= 1.0 - 1e-9:
+            # Both products in the determinant are of size gamma^2, and so is their rounding.
+            gamma_sq = 1.0 / (1.0 - beta * beta)
+            assert abs(frame_coeffs(frame).determinant - 1.0) <= 1e-12 * gamma_sq
 
     def test_superluminal_frame_velocity_rejected(self):
         with pytest.raises(ValueError):

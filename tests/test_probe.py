@@ -185,6 +185,14 @@ class TestSampleIO:
         with pytest.raises(ValueError, match="line 2"):
             load_samples(path)
 
+    @pytest.mark.parametrize("sigma", ["-5", "0", "nan", "inf"])
+    def test_bad_sigma_reports_line(self, tmp_path, sigma):
+        path = tmp_path / "samples.csv"
+        path.write_text("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,0.01\n"
+                        f"1.0,0.2,8.1e12,{sigma}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 3"):
+            load_samples(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("delta_E,lab_beta,t_c,sigma\n", encoding="utf-8")

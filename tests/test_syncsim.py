@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,6 @@ from synchrony_lab import (
     ClockLattice,
     NotSynchronized,
     UnresolvableChase,
-    edwards_coeffs,
     isotropy_scan,
     measure_one_way,
     measure_two_way,
@@ -18,6 +18,7 @@ from synchrony_lab import (
     run_protocol,
     superluminal_transform,
 )
+from synchrony_lab.kinematics import frame_coeffs
 from synchrony_lab.syncsim import (
     EINSTEIN,
     EXTERNAL_REGULATION,
@@ -239,7 +240,7 @@ class TestChartConsistency:
         lat = lattice(beta=beta, positions=(0.0, 1.0, 3.0))
         run_protocol(lat, SUPERLUMINAL)
         # Pick the absolute instants where each clock reads 2.0.
-        instants = [(2.0 - n.offset) / n.rate for n in lat.nodes]
+        instants = [(2.0 - n.offset) / lat.rate for n in lat.nodes]
         events = [
             superluminal_transform(
                 type(lat.log[0].emit)(t=t, x=lat.position(i, t), chart="S"), beta
@@ -253,16 +254,15 @@ class TestChartConsistency:
     POSITIONS = (-1.5, 0.5, 2.0, 4.5)
 
     @staticmethod
-    def chart_misses(lat, master, velocity):
-        """Count protocol signals whose absorb event misses the receiver in the lattice chart.
+    def chart_misses(lat, master, frame):
+        """Count protocol signals whose absorb event misses the receiver in ``frame``'s chart.
 
-        The absorb event is mapped from the absolute chart into the chart of
-        a frame moving at ``velocity`` with the lattice's realized k.  There
-        t' less the master's term a_tx*xi0(master) must be the receiver's
-        clock reading, and x' must be the receiver's rest position
-        gamma*xi0.  The coefficients are built directly, not via FrameSpec.
+        The absorb event is mapped from the absolute chart through
+        ``frame_coeffs(frame)``.  In the lattice's own chart t' less the
+        master's term a_tx*xi0(master) must be the receiver's clock reading,
+        and x' must be the receiver's rest position gamma*xi0.
         """
-        coeffs = edwards_coeffs(velocity, 0.0, lat.frame.k)
+        coeffs = frame_coeffs(frame)
         slaves = [i for i in range(len(lat.nodes)) if i != master]
         if lat.protocol == EINSTEIN:
             receivers = [r for i in slaves for r in (i, master)]  # out, then back
@@ -281,18 +281,19 @@ class TestChartConsistency:
         return misses
 
     @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
-    @pytest.mark.parametrize("drift", [0.6, -0.6, 0.8, -0.8])
+    @pytest.mark.parametrize("drift", [0.6, -0.6, 0.8, -0.8, 0.9, -0.9])
     def test_absorb_events_land_on_receiver_readings(self, protocol, drift):
         lat = lattice(beta=drift, positions=self.POSITIONS)
         run_protocol(lat, protocol, master=self.MASTER)
-        assert self.chart_misses(lat, self.MASTER, lat.velocity) == 0
+        assert self.chart_misses(lat, self.MASTER, lat.frame) == 0
 
     @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
-    @pytest.mark.parametrize("drift", [0.6, -0.6, 0.8, -0.8])
+    @pytest.mark.parametrize("drift", [0.6, -0.6, 0.8, -0.8, 0.9, -0.9])
     def test_flipped_velocity_sign_is_caught(self, protocol, drift):
         lat = lattice(beta=drift, positions=self.POSITIONS)
         run_protocol(lat, protocol, master=self.MASTER)
-        assert self.chart_misses(lat, self.MASTER, -lat.velocity) == len(lat.log)
+        flipped = replace(lat.frame, beta=-lat.frame.beta)
+        assert self.chart_misses(lat, self.MASTER, flipped) == len(lat.log)
 
 
 class TestIsotropyScan:
@@ -368,14 +369,14 @@ class TestScenario:
         assert err.value.invariant == invariant
 
     def test_run_scenario_report(self):
-        report = run_scenario(parse_scenario(self.good()))
-        assert report.protocol == "superluminal"
-        assert report.realized_k == 0.6
-        assert [round(m.result.speed, 9) for m in report.measurements] == [
+        lattice, results = run_scenario(parse_scenario(self.good()))
+        assert lattice.protocol == "superluminal"
+        assert lattice.frame.k == 0.6
+        assert [round(m.speed, 9) for m in results] == [
             2.5, 0.625, 1.0,
         ]
 
     def test_protocol_override(self):
-        report = run_scenario(parse_scenario(self.good()), protocol="einstein")
-        assert report.protocol == "einstein"
-        assert math.isclose(report.measurements[0].result.speed, 1.0, abs_tol=1e-9)
+        lattice, results = run_scenario(parse_scenario(self.good()), protocol="einstein")
+        assert lattice.protocol == "einstein"
+        assert math.isclose(results[0].speed, 1.0, abs_tol=1e-9)
