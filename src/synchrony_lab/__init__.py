@@ -40,7 +40,6 @@ from .probe import (
 )
 from .syncsim import (
     ClockLattice,
-    ClockNode,
     ScanPoint,
     Scenario,
     SignalRecord,

@@ -4,7 +4,8 @@ All commands are deterministic batch runs: the same invocation produces
 byte-identical output.  Numbers are printed with a configurable number of
 significant digits (default 15).  Instantaneous speeds serialize as "inf".
 Setting the environment variable ``SYNCHRONY_LAB_C`` rescales printed
-speed-valued fields (and only those) into SI units.
+speed-valued fields (and only those) into SI units; a finite speed that it
+scales past the largest float is invalid input, not "inf".
 
 Exit codes: 0 success, 2 degenerate convention (or usage error), 3 invalid
 input file or parameters (including a ``scan``/``probe`` grid of more than
@@ -60,7 +61,8 @@ class Formatter:
     def text(self, value: float) -> str:
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        return f"{value + 0.0:.{self.digits}g}"
+        text = f"{value + 0.0:.{self.digits}g}"  # inf if it rounds past the largest float
+        return text if math.isfinite(float(text)) else repr(value + 0.0)
 
 
 def _speed_scale() -> float:
@@ -73,6 +75,14 @@ def _speed_scale() -> float:
         raise ValueError(f"SYNCHRONY_LAB_C must be a number, got {raw!r}") from None
     if not (math.isfinite(value) and value > 0):
         raise ValueError("SYNCHRONY_LAB_C must be positive and finite")
+    return value
+
+
+def _scaled(speed: float, scale: float) -> float:
+    """A speed in display units; a finite speed that overflows is rejected, not printed as inf."""
+    value = speed * scale
+    if math.isinf(value) and math.isfinite(speed):
+        raise ValueError("speed overflows when scaled by SYNCHRONY_LAB_C")
     return value
 
 
@@ -144,9 +154,9 @@ def cmd_oneway(args):
     document = {
         "command": "oneway",
         "k": args.k,
-        "c_plus": kinematics.one_way_speed(args.k, kinematics.PLUS_X) * scale,
-        "c_minus": kinematics.one_way_speed(args.k, kinematics.MINUS_X) * scale,
-        "two_way_mean": kinematics.C * scale,
+        "c_plus": _scaled(kinematics.one_way_speed(args.k, kinematics.PLUS_X), scale),
+        "c_minus": _scaled(kinematics.one_way_speed(args.k, kinematics.MINUS_X), scale),
+        "two_way_mean": _scaled(kinematics.C, scale),
     }
     return document, [document], ["k", "c_plus", "c_minus", "two_way_mean"]
 
@@ -163,7 +173,7 @@ def cmd_sync(args):
             "direction": result.direction,
             "distance": result.distance,
             "elapsed": result.elapsed,
-            "speed": result.speed * scale,
+            "speed": _scaled(result.speed, scale),
         }
         for spec, result in zip(scenario.signals, results)
     ]
@@ -173,7 +183,7 @@ def cmd_sync(args):
         "protocol": lattice.protocol,
         "realized_k": lattice.frame.k,
         "clock_rate": lattice.rate,
-        "offsets": [{"node": i, "offset": n.offset} for i, n in enumerate(lattice.nodes)],
+        "offsets": [{"node": i, "offset": offset} for i, offset in enumerate(lattice.offsets)],
         "measurements": measurements,
     }
     rows = [{"beta": scenario.beta, "protocol": lattice.protocol, **m} for m in measurements]
@@ -201,8 +211,8 @@ def cmd_scan(args):
         raise ValueError("scan range must stay within (-1, 1)")
     scan = syncsim.isotropy_scan(betas)
     points = [
-        {"beta": pt.beta, "c_plus": pt.c_plus * scale, "c_minus": pt.c_minus * scale,
-         "anisotropy": pt.anisotropy * scale}
+        {"beta": pt.beta, "c_plus": _scaled(pt.c_plus, scale),
+         "c_minus": _scaled(pt.c_minus, scale), "anisotropy": _scaled(pt.anisotropy, scale)}
         for pt in scan
     ]
     best = points[min(range(len(scan)), key=lambda i: abs(scan[i].anisotropy))]

@@ -37,7 +37,6 @@ class CollapseModel:
 
     hbar: float = HBAR_EV_S
     planck_energy: float = PLANCK_ENERGY_EV
-    units: str = "eV,s"
 
     def __post_init__(self):
         if not (self.hbar > 0.0 and self.planck_energy > 0.0):
@@ -80,7 +79,7 @@ def collapse_time(model: CollapseModel, delta_E: float, beta: float) -> float:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Everything the estimator decided, constants stamped in."""
+    """Everything the estimator decided; ``to_dict`` adds the model constants."""
 
     beta_hat: float
     grid_beta_hat: float
@@ -90,15 +89,6 @@ class FitReport:
     residuals: tuple[float, ...]
     n_samples: int
     distinct_velocities: int
-    velocity_composition: str
-    hbar: float
-    planck_energy: float
-    units: str
-
-    def predict_scaled(self, beta_lab: float) -> float:
-        """Fitted delta_E^2-normalized collapse time at a lab velocity."""
-        w = (beta_lab - self.beta_hat) / (1.0 - beta_lab * self.beta_hat)
-        return self.scale / math.sqrt(1.0 - w * w)
 
     def to_dict(self) -> dict:
         """The published fit report, with the residual curve as (beta, residual) pairs."""
@@ -109,12 +99,8 @@ class FitReport:
             "scale": self.scale,
             "n_samples": self.n_samples,
             "distinct_velocities": self.distinct_velocities,
-            "velocity_composition": self.velocity_composition,
-            "constants": {
-                "hbar": self.hbar,
-                "planck_energy": self.planck_energy,
-                "units": self.units,
-            },
+            "velocity_composition": "relativistic-subtraction",
+            "constants": {"hbar": HBAR_EV_S, "planck_energy": PLANCK_ENERGY_EV, "units": "eV,s"},
             "residual_curve": [
                 {"beta": b, "residual": r} for b, r in zip(self.beta_grid, self.residuals)
             ],
@@ -139,9 +125,7 @@ def _parabolic_vertex(bs, rs) -> float | None:
     return float(vertex)
 
 
-def estimate_absolute_frame(
-    samples, beta_grid, model: CollapseModel | None = None
-) -> tuple[float, FitReport]:
+def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     """Locate the preferred-frame velocity from collapse-time samples.
 
     For each candidate ``b`` on the grid the samples' lab velocities are
@@ -165,8 +149,6 @@ def estimate_absolute_frame(
         raise ValueError("beta_grid must be non-empty")
     if np.any(np.abs(grid) >= 1.0):
         raise ValueError("beta_grid values must satisfy |beta| < 1")
-    if model is None:
-        model = CollapseModel()
 
     u = np.array([s.beta for s in samples], dtype=float)
     try:
@@ -209,10 +191,6 @@ def estimate_absolute_frame(
         residuals=tuple(float(r) for r in residuals),
         n_samples=len(samples),
         distinct_velocities=int(distinct),
-        velocity_composition="relativistic-subtraction",
-        hbar=model.hbar,
-        planck_energy=model.planck_energy,
-        units=model.units,
     )
     return beta_hat, report
 

@@ -1,6 +1,6 @@
 """Clock-lattice simulation of synchronization protocols over 1D signals.
 
-Ground truth lives in the isotropy ("absolute") chart: every node worldline,
+Ground truth lives in the isotropy ("absolute") chart: every clock position,
 emission and absorption event is stored in absolute coordinates, and
 instantaneous signals are instantaneous in that chart.  All worldlines are
 straight, so event scheduling is exact (closed-form intersection), never
@@ -61,24 +61,6 @@ class ScenarioError(ValueError):
         super().__init__(msg)
 
 
-@dataclass
-class ClockNode:
-    """One clock of the lattice.
-
-    A node has no id of its own: it *is* its index in ``ClockLattice.nodes``.
-    ``xi0`` is its absolute-chart position at absolute time 0; ``offset`` is
-    the correction a protocol applied (zero until one runs).  Its displayed
-    reading at absolute time t is ``lattice.rate*t + offset``.
-    """
-
-    xi0: float
-    offset: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.offset):
-            raise ValueError("clock offset must be finite")
-
-
 @dataclass(frozen=True)
 class SignalRecord:
     """One propagated signal; emit/absorb events are in the absolute chart."""
@@ -109,27 +91,31 @@ class ClockLattice:
     """Simulator ground truth: the hardware's frame, its clocks, and a signal log.
 
     ``frame`` is the kinematics frame of the hardware (``beta = -drift``,
-    ``k`` as realized by the last protocol run).  Nodes are addressed by
-    their index in ``nodes`` (ordered by position), so every lookup is O(1)
-    and a protocol run costs O(n).
+    ``k`` as realized by the last protocol run).  Clock i sits at absolute
+    position ``positions[i]`` at absolute time 0 and reads
+    ``rate*t + offsets[i]``; offsets are zero until a protocol sets them.
     """
 
     frame: FrameSpec
-    nodes: list[ClockNode]
+    positions: tuple[float, ...]
+    offsets: list[float] = field(init=False)
     log: list[SignalRecord] = field(default_factory=list)
     protocol: str | None = None
 
     def __post_init__(self):
-        if len(self.nodes) < 2:
+        p = self.positions
+        if len(p) < 2:
             raise ValueError("lattice needs at least two nodes")
-        positions = [n.xi0 for n in self.nodes]
-        if any(b <= a for a, b in zip(positions, positions[1:])):
+        if not all(math.isfinite(x) for x in p):
+            raise ValueError("node positions must be finite")
+        if any(b <= a for a, b in zip(p, p[1:])):
             raise ValueError("node positions must be strictly increasing")
+        self.offsets = [0.0] * len(p)
 
     @classmethod
     def build(cls, drift: float, positions) -> "ClockLattice":
-        """Comoving lattice at ``drift`` with nodes at the given absolute positions."""
-        return cls(FrameSpec(-drift, 0.0, "lab"), [ClockNode(float(x)) for x in positions])
+        """Comoving lattice at ``drift`` with clocks at the given absolute positions."""
+        return cls(FrameSpec(-drift, 0.0, "lab"), tuple(float(x) for x in positions))
 
     @property
     def velocity(self) -> float:
@@ -146,24 +132,25 @@ class ClockLattice:
     def gamma(self) -> float:
         return 1.0 / math.sqrt(1.0 - self.frame.beta**2)
 
-    def node(self, node_id: int) -> ClockNode:
-        """The node at index ``node_id``; negative, bool or non-integer ids are rejected."""
+    def index(self, node_id: int) -> int:
+        """``node_id``, checked: negative, bool, non-integer or out-of-range ids are rejected."""
         try:
             if node_id >= 0 and not isinstance(node_id, bool):
-                return self.nodes[node_id]
+                self.positions[node_id]
+                return node_id
         except (TypeError, IndexError):  # not an integer, or past the end
             pass
         raise ValueError(f"no node with id {node_id!r}")
 
     def position(self, node_id: int, t: float) -> float:
-        return self.node(node_id).xi0 + self.velocity * t
+        return self.positions[self.index(node_id)] + self.velocity * t
 
     def reading(self, node_id: int, t: float) -> float:
-        return self.rate * t + self.node(node_id).offset
+        return self.rate * t + self.offsets[self.index(node_id)]
 
     def chart_distance(self, a: int, b: int) -> float:
-        """Rest length between two nodes (absolute gap undone for contraction)."""
-        return self.gamma * abs(self.node(b).xi0 - self.node(a).xi0)
+        """Rest length between two clocks (absolute gap undone for contraction)."""
+        return self.gamma * abs(self.positions[self.index(b)] - self.positions[self.index(a)])
 
 
 def propagate(
@@ -186,16 +173,16 @@ def propagate(
         raise ValueError(f"unknown signal kind {kind!r}")
     if from_id == to_id:
         raise ValueError("signal endpoints must differ")
-    emitter = lattice.node(from_id)
-    target = lattice.node(to_id)
+    x_from = lattice.positions[lattice.index(from_id)]
+    x_to = lattice.positions[lattice.index(to_id)]
     u = lattice.velocity
-    x_emit = emitter.xi0 + u * t_emit
-    gap = target.xi0 - emitter.xi0  # constant in time: nodes are comoving
+    x_emit = x_from + u * t_emit
+    gap = x_to - x_from  # constant in time: clocks are comoving
     sign = 1.0 if gap > 0 else -1.0
 
     if kind == INSTANTANEOUS:
         t_abs = t_emit
-        x_abs = target.xi0 + u * t_emit
+        x_abs = x_to + u * t_emit
         w = math.copysign(INFINITE_SPEED, gap)
     else:
         if kind == LIGHT:
@@ -226,7 +213,7 @@ def propagate(
 
 
 def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> ClockLattice:
-    """Reset every clock, then synchronize against ``master`` from absolute time 0.
+    """Zero every offset, then set the others against ``master`` from absolute time 0.
 
     einstein
         Literal two-way light exchange per slave: emit, reflect, return;
@@ -245,25 +232,20 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    m = lattice.node(master)
+    m = lattice.index(master)
     rate = lattice.rate
-    for n in lattice.nodes:
-        n.offset = 0.0
-
-    slaves = ((i, n) for i, n in enumerate(lattice.nodes) if i != master)
+    offsets = lattice.offsets = [0.0] * len(lattice.positions)  # the master reads rate*t
+    slaves = [i for i in range(len(offsets)) if i != m]
     if protocol == EINSTEIN:
-        for i, n in slaves:
-            out = propagate(lattice, master, i, LIGHT)
-            back = propagate(lattice, i, master, LIGHT, t_emit=out.absorb.t)
-            sent, returned = rate * out.emit.t + m.offset, rate * back.absorb.t + m.offset
-            n.offset = 0.5 * (sent + returned) - rate * out.absorb.t
+        for i in slaves:
+            out = propagate(lattice, m, i, LIGHT)
+            back = propagate(lattice, i, m, LIGHT, t_emit=out.absorb.t)
+            offsets[i] = 0.5 * (rate * out.emit.t + rate * back.absorb.t) - rate * out.absorb.t
     elif protocol == SUPERLUMINAL:
-        for i, n in slaves:
-            rec = propagate(lattice, master, i, INSTANTANEOUS)
-            n.offset = (rate * rec.emit.t + m.offset) - rate * rec.absorb.t
-    else:  # EXTERNAL_REGULATION: at absolute time 0 the reference reads the master's offset
-        for _, n in slaves:
-            n.offset = m.offset
+        for i in slaves:
+            rec = propagate(lattice, m, i, INSTANTANEOUS)
+            offsets[i] = rate * rec.emit.t - rate * rec.absorb.t
+    # EXTERNAL_REGULATION: at absolute time 0 the reference reads the master's 0.
 
     lattice.protocol = protocol
     realized_k = 0.0 if protocol == EINSTEIN else induced_synchrony(0.0, lattice.frame.beta)
@@ -294,7 +276,7 @@ def measure_one_way(
     rec = propagate(lattice, from_id, to_id, kind, speed=speed)
     elapsed = lattice.reading(to_id, rec.absorb.t) - lattice.reading(from_id, rec.emit.t)
     distance = lattice.chart_distance(from_id, to_id)
-    direction = PLUS_X if lattice.node(to_id).xi0 > lattice.node(from_id).xi0 else MINUS_X
+    direction = PLUS_X if lattice.positions[to_id] > lattice.positions[from_id] else MINUS_X
     speed_val = INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
     return SpeedMeasurement(direction, distance, elapsed, speed_val)
 

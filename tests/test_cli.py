@@ -51,6 +51,11 @@ class TestFormatter:
         assert fmt.num(math.inf) == "inf"
         assert fmt.text(-math.inf) == "-inf"
 
+    def test_finite_value_never_rounds_to_inf(self):
+        assert Formatter(15).text(1.7976931348623151e308) == "1.7976931348623151e+308"
+        assert Formatter(1).text(-1.5e308) == "-1.5e+308"
+        assert Formatter(1).text(1.4e308) == "1e+308"
+
 
 class TestTransformCommand:
     def test_zero_boost_identity(self):
@@ -154,6 +159,24 @@ class TestOnewayCommand:
         code, _, err = run_cli(["oneway", "--k", "0"])
         assert code == 3
         assert err.startswith("invalid_input ")
+
+
+class TestSpeedScaling:
+    @pytest.mark.parametrize("argv", [
+        ["oneway", "--k", "0.6"],
+        ["sync", "--scenario", str(DATA / "scenario_drift06.json"), "--format", "csv"],
+        ["scan", "--beta-min", "-0.5", "--beta-max", "0.5", "--step", "0.25"],
+    ])
+    def test_finite_speed_overflowing_the_scale_exits_3(self, argv, monkeypatch):
+        monkeypatch.setenv("SYNCHRONY_LAB_C", "1e308")
+        assert run_cli(argv) == (
+            3, "", "invalid_input reason=speed_overflows_when_scaled_by_SYNCHRONY_LAB_C\n")
+
+    def test_infinite_speed_still_prints_inf(self, monkeypatch):
+        monkeypatch.setenv("SYNCHRONY_LAB_C", "1e308")
+        code, out, _ = run_cli(["oneway", "--k", "1"])
+        assert code == 0
+        assert json.loads(out)["c_plus"] == "inf"
 
 
 class TestSyncCommand:

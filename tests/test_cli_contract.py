@@ -111,9 +111,17 @@ def _strict_json(text):
 
 
 def _assert_strict_csv(text):
+    """No NaN, and no finite value printed so that it reads back as infinite."""
     for row in csv.reader(io.StringIO(text)):
         for field in row:
             assert "nan" not in field.lower(), field
+            for token in field.split():  # the footer packs key=value pairs into one cell
+                value = token.rpartition("=")[2]
+                try:
+                    infinite = math.isinf(float(value))
+                except ValueError:
+                    continue
+                assert not infinite or value in ("inf", "-inf"), field
 
 
 @settings(max_examples=150, deadline=None,
@@ -126,6 +134,13 @@ def _assert_strict_csv(text):
 # Rounding to 15 digits overflowed to inf, printed as the non-JSON Infinity.
 @example(case=(["transform", "--beta=0.0", "--event=0.0,1.7976931348623151e+308",
                 "--preset=lorentz", "--format=json"], "json", {}),
+         speed_of_light=None)
+# The same rounding in CSV printed 1.79769313486232e+308, which reads back as inf.
+@example(case=(["transform", "--beta=0.0", "--event=0.0,1.7976931348623151e+308",
+                "--preset=lorentz", "--format=csv"], "csv", {}),
+         speed_of_light=None)
+@example(case=(["transform", "--beta=0.0", "--event=0.0,1.5e308", "--preset=lorentz",
+                "--format=csv", "--precision=1"], "csv", {}),
          speed_of_light=None)
 def test_every_invocation_keeps_the_output_contract(case, speed_of_light, tmp_path, monkeypatch):
     argv, fmt, files = case

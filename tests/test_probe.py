@@ -87,14 +87,6 @@ class TestEstimator:
         residuals = dict(zip(report.beta_grid, report.residuals))
         assert all(residuals[0.3] <= r for r in report.residuals)
 
-    def test_predicted_minimum_certificate(self):
-        samples = synth_collapse_samples(0.3, self.velocities)
-        beta_hat, report = estimate_absolute_frame(samples, GRID_001)
-        step = 0.01
-        at_hat = report.predict_scaled(beta_hat)
-        assert at_hat <= report.predict_scaled(beta_hat + step)
-        assert at_hat <= report.predict_scaled(beta_hat - step)
-
     def test_mixed_energy_spreads_are_normalized(self):
         mixed = []
         for i, u in enumerate(self.velocities):
@@ -116,12 +108,11 @@ class TestEstimator:
     def test_report_is_stamped_with_constants(self):
         samples = synth_collapse_samples(0.0, self.velocities)
         _, report = estimate_absolute_frame(samples, GRID_001)
-        assert report.hbar == MODEL.hbar
-        assert report.planck_energy == MODEL.planck_energy
-        assert report.velocity_composition == "relativistic-subtraction"
         assert report.n_samples == len(samples)
         payload = report.to_dict()
-        assert payload["constants"]["units"] == "eV,s"
+        assert payload["constants"] == {
+            "hbar": ORACLE_HBAR_EV_S, "planck_energy": ORACLE_PLANCK_ENERGY_EV, "units": "eV,s"}
+        assert payload["velocity_composition"] == "relativistic-subtraction"
         assert len(payload["residual_curve"]) == len(GRID_001)
 
     def test_velocity_composition_matches_kinematics(self):

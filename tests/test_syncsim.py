@@ -38,17 +38,37 @@ def lattice(beta=0.6, positions=(0.0, 1.0)):
     return ClockLattice.build(beta, positions)
 
 
+class TestBuild:
+    def test_clocks_start_unsynchronized_at_their_positions(self):
+        lat = lattice(positions=[0, 1.0, 2.5])
+        assert lat.positions == (0.0, 1.0, 2.5)
+        assert lat.offsets == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_positions_are_rejected(self, bad):
+        for positions in ((0.0, bad), (bad, 0.0), (0.0, bad, 2.0)):
+            with pytest.raises(ValueError, match="finite"):
+                lattice(positions=positions)
+
+    @pytest.mark.parametrize("positions", [(), (0.0,), (1.0, 0.0), (0.0, 1.0, 1.0)])
+    def test_fewer_than_two_or_unordered_positions_are_rejected(self, positions):
+        with pytest.raises(ValueError, match="at least two|strictly increasing"):
+            lattice(positions=positions)
+
+
 class TestNodeLookup:
     def test_node_is_its_index(self):
         lat = lattice(positions=(0.0, 1.0, 2.5))
-        for i in range(len(lat.nodes)):
-            assert lat.node(i) is lat.nodes[i]
+        for i in range(len(lat.positions)):
+            assert lat.index(i) == i
+            assert lat.position(i, 0.0) == lat.positions[i]
+            assert lat.reading(i, 0.0) == lat.offsets[i]
 
     @pytest.mark.parametrize("bad", [-1, 3, True, 1.0, "1", None])
     def test_out_of_range_or_non_integer_ids_are_rejected(self, bad):
         lat = lattice(positions=(0.0, 1.0, 2.5))
         with pytest.raises(ValueError, match="no node with id"):
-            lat.node(bad)
+            lat.index(bad)
 
 
 class TestPropagate:
@@ -128,22 +148,22 @@ class TestProtocols:
     def test_rest_lattice_needs_no_correction(self, protocol):
         lat = lattice(beta=0.0, positions=(0.0, 1.0, 2.5))
         run_protocol(lat, protocol)
-        for n in lat.nodes:
-            assert abs(n.offset) <= 1e-12
+        for offset in lat.offsets:
+            assert abs(offset) <= 1e-12
 
     def test_einstein_offsets_match_isotropic_chart(self):
         # Drift 0.6 (hardware at -0.6): the far clock is set ahead by
         # gamma * beta * L_rest / C = 1.25 * 0.6 * 1.25 ... computed 0.75.
         lat = lattice(beta=0.6)
         run_protocol(lat, EINSTEIN)
-        assert lat.node(0).offset == 0.0
-        assert math.isclose(lat.node(1).offset, 0.75, rel_tol=1e-12)
+        assert lat.offsets[0] == 0.0
+        assert math.isclose(lat.offsets[1], 0.75, rel_tol=1e-12)
         assert lat.frame.k == 0.0
 
     def test_superluminal_equalizes_readings_at_one_instant(self):
         lat = lattice(beta=0.6, positions=(0.0, 1.0, 2.0))
         run_protocol(lat, SUPERLUMINAL)
-        readings = [lat.reading(i, 1.7) for i in range(len(lat.nodes))]
+        readings = [lat.reading(i, 1.7) for i in range(len(lat.positions))]
         assert max(readings) - min(readings) == 0.0
         assert lat.frame.k == 0.6
 
@@ -152,13 +172,13 @@ class TestProtocols:
         b = copy.deepcopy(a)
         run_protocol(a, SUPERLUMINAL)
         run_protocol(b, EXTERNAL_REGULATION)
-        for na, nb in zip(a.nodes, b.nodes):
-            assert abs(na.offset - nb.offset) <= 1e-9
+        for na, nb in zip(a.offsets, b.offsets):
+            assert abs(na - nb) <= 1e-9
 
     def test_master_choice_respected(self):
         lat = lattice(beta=0.3, positions=(0.0, 1.0, 2.0))
         run_protocol(lat, EINSTEIN, master=2)
-        assert lat.node(2).offset == 0.0
+        assert lat.offsets[2] == 0.0
 
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
@@ -240,7 +260,7 @@ class TestChartConsistency:
         lat = lattice(beta=beta, positions=(0.0, 1.0, 3.0))
         run_protocol(lat, SUPERLUMINAL)
         # Pick the absolute instants where each clock reads 2.0.
-        instants = [(2.0 - n.offset) / lat.rate for n in lat.nodes]
+        instants = [(2.0 - offset) / lat.rate for offset in lat.offsets]
         events = [
             superluminal_transform(
                 type(lat.log[0].emit)(t=t, x=lat.position(i, t), chart="S"), beta
@@ -259,23 +279,23 @@ class TestChartConsistency:
 
         The absorb event is mapped from the absolute chart through
         ``frame_coeffs(frame)``.  In the lattice's own chart t' less the
-        master's term a_tx*xi0(master) must be the receiver's clock reading,
-        and x' must be the receiver's rest position gamma*xi0.
+        master's term a_tx*positions[master] must be the receiver's clock
+        reading, and x' must be the receiver's rest position gamma*positions[r].
         """
         coeffs = frame_coeffs(frame)
-        slaves = [i for i in range(len(lat.nodes)) if i != master]
+        slaves = [i for i in range(len(lat.positions)) if i != master]
         if lat.protocol == EINSTEIN:
             receivers = [r for i in slaves for r in (i, master)]  # out, then back
         else:
             receivers = slaves
         assert len(lat.log) == len(receivers)
-        master_term = coeffs.a_tx * lat.node(master).xi0
+        master_term = coeffs.a_tx * lat.positions[master]
         misses = 0
         for rec, r in zip(lat.log, receivers):
             image = coeffs.apply(rec.absorb)
             t_ok = math.isclose(image.t - master_term, lat.reading(r, rec.absorb.t),
                                 rel_tol=0.0, abs_tol=1e-9)
-            x_ok = math.isclose(image.x, lat.gamma * lat.node(r).xi0,
+            x_ok = math.isclose(image.x, lat.gamma * lat.positions[r],
                                 rel_tol=0.0, abs_tol=1e-9)
             misses += not (t_ok and x_ok)
         return misses
