@@ -42,6 +42,7 @@ from .syncsim import (
     ClockLattice,
     ScanPoint,
     Scenario,
+    SignalLog,
     SignalRecord,
     SpeedMeasurement,
     isotropy_scan,

@@ -71,6 +71,38 @@ class SignalRecord:
     speed_abs: float  # signed absolute-chart coordinate speed, inf allowed
 
 
+class SignalLog:
+    """Signals in send order, one list per field, all in the absolute chart.
+
+    Row i is ``kind[i]`` emitted at ``(emit_t[i], emit_x[i])`` and absorbed
+    at ``(absorb_t[i], absorb_x[i])`` at signed speed ``speed_abs[i]``.
+    ``log[i]`` (negative i too) and iteration build :class:`SignalRecord`
+    rows on demand.
+    """
+
+    def __init__(self):
+        self.kind: list[str] = []
+        self.emit_t: list[float] = []
+        self.emit_x: list[float] = []
+        self.absorb_t: list[float] = []
+        self.absorb_x: list[float] = []
+        self.speed_abs: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i: int) -> SignalRecord:
+        return SignalRecord(
+            self.kind[i],
+            Event(self.emit_t[i], self.emit_x[i]),
+            Event(self.absorb_t[i], self.absorb_x[i]),
+            self.speed_abs[i],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 @dataclass(frozen=True)
 class SpeedMeasurement:
     """Outcome of a one-way or round-trip speed measurement.
@@ -94,12 +126,15 @@ class ClockLattice:
     ``k`` as realized by the last protocol run).  Clock i sits at absolute
     position ``positions[i]`` at absolute time 0 and reads
     ``rate*t + offsets[i]``; offsets are zero until a protocol sets them.
+    ``log`` holds every signal since the last protocol run started (its
+    exchange, then any measurements) in the absolute chart; ``log[i]`` is a
+    :class:`SignalRecord`.
     """
 
     frame: FrameSpec
     positions: tuple[float, ...]
     offsets: list[float] = field(init=False)
-    log: list[SignalRecord] = field(default_factory=list)
+    log: SignalLog = field(init=False, default_factory=SignalLog)
     protocol: str | None = None
 
     def __post_init__(self):
@@ -167,8 +202,26 @@ def propagate(
     ``speed`` (absolute-chart magnitude) is required for
     ``superluminal-finite`` and ignored otherwise.  Raises
     :class:`UnresolvableChase` when a finite signal is too slow to catch a
-    receding node.
+    receding node, and ``ValueError`` when an event coordinate is not
+    finite.  A signal that raises is not logged.  Returns the signal's row,
+    ``lattice.log[-1]``.
     """
+    _send(lattice, from_id, to_id, kind, speed, t_emit)
+    return lattice.log[-1]
+
+
+def _check_finite(t: float, x: float) -> None:
+    """:class:`Event`'s finiteness check, in its order, without building one."""
+    if not math.isfinite(t):
+        raise ValueError("event component t must be finite")
+    if not math.isfinite(x):
+        raise ValueError("event component x must be finite")
+
+
+def _send(
+    lattice: ClockLattice, from_id: int, to_id: int, kind: str, speed: float | None, t_emit: float
+) -> float:
+    """:func:`propagate`'s checks and intersection; logs one row, returns the absorb time."""
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"unknown signal kind {kind!r}")
     if from_id == to_id:
@@ -202,18 +255,22 @@ def propagate(
         t_abs = t_emit + dt
         x_abs = x_emit + w * dt
 
-    record = SignalRecord(
-        kind=kind,
-        emit=Event(t=t_emit, x=x_emit, chart="S"),
-        absorb=Event(t=t_abs, x=x_abs, chart="S"),
-        speed_abs=w,
-    )
-    lattice.log.append(record)
-    return record
+    _check_finite(t_emit, x_emit)
+    _check_finite(t_abs, x_abs)
+    log = lattice.log
+    log.kind.append(kind)
+    log.emit_t.append(t_emit)
+    log.emit_x.append(x_emit)
+    log.absorb_t.append(t_abs)
+    log.absorb_x.append(x_abs)
+    log.speed_abs.append(w)
+    return t_abs
 
 
 def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> ClockLattice:
-    """Zero every offset, then set the others against ``master`` from absolute time 0.
+    """Zero every offset and start a fresh log, then set the offsets against ``master``.
+
+    The exchange starts at absolute time 0 and is logged.
 
     einstein
         Literal two-way light exchange per slave: emit, reflect, return;
@@ -235,16 +292,17 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     m = lattice.index(master)
     rate = lattice.rate
     offsets = lattice.offsets = [0.0] * len(lattice.positions)  # the master reads rate*t
+    lattice.log = SignalLog()
     slaves = [i for i in range(len(offsets)) if i != m]
+    t0 = 0.0
     if protocol == EINSTEIN:
         for i in slaves:
-            out = propagate(lattice, m, i, LIGHT)
-            back = propagate(lattice, i, m, LIGHT, t_emit=out.absorb.t)
-            offsets[i] = 0.5 * (rate * out.emit.t + rate * back.absorb.t) - rate * out.absorb.t
+            t_reflect = _send(lattice, m, i, LIGHT, None, t0)
+            t_return = _send(lattice, i, m, LIGHT, None, t_reflect)
+            offsets[i] = 0.5 * (rate * t0 + rate * t_return) - rate * t_reflect
     elif protocol == SUPERLUMINAL:
         for i in slaves:
-            rec = propagate(lattice, m, i, INSTANTANEOUS)
-            offsets[i] = rate * rec.emit.t - rate * rec.absorb.t
+            offsets[i] = rate * t0 - rate * _send(lattice, m, i, INSTANTANEOUS, None, t0)
     # EXTERNAL_REGULATION: at absolute time 0 the reference reads the master's 0.
 
     lattice.protocol = protocol
@@ -273,8 +331,9 @@ def measure_one_way(
     elapsed yields :data:`~synchrony_lab.kinematics.INFINITE_SPEED`.
     """
     _require_synced(lattice)
-    rec = propagate(lattice, from_id, to_id, kind, speed=speed)
-    elapsed = lattice.reading(to_id, rec.absorb.t) - lattice.reading(from_id, rec.emit.t)
+    t0 = 0.0
+    t_absorb = _send(lattice, from_id, to_id, kind, speed, t0)
+    elapsed = lattice.reading(to_id, t_absorb) - lattice.reading(from_id, t0)
     distance = lattice.chart_distance(from_id, to_id)
     direction = PLUS_X if lattice.positions[to_id] > lattice.positions[from_id] else MINUS_X
     speed_val = INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
@@ -295,9 +354,10 @@ def measure_two_way(
     comes out at ``C`` under every protocol.
     """
     _require_synced(lattice)
-    out = propagate(lattice, from_id, to_id, kind, speed=speed)
-    back = propagate(lattice, to_id, from_id, kind, speed=speed, t_emit=out.absorb.t)
-    elapsed = lattice.reading(from_id, back.absorb.t) - lattice.reading(from_id, out.emit.t)
+    t0 = 0.0
+    t_reflect = _send(lattice, from_id, to_id, kind, speed, t0)
+    t_return = _send(lattice, to_id, from_id, kind, speed, t_reflect)
+    elapsed = lattice.reading(from_id, t_return) - lattice.reading(from_id, t0)
     distance = 2.0 * lattice.chart_distance(from_id, to_id)
     speed_val = INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
     return SpeedMeasurement(TWO_WAY, distance, elapsed, speed_val)

@@ -225,6 +225,19 @@ class TestSyncCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("invalid_input reason=")
 
+    @pytest.mark.parametrize("positions, protocol, signals", [
+        ([-1e308, 1e308], "einstein", []),  # the gap itself overflows
+        ([0.0, 1e308], "superluminal", [{"from": 0, "to": 1, "two_way": True}]),  # the return
+    ])
+    def test_overflowing_signal_exits_3(self, tmp_path, positions, protocol, signals):
+        scenario = tmp_path / "overflow.json"
+        scenario.write_text(json.dumps({
+            "beta": 0.6, "node_positions": positions, "protocol": protocol, "signals": signals,
+        }))
+        code, out, err = run_cli(["sync", "--scenario", str(scenario)])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == ["invalid_input reason=event_component_t_must_be_finite"]
+
     @pytest.mark.parametrize("master", ["-1", "3"])
     def test_master_outside_the_lattice_exits_3(self, master):
         code, out, err = run_cli(["sync", "--scenario", str(DATA / "scenario_rest.json"),

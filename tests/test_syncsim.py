@@ -143,13 +143,66 @@ class TestPropagate:
             assert (rec.absorb.t == rec.emit.t) == (rec.kind == INSTANTANEOUS)
 
 
+class TestSignalLog:
+    @staticmethod
+    def columns(lat):
+        log = lat.log
+        return log.kind, log.emit_t, log.emit_x, log.absorb_t, log.absorb_x, log.speed_abs
+
+    @pytest.mark.parametrize("kind", [LIGHT, SUPERLUMINAL_FINITE, INSTANTANEOUS])
+    def test_propagate_returns_the_logged_row(self, kind):
+        lat = lattice(positions=(0.0, 1.0, 2.5))
+        first = propagate(lat, 0, 2, LIGHT)
+        rec = propagate(lat, 2, 1, kind, speed=4.0, t_emit=0.3)
+        assert rec == lat.log[-1] == lat.log[1]
+        assert list(lat.log) == [first, rec]
+        assert (rec.kind, rec.emit.t, rec.emit.x, rec.absorb.t, rec.absorb.x, rec.speed_abs) == tuple(
+            column[-1] for column in self.columns(lat))
+
+    # Hardware drifting at +0.6 through the absolute chart; coordinates near
+    # the largest float overflow once the drift or the gap is added.
+    FAILURES = [
+        ((0, 1, SUPERLUMINAL_FINITE), {"speed": 0.3}, UnresolvableChase, "cannot reach"),
+        ((0, 1, SUPERLUMINAL_FINITE), {}, ValueError, "positive finite speed"),
+        ((0, 1, SUPERLUMINAL_FINITE), {"speed": math.nan}, ValueError, "positive finite speed"),
+        ((0, 1, SUPERLUMINAL_FINITE), {"speed": math.inf}, ValueError, "positive finite speed"),
+        ((0, 1, SUPERLUMINAL_FINITE), {"speed": 0.0}, ValueError, "positive finite speed"),
+        ((0, 1, "carrier-pigeon"), {}, ValueError, "unknown signal kind"),
+        ((0, 0, LIGHT), {}, ValueError, "endpoints must differ"),
+        ((0, 3, LIGHT), {}, ValueError, "no node with id 3"),
+        ((0, 2, LIGHT), {}, ValueError, "^event component t must be finite$"),
+        ((0, 1, LIGHT), {"t_emit": math.inf}, ValueError, "^event component t must be finite$"),
+        ((2, 1, LIGHT), {"t_emit": 1.7e308}, ValueError, "^event component x must be finite$"),
+        ((0, 2, INSTANTANEOUS), {"t_emit": 1.7e308}, ValueError,
+         "^event component x must be finite$"),
+    ]
+
+    @pytest.mark.parametrize("args, kwargs, error, message", FAILURES)
+    def test_failed_signal_is_not_logged(self, args, kwargs, error, message):
+        lat = lattice(beta=-0.6, positions=(-1e308, 0.0, 1e308))
+        propagate(lat, 1, 0, LIGHT)
+        with pytest.raises(error, match=message):
+            propagate(lat, *args, **kwargs)
+        assert [len(column) for column in self.columns(lat)] == [1] * 6
+
+    @pytest.mark.parametrize("protocol, rows", [
+        (EINSTEIN, 2 * 4), (SUPERLUMINAL, 4), (EXTERNAL_REGULATION, 0),
+    ])
+    def test_each_protocol_run_starts_a_fresh_log(self, protocol, rows):
+        lat = lattice(positions=(-1.5, 0.5, 2.0, 4.5, 7.25))
+        for master in (0, 2):
+            run_protocol(lat, protocol, master)
+            assert [len(column) for column in self.columns(lat)] == [rows] * 6
+            measure_two_way(lat, 0, 4)
+
+
 class TestProtocols:
     @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL, EXTERNAL_REGULATION])
     def test_rest_lattice_needs_no_correction(self, protocol):
         lat = lattice(beta=0.0, positions=(0.0, 1.0, 2.5))
         run_protocol(lat, protocol)
-        for offset in lat.offsets:
-            assert abs(offset) <= 1e-12
+        assert lat.offsets == [0.0, 0.0, 0.0]
+        assert lat.frame.k == 0.0
 
     def test_einstein_offsets_match_isotropic_chart(self):
         # Drift 0.6 (hardware at -0.6): the far clock is set ahead by
@@ -250,8 +303,10 @@ class TestMeasurements:
         lat = lattice()
         run_protocol(lat, SUPERLUMINAL)
         n = len(lat.log)
+        measure_one_way(lat, 0, 1)
+        assert len(lat.log) == n + 1
         measure_two_way(lat, 0, 1)
-        assert len(lat.log) == n + 2
+        assert len(lat.log) == n + 3
 
 
 class TestChartConsistency:
