@@ -31,7 +31,6 @@ from .kinematics import (
     transform_between,
 )
 from .probe import (
-    CollapseModel,
     CollapseSample,
     FitReport,
     collapse_time,

@@ -39,4 +39,4 @@ class NotSynchronized(SynchronyError):
 
 
 class IllConditioned(SynchronyError):
-    """The sample set cannot constrain the fit (too few distinct velocities)."""
+    """The fit is unconstrained (under three distinct velocities) or its arithmetic overflowed."""

@@ -32,18 +32,6 @@ PLANCK_ENERGY_EV = 1.22e28
 
 
 @dataclass(frozen=True)
-class CollapseModel:
-    """Constants of the collapse-time formula; energies in one unit system."""
-
-    hbar: float = HBAR_EV_S
-    planck_energy: float = PLANCK_ENERGY_EV
-
-    def __post_init__(self):
-        if not (self.hbar > 0.0 and self.planck_energy > 0.0):
-            raise ValueError("collapse model constants must be positive")
-
-
-@dataclass(frozen=True)
 class CollapseSample:
     """One observed collapse time at a known laboratory velocity."""
 
@@ -63,8 +51,8 @@ class CollapseSample:
             raise ValueError("sigma must be positive and finite when given")
 
 
-def collapse_time(model: CollapseModel, delta_E: float, beta: float) -> float:
-    """gamma * hbar * E_p / delta_E^2; the beta = 0 case is the rest formula.
+def collapse_time(delta_E: float, beta: float) -> float:
+    """gamma * hbar * E_p / delta_E^2 in seconds, for delta_E in eV; beta = 0 is the rest formula.
 
     Strictly increasing in |beta| and exactly quartic-inverse in delta_E:
     doubling delta_E divides the result by four.
@@ -74,7 +62,7 @@ def collapse_time(model: CollapseModel, delta_E: float, beta: float) -> float:
     if not (math.isfinite(beta) and abs(beta) < 1.0):
         raise ValueError(f"|beta| must be < 1, got {beta!r}")
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-    return gamma * model.hbar * model.planck_energy / (delta_E * delta_E)
+    return gamma * HBAR_EV_S * PLANCK_ENERGY_EV / (delta_E * delta_E)
 
 
 @dataclass(frozen=True)
@@ -147,7 +135,7 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     grid = np.asarray(list(beta_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("beta_grid must be non-empty")
-    if np.any(np.abs(grid) >= 1.0):
+    if not np.all(np.abs(grid) < 1.0):  # also rejects NaN
         raise ValueError("beta_grid values must satisfy |beta| < 1")
 
     u = np.array([s.beta for s in samples], dtype=float)

@@ -124,11 +124,11 @@ class ClockLattice:
 
     ``frame`` is the kinematics frame of the hardware (``beta = -drift``,
     ``k`` as realized by the last protocol run).  Clock i sits at absolute
-    position ``positions[i]`` at absolute time 0 and reads
-    ``rate*t + offsets[i]``; offsets are zero until a protocol sets them.
-    ``log`` holds every signal since the last protocol run started (its
-    exchange, then any measurements) in the absolute chart; ``log[i]`` is a
-    :class:`SignalRecord`.
+    position ``positions[i]`` at absolute time 0, moves at ``frame.beta*C``
+    and reads ``rate*t + offsets[i]`` at absolute time t; offsets are zero
+    until a protocol sets them.  ``log`` holds every signal since the last
+    protocol run started (its exchange, then any measurements) in the
+    absolute chart; ``log[i]`` is a :class:`SignalRecord`.
     """
 
     frame: FrameSpec
@@ -153,19 +153,10 @@ class ClockLattice:
         return cls(FrameSpec(-drift, 0.0, "lab"), tuple(float(x) for x in positions))
 
     @property
-    def velocity(self) -> float:
-        """Absolute-chart velocity of the hardware (the wind blows the other way)."""
-        return self.frame.beta * C
-
-    @property
     def rate(self) -> float:
         """Tick rate of every clock per absolute time unit."""
         b = self.frame.beta
         return math.sqrt(1.0 - b * b)
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.frame.beta**2)
 
     def index(self, node_id: int) -> int:
         """``node_id``, checked: negative, bool, non-integer or out-of-range ids are rejected."""
@@ -176,16 +167,6 @@ class ClockLattice:
         except (TypeError, IndexError):  # not an integer, or past the end
             pass
         raise ValueError(f"no node with id {node_id!r}")
-
-    def position(self, node_id: int, t: float) -> float:
-        return self.positions[self.index(node_id)] + self.velocity * t
-
-    def reading(self, node_id: int, t: float) -> float:
-        return self.rate * t + self.offsets[self.index(node_id)]
-
-    def chart_distance(self, a: int, b: int) -> float:
-        """Rest length between two clocks (absolute gap undone for contraction)."""
-        return self.gamma * abs(self.positions[self.index(b)] - self.positions[self.index(a)])
 
 
 def propagate(
@@ -228,7 +209,7 @@ def _send(
         raise ValueError("signal endpoints must differ")
     x_from = lattice.positions[lattice.index(from_id)]
     x_to = lattice.positions[lattice.index(to_id)]
-    u = lattice.velocity
+    u = lattice.frame.beta * C
     x_emit = x_from + u * t_emit
     gap = x_to - x_from  # constant in time: clocks are comoving
     sign = 1.0 if gap > 0 else -1.0
@@ -311,11 +292,6 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     return lattice
 
 
-def _require_synced(lattice: ClockLattice) -> None:
-    if lattice.protocol is None:
-        raise NotSynchronized("run a synchronization protocol before measuring")
-
-
 def measure_one_way(
     lattice: ClockLattice,
     from_id: int,
@@ -328,16 +304,10 @@ def measure_one_way(
 
     Elapsed time is the receiver's reading at absorption minus the emitter's
     reading at emission; distance is the nodes' rest separation.  Zero
-    elapsed yields :data:`~synchrony_lab.kinematics.INFINITE_SPEED`.
+    elapsed yields :data:`~synchrony_lab.kinematics.INFINITE_SPEED`.  An
+    unsynchronized lattice raises :class:`NotSynchronized` before any signal.
     """
-    _require_synced(lattice)
-    t0 = 0.0
-    t_absorb = _send(lattice, from_id, to_id, kind, speed, t0)
-    elapsed = lattice.reading(to_id, t_absorb) - lattice.reading(from_id, t0)
-    distance = lattice.chart_distance(from_id, to_id)
-    direction = PLUS_X if lattice.positions[to_id] > lattice.positions[from_id] else MINUS_X
-    speed_val = INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
-    return SpeedMeasurement(direction, distance, elapsed, speed_val)
+    return _measure(lattice, from_id, to_id, kind, speed, False)
 
 
 def measure_two_way(
@@ -351,16 +321,30 @@ def measure_two_way(
     """Round-trip measurement: out, reflect, back, timed on the emitter's clock.
 
     Offsets cancel on the single clock, which is why the two-way light speed
-    comes out at ``C`` under every protocol.
+    comes out at ``C`` under every protocol.  Distance is twice the rest
+    separation; otherwise as :func:`measure_one_way`.
     """
-    _require_synced(lattice)
+    return _measure(lattice, from_id, to_id, kind, speed, True)
+
+
+def _measure(lattice, from_id, to_id, kind, speed, two_way) -> SpeedMeasurement:
+    """One-way, or out and back when ``two_way``: sync check, legs, clock readings, rest length."""
+    if lattice.protocol is None:
+        raise NotSynchronized("run a synchronization protocol before measuring")
     t0 = 0.0
-    t_reflect = _send(lattice, from_id, to_id, kind, speed, t0)
-    t_return = _send(lattice, to_id, from_id, kind, speed, t_reflect)
-    elapsed = lattice.reading(from_id, t_return) - lattice.reading(from_id, t0)
-    distance = 2.0 * lattice.chart_distance(from_id, to_id)
+    t = _send(lattice, from_id, to_id, kind, speed, t0)
+    if two_way:
+        t = _send(lattice, to_id, from_id, kind, speed, t)
+    end = from_id if two_way else to_id
+    rate, offsets = lattice.rate, lattice.offsets
+    elapsed = (rate * t + offsets[end]) - (rate * t0 + offsets[from_id])
+    gap = lattice.positions[to_id] - lattice.positions[from_id]
+    distance = (1.0 / math.sqrt(1.0 - lattice.frame.beta**2)) * abs(gap)  # rest length
+    if two_way:
+        distance = 2.0 * distance
+    direction = TWO_WAY if two_way else PLUS_X if gap > 0 else MINUS_X
     speed_val = INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
-    return SpeedMeasurement(TWO_WAY, distance, elapsed, speed_val)
+    return SpeedMeasurement(direction, distance, elapsed, speed_val)
 
 
 @dataclass(frozen=True)
@@ -415,26 +399,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _scenario_number(raw: dict, key: str) -> float:
-    value = raw.get(key)
-    if not _is_number(value):
-        raise ScenarioError("must_be_number", key)
-    return float(value)
+def _is_finite(value) -> bool:
+    """A JSON number that a float holds finitely; an integer past the largest float does not."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # math.isfinite converts an int to float
+        return False
 
 
 def parse_scenario(raw: dict) -> Scenario:
     """Validate a scenario dict; every violation names the broken invariant."""
     if not isinstance(raw, dict):
         raise ScenarioError("must_be_object", "scenario")
-    beta = _scenario_number(raw, "beta")
-    if not (math.isfinite(beta) and abs(beta) < 1.0):
-        raise ScenarioError("abs_beta_lt_1", "beta")
+    beta = raw.get("beta")
+    if not (_is_finite(beta) and abs(beta) < 1.0):
+        raise ScenarioError("abs_beta_lt_1" if _is_number(beta) else "must_be_number", "beta")
 
     positions = raw.get("node_positions")
     if not isinstance(positions, list) or len(positions) < 2:
         raise ScenarioError("at_least_two_nodes", "node_positions")
     for p in positions:
-        if not (_is_number(p) and math.isfinite(p)):
+        if not _is_finite(p):
             raise ScenarioError("positions_finite_numbers", "node_positions")
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise ScenarioError("strictly_increasing_positions", "node_positions")
@@ -465,7 +450,7 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ScenarioError("two_way_boolean", f"signals[{i}].two_way")
         speed = s.get("speed")
         if speed is not None or kind == SUPERLUMINAL_FINITE:
-            if not (_is_number(speed) and math.isfinite(speed) and speed > 0):
+            if not (_is_finite(speed) and speed > 0):
                 raise ScenarioError("positive_signal_speed", f"signals[{i}].speed")
         signals.append(
             SignalSpec(
@@ -476,7 +461,7 @@ def parse_scenario(raw: dict) -> Scenario:
                 speed=None if speed is None else float(speed),
             )
         )
-    return Scenario(beta, tuple(float(p) for p in positions), protocol, tuple(signals))
+    return Scenario(float(beta), tuple(float(p) for p in positions), protocol, tuple(signals))
 
 
 def load_scenario(path) -> Scenario:
@@ -494,8 +479,6 @@ def run_scenario(
     """
     lattice = ClockLattice.build(scenario.beta, scenario.node_positions)
     run_protocol(lattice, protocol if protocol is not None else scenario.protocol, master)
-    results = []
-    for spec in scenario.signals:
-        measure = measure_two_way if spec.two_way else measure_one_way
-        results.append(measure(lattice, spec.source, spec.target, spec.kind, speed=spec.speed))
+    results = [_measure(lattice, spec.source, spec.target, spec.kind, spec.speed, spec.two_way)
+               for spec in scenario.signals]
     return lattice, results

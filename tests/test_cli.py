@@ -238,6 +238,22 @@ class TestSyncCommand:
         assert (code, out) == (3, "")
         assert err.splitlines() == ["invalid_input reason=event_component_t_must_be_finite"]
 
+    HUGE = 10**400  # a JSON integer too large for a float
+
+    @pytest.mark.parametrize("patch, invariant, field", [
+        ({"beta": HUGE}, "abs_beta_lt_1", "beta"),
+        ({"node_positions": [0.0, HUGE]}, "positions_finite_numbers", "node_positions"),
+        ({"signals": [{"from": 0, "to": 1, "speed": -HUGE}]},
+         "positive_signal_speed", "signals[0].speed"),
+    ])
+    def test_integer_too_large_for_a_float_exits_3(self, tmp_path, patch, invariant, field):
+        scenario = tmp_path / "huge.json"
+        raw = {"beta": 0.6, "node_positions": [0.0, 1.0], "protocol": "einstein", **patch}
+        scenario.write_text(json.dumps(raw))
+        code, out, err = run_cli(["sync", "--scenario", str(scenario)])
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"scenario_invalid invariant={invariant} field={field}"]
+
     @pytest.mark.parametrize("master", ["-1", "3"])
     def test_master_outside_the_lattice_exits_3(self, master):
         code, out, err = run_cli(["sync", "--scenario", str(DATA / "scenario_rest.json"),

@@ -142,6 +142,11 @@ def _assert_strict_csv(text):
 @example(case=(["transform", "--beta=0.0", "--event=0.0,1.5e308", "--preset=lorentz",
                 "--format=csv", "--precision=1"], "csv", {}),
          speed_of_light=None)
+# A JSON integer too large for a float raised an OverflowError traceback.
+@example(case=(["sync", "--scenario={tmp}/scenario.json", "--format=json"], "json",
+               {"scenario.json": '{"beta": 1%s, "node_positions": [0, 1], '
+                                 '"protocol": "einstein"}' % ("0" * 400)}),
+         speed_of_light=None)
 def test_every_invocation_keeps_the_output_contract(case, speed_of_light, tmp_path, monkeypatch):
     argv, fmt, files = case
     for name, text in files.items():

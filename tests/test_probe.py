@@ -8,7 +8,6 @@ import pytest
 
 from synchrony_lab import (
     ABSOLUTE_FRAME,
-    CollapseModel,
     CollapseSample,
     FrameSpec,
     IllConditioned,
@@ -27,7 +26,6 @@ from conftest import (
     velocity_subtract,
 )
 
-MODEL = CollapseModel()
 GRID_001 = [-0.9 + 0.01 * i for i in range(181)]
 
 
@@ -35,33 +33,32 @@ class TestCollapseTime:
     def test_rest_frame_value_for_one_ev_spread(self):
         # hbar * E_p for 1 eV spread, recomputed independently: the CODATA
         # hbar (eV s) times the Planck energy (eV) is 8.03018587418e12 s.
-        assert math.isclose(collapse_time(MODEL, 1.0, 0.0), 8.03018587418e12,
+        assert math.isclose(collapse_time(1.0, 0.0), 8.03018587418e12,
                             rel_tol=1e-9)
 
     def test_rest_frame_formula(self):
-        assert collapse_time(MODEL, 2.0, 0.0) == MODEL.hbar * MODEL.planck_energy / 4.0
+        assert collapse_time(2.0, 0.0) == ORACLE_HBAR_EV_S * ORACLE_PLANCK_ENERGY_EV / 4.0
 
     def test_boost_ratio_is_gamma(self):
-        ratio = collapse_time(MODEL, 1.0, 0.6) / collapse_time(MODEL, 1.0, 0.0)
+        ratio = collapse_time(1.0, 0.6) / collapse_time(1.0, 0.0)
         assert math.isclose(ratio, 1.25, rel_tol=1e-12)
 
     def test_doubling_spread_quarters_the_time(self):
         for delta_E in (1.0, 0.7, 3.0, 1e-3):
-            assert collapse_time(MODEL, 2 * delta_E, 0.4) == \
-                collapse_time(MODEL, delta_E, 0.4) / 4.0
+            assert collapse_time(2 * delta_E, 0.4) == collapse_time(delta_E, 0.4) / 4.0
 
     def test_monotone_in_speed_magnitude(self):
-        times = [collapse_time(MODEL, 1.0, b) for b in (0.0, 0.2, 0.5, 0.8, 0.95)]
+        times = [collapse_time(1.0, b) for b in (0.0, 0.2, 0.5, 0.8, 0.95)]
         assert times == sorted(times)
-        assert collapse_time(MODEL, 1.0, -0.5) == collapse_time(MODEL, 1.0, 0.5)
+        assert collapse_time(1.0, -0.5) == collapse_time(1.0, 0.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            collapse_time(MODEL, 0.0, 0.0)
+            collapse_time(0.0, 0.0)
         with pytest.raises(ValueError):
-            collapse_time(MODEL, -1.0, 0.0)
+            collapse_time(-1.0, 0.0)
         with pytest.raises(ValueError):
-            collapse_time(MODEL, 1.0, 1.0)
+            collapse_time(1.0, 1.0)
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
@@ -138,6 +135,12 @@ class TestEstimator:
         samples = synth_collapse_samples(0.0, self.velocities)
         with pytest.raises(ValueError):
             estimate_absolute_frame(samples, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, -math.inf])
+    def test_grid_point_outside_the_open_unit_interval_rejected(self, bad):
+        samples = synth_collapse_samples(0.0, self.velocities)
+        with pytest.raises(ValueError, match="must satisfy"):
+            estimate_absolute_frame(samples, [0.0, bad, 0.5])
 
     def test_noisy_recovery_single_seed(self):
         rng = np.random.default_rng(42)

@@ -1,0 +1,22 @@
+"""The clock simulator stays bit-identical: scripts/sync_digest.py prints its pinned digest."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: sha256 over every simulator result the script covers; a change here is a change in behaviour.
+PINNED = "8f8435454f423950723dba6596dd22824ebd6c59f6eeda300c10a3c454ad4726"
+
+
+def test_sync_digest_is_pinned(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "sync_digest", ROOT / "scripts" / "sync_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec.loader.exec_module(script)
+    script.main()
+    assert capsys.readouterr().out == PINNED + "\n"

@@ -61,8 +61,6 @@ class TestNodeLookup:
         lat = lattice(positions=(0.0, 1.0, 2.5))
         for i in range(len(lat.positions)):
             assert lat.index(i) == i
-            assert lat.position(i, 0.0) == lat.positions[i]
-            assert lat.reading(i, 0.0) == lat.offsets[i]
 
     @pytest.mark.parametrize("bad", [-1, 3, True, 1.0, "1", None])
     def test_out_of_range_or_non_integer_ids_are_rejected(self, bad):
@@ -106,7 +104,7 @@ class TestPropagate:
         rec = propagate(lat, 0, 1, INSTANTANEOUS, t_emit=0.4)
         assert rec.absorb.t == rec.emit.t == 0.4
         assert math.isinf(rec.speed_abs)
-        assert rec.absorb.x == lat.position(1, 0.4)
+        assert rec.absorb.x == lat.positions[1] + lat.frame.beta * 0.4
 
     def test_slow_signal_cannot_catch_receding_node(self):
         # Wind -0.6: hardware drifts at +0.6; a 0.3-speed chase fails.
@@ -216,7 +214,7 @@ class TestProtocols:
     def test_superluminal_equalizes_readings_at_one_instant(self):
         lat = lattice(beta=0.6, positions=(0.0, 1.0, 2.0))
         run_protocol(lat, SUPERLUMINAL)
-        readings = [lat.reading(i, 1.7) for i in range(len(lat.positions))]
+        readings = [lat.rate * 1.7 + offset for offset in lat.offsets]
         assert max(readings) - min(readings) == 0.0
         assert lat.frame.k == 0.6
 
@@ -318,7 +316,8 @@ class TestChartConsistency:
         instants = [(2.0 - offset) / lat.rate for offset in lat.offsets]
         events = [
             superluminal_transform(
-                type(lat.log[0].emit)(t=t, x=lat.position(i, t), chart="S"), beta
+                type(lat.log[0].emit)(t=t, x=lat.positions[i] + lat.frame.beta * t, chart="S"),
+                beta,
             )
             for i, t in enumerate(instants)
         ]
@@ -335,9 +334,11 @@ class TestChartConsistency:
         The absorb event is mapped from the absolute chart through
         ``frame_coeffs(frame)``.  In the lattice's own chart t' less the
         master's term a_tx*positions[master] must be the receiver's clock
-        reading, and x' must be the receiver's rest position gamma*positions[r].
+        reading rate*t + offsets[r], and x' must be the receiver's rest
+        position gamma*positions[r], gamma = 1/rate.
         """
         coeffs = frame_coeffs(frame)
+        gamma = 1.0 / lat.rate
         slaves = [i for i in range(len(lat.positions)) if i != master]
         if lat.protocol == EINSTEIN:
             receivers = [r for i in slaves for r in (i, master)]  # out, then back
@@ -348,9 +349,9 @@ class TestChartConsistency:
         misses = 0
         for rec, r in zip(lat.log, receivers):
             image = coeffs.apply(rec.absorb)
-            t_ok = math.isclose(image.t - master_term, lat.reading(r, rec.absorb.t),
-                                rel_tol=0.0, abs_tol=1e-9)
-            x_ok = math.isclose(image.x, lat.gamma * lat.positions[r],
+            reading = lat.rate * rec.absorb.t + lat.offsets[r]
+            t_ok = math.isclose(image.t - master_term, reading, rel_tol=0.0, abs_tol=1e-9)
+            x_ok = math.isclose(image.x, gamma * lat.positions[r],
                                 rel_tol=0.0, abs_tol=1e-9)
             misses += not (t_ok and x_ok)
         return misses
@@ -434,6 +435,11 @@ class TestScenario:
                            "speed": math.nan}]}, "positive_signal_speed"),
             ({"signals": [{"from": 0, "to": 1, "kind": "superluminal-finite",
                            "speed": math.inf}]}, "positive_signal_speed"),
+            # JSON integers too large for a float.
+            ({"beta": -10**400}, "abs_beta_lt_1"),
+            ({"node_positions": [0.0, 10**400]}, "positions_finite_numbers"),
+            ({"signals": [{"from": 0, "to": 1, "kind": "superluminal-finite",
+                           "speed": 10**400}]}, "positive_signal_speed"),
         ],
     )
     def test_violations_name_the_invariant(self, patch, invariant):
