@@ -3,6 +3,7 @@
 from .errors import (
     ConventionOutOfRange,
     DegenerateConvention,
+    FileInvalid,
     IllConditioned,
     NotSynchronized,
     SynchronyError,
@@ -19,7 +20,6 @@ from .kinematics import (
     edwards_transform,
     eta,
     induced_synchrony,
-    lorentz_coeffs,
     lorentz_transform,
     map_velocity,
     one_way_speed,

@@ -7,7 +7,7 @@ Setting the environment variable ``SYNCHRONY_LAB_C`` rescales printed
 speed-valued fields (and only those) into SI units; a finite speed that it
 scales past the largest float is invalid input, not "inf".
 
-Exit codes: 0 success, 2 degenerate convention (or usage error), 3 invalid
+Exit codes: 0 success, 2 degenerate convention or usage error, 3 invalid
 input file or parameters (including a ``scan``/``probe`` grid of more than
 :data:`MAX_GRID_POINTS` points, or a ``probe`` fit of more than
 :data:`MAX_FIT_CELLS` grid points times samples), 4 ill-conditioned fit.
@@ -23,16 +23,18 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
 from . import kinematics, probe, syncsim
-from .errors import DegenerateConvention, IllConditioned, SynchronyError
+from .errors import DegenerateConvention, FileInvalid, IllConditioned, SynchronyError
 
 PRESETS = ("lorentz", "superluminal")
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
+EXIT_USAGE = 2
 EXIT_INVALID_INPUT = 3
 EXIT_ILL_CONDITIONED = 4
 
@@ -52,15 +54,12 @@ class Formatter:
         self.digits = digits
 
     def num(self, value: float):
-        """JSON-ready value: rounded float, or 'inf'/'-inf' strings."""
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        rounded = float(f"{value:.{self.digits}g}")  # inf if it rounds past the largest float
-        return (rounded if math.isfinite(rounded) else value) + 0.0  # normalize -0.0
+        """JSON-ready value: :meth:`text` read back as a float, or 'inf'/'-inf' strings."""
+        text = self.text(value)
+        return text if math.isinf(value) else float(text)
 
     def text(self, value: float) -> str:
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
+        """``value`` at ``digits`` significant digits; 'inf'/'-inf' print as such."""
         text = f"{value + 0.0:.{self.digits}g}"  # inf if it rounds past the largest float
         return text if math.isfinite(float(text)) else repr(value + 0.0)
 
@@ -125,13 +124,12 @@ def _parse_event(text: str) -> kinematics.Event:
 
 
 def cmd_transform(args):
-    if args.preset == "lorentz":
-        k, k_prime = 0.0, 0.0
-    elif args.preset == "superluminal":
-        k, k_prime = 0.0, kinematics.induced_synchrony(0.0, args.beta)
-    else:
-        k = args.k if args.k is not None else 0.0
-        k_prime = args.k_prime if args.k_prime is not None else 0.0
+    if args.preset is not None and (args.k is not None or args.k_prime is not None):
+        raise argparse.ArgumentError(None, "--preset conflicts with explicit --k/--k-prime")
+    k = args.k if args.k is not None else 0.0
+    k_prime = args.k_prime if args.k_prime is not None else 0.0
+    if args.preset == "superluminal":  # the lorentz preset is k = k' = 0
+        k_prime = kinematics.induced_synchrony(0.0, args.beta)
 
     source = _parse_event(args.event)
     coeffs = kinematics.edwards_coeffs(args.beta, k, k_prime)
@@ -191,25 +189,24 @@ def cmd_sync(args):
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """``lo``, ``lo + step``, ... up to ``hi``, every point checked to lie in (-1, 1)."""
     if not all(math.isfinite(v) for v in (lo, hi, step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     if hi < lo:
         raise ValueError("grid maximum is below its minimum")
+    if not (-1.0 < lo and hi < 1.0):  # every point lies in [lo, hi]
+        raise ValueError("beta grid must stay within (-1, 1)")
     span = (hi - lo) / step + 1e-9
-    if not span < MAX_GRID_POINTS:  # floor(span) + 1 points; also catches overflow to inf
+    if not span < MAX_GRID_POINTS:  # int(span) + 1 points; also catches overflow to inf
         raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points")
-    count = max(int(math.floor(span)) + 1, 1)
-    return [lo + i * step for i in range(count)]
+    return [min(lo + i * step, hi) for i in range(int(span) + 1)]  # the slack may pass hi
 
 
 def cmd_scan(args):
     scale = _speed_scale()
-    betas = _grid(args.beta_min, args.beta_max, args.step)
-    if any(abs(b) >= 1.0 for b in betas):
-        raise ValueError("scan range must stay within (-1, 1)")
-    scan = syncsim.isotropy_scan(betas)
+    scan = syncsim.isotropy_scan(_grid(args.beta_min, args.beta_max, args.step))
     points = [
         {"beta": pt.beta, "c_plus": _scaled(pt.c_plus, scale),
          "c_minus": _scaled(pt.c_minus, scale), "anisotropy": _scaled(pt.anisotropy, scale)}
@@ -227,16 +224,21 @@ def cmd_scan(args):
 def cmd_probe(args):
     samples = probe.load_samples(args.samples)
     grid = _grid(args.beta_min, args.beta_max, args.step)
-    if any(abs(b) >= 1.0 for b in grid):
-        raise ValueError("probe grid must stay within (-1, 1)")
     if len(grid) * len(samples) > MAX_FIT_CELLS:
         raise ValueError(f"fit would have more than {MAX_FIT_CELLS} grid-sample cells")
     _, report = probe.estimate_absolute_frame(samples, grid)
     return {"command": "probe", **report.to_dict()}, [], []
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error for :func:`main` to report, instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="synchrony-lab",
         description="Synchrony-convention kinematics, clock-sync simulation, and frame probes",
     )
@@ -283,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fail(stderr, code: int, error_code: str, **fields) -> int:
-    pairs = " ".join(f"{k}={v}" for k, v in fields.items())
+    pairs = " ".join(k + "=" + re.sub(r"\s", "_", str(v)) for k, v in fields.items())
     stderr.write(f"{error_code} {pairs}".rstrip() + "\n")
     return code
 
@@ -291,16 +293,13 @@ def _fail(stderr, code: int, error_code: str, **fields) -> int:
 def main(argv=None, *, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "transform" and args.preset is not None:
-        if args.k is not None or args.k_prime is not None:
-            parser.error("--preset conflicts with explicit --k/--k-prime")
-
     buffer = io.StringIO()
     try:
+        args = _build_parser().parse_args(argv)
         fmt = Formatter(args.precision)
         _render(buffer, fmt, args.format, *args.handler(args))
+    except argparse.ArgumentError as exc:
+        return _fail(stderr, EXIT_USAGE, "usage_error", reason=exc)
     except DegenerateConvention as exc:
         return _fail(stderr, EXIT_DEGENERATE, "degenerate_convention",
                      beta=exc.beta, k=exc.k)
@@ -308,14 +307,11 @@ def main(argv=None, *, stdout=None, stderr=None) -> int:
         return _fail(stderr, EXIT_INVALID_INPUT, "scenario_invalid",
                      invariant=exc.invariant, field=exc.field_name)
     except IllConditioned as exc:
-        return _fail(stderr, EXIT_ILL_CONDITIONED, "ill_conditioned",
-                     reason=str(exc).replace(" ", "_"))
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(stderr, EXIT_INVALID_INPUT, "file_invalid",
-                     reason=type(exc).__name__)
+        return _fail(stderr, EXIT_ILL_CONDITIONED, "ill_conditioned", reason=exc)
+    except FileInvalid as exc:
+        return _fail(stderr, EXIT_INVALID_INPUT, "file_invalid", reason=exc)
     except (ValueError, SynchronyError) as exc:
-        return _fail(stderr, EXIT_INVALID_INPUT, "invalid_input",
-                     reason=str(exc).replace(" ", "_"))
+        return _fail(stderr, EXIT_INVALID_INPUT, "invalid_input", reason=exc)
     stdout.write(buffer.getvalue())
     return EXIT_OK
 

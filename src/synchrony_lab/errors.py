@@ -38,5 +38,9 @@ class NotSynchronized(SynchronyError):
     """A measurement was requested before any synchronization protocol ran."""
 
 
+class FileInvalid(SynchronyError):
+    """An input file could not be opened, decoded or parsed; the message is the cause's type."""
+
+
 class IllConditioned(SynchronyError):
     """The fit is unconstrained (under three distinct velocities) or its arithmetic overflowed."""

@@ -119,10 +119,6 @@ class TransformCoeffs:
     def determinant(self) -> float:
         return self.a_tt * self.a_xx - self.a_tx * self.a_xt
 
-    @classmethod
-    def identity(cls) -> "TransformCoeffs":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     def apply(self, e: Event, chart: str | None = None) -> Event:
         return Event(
             t=self.a_tt * e.t + self.a_tx * e.x,
@@ -176,11 +172,6 @@ def edwards_coeffs(beta: float, k: float, k_prime: float) -> TransformCoeffs:
         a_xt=-h * beta * C,
         a_xx=h,
     )
-
-
-def lorentz_coeffs(beta: float) -> TransformCoeffs:
-    """Isotropic-convention boost: the k = k' = 0 member."""
-    return edwards_coeffs(beta, 0.0, 0.0)
 
 
 def superluminal_coeffs(beta: float) -> TransformCoeffs:

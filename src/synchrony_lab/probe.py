@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import IllConditioned
+from .errors import FileInvalid, IllConditioned
 
 #: Reduced Planck constant in eV*s (CODATA).
 HBAR_EV_S = 6.582119569e-16
@@ -139,12 +139,10 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         raise ValueError("beta_grid values must satisfy |beta| < 1")
 
     u = np.array([s.beta for s in samples], dtype=float)
-    try:
-        y = np.array([s.t_c * s.delta_E**2 for s in samples], dtype=float)
-    except OverflowError:  # float ** raises where * would give inf
-        raise IllConditioned("fit residuals are not finite") from None
+    # An overflowing square is inf (** would raise) and fails the residual check below.
+    y = np.array([s.t_c * (s.delta_E * s.delta_E) for s in samples], dtype=float)
     distinct = np.unique(u).size
-    if len(samples) < 3 or distinct < 3:
+    if distinct < 3:
         raise IllConditioned(
             f"need at least 3 samples at 3 distinct velocities, "
             f"got {len(samples)} samples at {distinct}"
@@ -186,27 +184,31 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
 def load_samples(path) -> list[CollapseSample]:
     """Read samples from CSV with columns delta_E, lab_beta, t_c, sigma.
 
-    The sigma column may be empty.  Raises ValueError on malformed rows.
+    The sigma column may be empty.  Raises :class:`FileInvalid` if the file
+    is not readable UTF-8 CSV, ValueError on malformed rows.
     """
     required = ("delta_E", "lab_beta", "t_c")
     samples = []
-    with open(Path(path), newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-            raise ValueError(f"sample file must have columns {', '.join(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                sigma_raw = (row.get("sigma") or "").strip()
-                samples.append(
-                    CollapseSample(
-                        delta_E=float(row["delta_E"]),
-                        beta=float(row["lab_beta"]),
-                        t_c=float(row["t_c"]),
-                        sigma=float(sigma_raw) if sigma_raw else None,
+    try:
+        with open(Path(path), newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
+                raise ValueError(f"sample file must have columns {', '.join(required)}")
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    sigma_raw = (row.get("sigma") or "").strip()
+                    samples.append(
+                        CollapseSample(
+                            delta_E=float(row["delta_E"]),
+                            beta=float(row["lab_beta"]),
+                            t_c=float(row["t_c"]),
+                            sigma=float(sigma_raw) if sigma_raw else None,
+                        )
                     )
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad sample on line {lineno}: {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"bad sample on line {lineno}: {exc}") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # file errors only, not row errors
+        raise FileInvalid(type(exc).__name__) from exc
     if not samples:
         raise ValueError("sample file contains no rows")
     return samples

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import NotSynchronized, UnresolvableChase
+from .errors import FileInvalid, NotSynchronized, UnresolvableChase
 from .kinematics import C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, induced_synchrony
 
 LIGHT = "light"
@@ -72,32 +72,23 @@ class SignalRecord:
 
 
 class SignalLog:
-    """Signals in send order, one list per field, all in the absolute chart.
+    """Signals in send order, one row per signal, all in the absolute chart.
 
-    Row i is ``kind[i]`` emitted at ``(emit_t[i], emit_x[i])`` and absorbed
-    at ``(absorb_t[i], absorb_x[i])`` at signed speed ``speed_abs[i]``.
-    ``log[i]`` (negative i too) and iteration build :class:`SignalRecord`
-    rows on demand.
+    ``rows[i]`` is ``(kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs)``:
+    the signal emitted at ``(emit_t, emit_x)`` and absorbed at ``(absorb_t,
+    absorb_x)`` at signed speed ``speed_abs``.  ``log[i]`` (negative i too)
+    and iteration build :class:`SignalRecord` rows on demand.
     """
 
     def __init__(self):
-        self.kind: list[str] = []
-        self.emit_t: list[float] = []
-        self.emit_x: list[float] = []
-        self.absorb_t: list[float] = []
-        self.absorb_x: list[float] = []
-        self.speed_abs: list[float] = []
+        self.rows: list[tuple[str, float, float, float, float, float]] = []
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.rows)
 
     def __getitem__(self, i: int) -> SignalRecord:
-        return SignalRecord(
-            self.kind[i],
-            Event(self.emit_t[i], self.emit_x[i]),
-            Event(self.absorb_t[i], self.absorb_x[i]),
-            self.speed_abs[i],
-        )
+        kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs = self.rows[i]
+        return SignalRecord(kind, Event(emit_t, emit_x), Event(absorb_t, absorb_x), speed_abs)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -128,14 +119,15 @@ class ClockLattice:
     and reads ``rate*t + offsets[i]`` at absolute time t; offsets are zero
     until a protocol sets them.  ``log`` holds every signal since the last
     protocol run started (its exchange, then any measurements) in the
-    absolute chart; ``log[i]`` is a :class:`SignalRecord`.
+    absolute chart; ``log[i]`` is a :class:`SignalRecord`.  ``protocol``
+    names the last protocol run; only :func:`run_protocol` sets it.
     """
 
     frame: FrameSpec
     positions: tuple[float, ...]
     offsets: list[float] = field(init=False)
     log: SignalLog = field(init=False, default_factory=SignalLog)
-    protocol: str | None = None
+    protocol: str | None = field(init=False, default=None)
 
     def __post_init__(self):
         p = self.positions
@@ -238,13 +230,7 @@ def _send(
 
     _check_finite(t_emit, x_emit)
     _check_finite(t_abs, x_abs)
-    log = lattice.log
-    log.kind.append(kind)
-    log.emit_t.append(t_emit)
-    log.emit_x.append(x_emit)
-    log.absorb_t.append(t_abs)
-    log.absorb_x.append(x_abs)
-    log.speed_abs.append(w)
+    lattice.log.rows.append((kind, t_emit, x_emit, t_abs, x_abs, w))
     return t_abs
 
 
@@ -407,10 +393,18 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _check_keys(raw: dict, known, prefix: str = "") -> None:
+    """Reject the first key not in ``known``; a misspelled key would otherwise be ignored."""
+    for key in raw:
+        if key not in known:
+            raise ScenarioError("known_field", f"{prefix}{key}")
+
+
 def parse_scenario(raw: dict) -> Scenario:
     """Validate a scenario dict; every violation names the broken invariant."""
     if not isinstance(raw, dict):
         raise ScenarioError("must_be_object", "scenario")
+    _check_keys(raw, ("beta", "node_positions", "protocol", "signals"))
     beta = raw.get("beta")
     if not (_is_finite(beta) and abs(beta) < 1.0):
         raise ScenarioError("abs_beta_lt_1" if _is_number(beta) else "must_be_number", "beta")
@@ -435,6 +429,7 @@ def parse_scenario(raw: dict) -> Scenario:
     for i, s in enumerate(raw_signals):
         if not isinstance(s, dict):
             raise ScenarioError("signal_object", f"signals[{i}]")
+        _check_keys(s, ("from", "to", "kind", "two_way", "speed"), f"signals[{i}].")
         kind = s.get("kind", LIGHT)
         if kind not in SIGNAL_KINDS:
             raise ScenarioError("known_signal_kind", f"signals[{i}].kind", f"got {kind!r}")
@@ -452,21 +447,18 @@ def parse_scenario(raw: dict) -> Scenario:
         if speed is not None or kind == SUPERLUMINAL_FINITE:
             if not (_is_finite(speed) and speed > 0):
                 raise ScenarioError("positive_signal_speed", f"signals[{i}].speed")
-        signals.append(
-            SignalSpec(
-                source=source,
-                target=target,
-                kind=kind,
-                two_way=two_way,
-                speed=None if speed is None else float(speed),
-            )
-        )
+        signals.append(SignalSpec(source, target, kind, two_way,
+                                  None if speed is None else float(speed)))
     return Scenario(float(beta), tuple(float(p) for p in positions), protocol, tuple(signals))
 
 
 def load_scenario(path) -> Scenario:
-    with open(Path(path), encoding="utf-8") as fh:
-        return parse_scenario(json.load(fh))
+    try:
+        with open(Path(path), encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise FileInvalid(type(exc).__name__) from exc
+    return parse_scenario(raw)
 
 
 def run_scenario(

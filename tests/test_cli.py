@@ -266,6 +266,30 @@ class TestSyncCommand:
         assert code == 3
         assert err.startswith("file_invalid ")
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"[" * 100_000, "RecursionError"),  # was a RecursionError traceback
+        (b'{"beta": ' + b"1" * 5001 + b"}", "ValueError"),  # past Python's integer-digit limit
+        (b'{"beta": 0.6, "protocol": "\xff"}', "UnicodeDecodeError"),
+        (b'{"beta": 0.6,', "JSONDecodeError"),
+    ], ids=["deep-nesting", "long-integer", "not-utf8", "truncated"])
+    def test_unparsable_scenario_is_file_invalid(self, tmp_path, content, reason):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(content)
+        assert run_cli(["sync", "--scenario", str(scenario)]) == (
+            3, "", f"file_invalid reason={reason}\n")
+
+    @pytest.mark.parametrize("patch, field", [
+        ({"signal": [{"from": 0, "to": 1}]}, "signal"),  # ran no measurement
+        ({"signals": [{"from": 1, "to": 0}, {"from": 0, "to": 1, "two-way": True}]},
+         "signals[1].two-way"),  # ran one-way
+    ])
+    def test_unknown_key_exits_3(self, tmp_path, patch, field):
+        scenario = tmp_path / "scenario.json"
+        raw = {"beta": 0.6, "node_positions": [0.0, 1.0], "protocol": "superluminal", **patch}
+        scenario.write_text(json.dumps(raw))
+        assert run_cli(["sync", "--scenario", str(scenario)]) == (
+            3, "", f"scenario_invalid invariant=known_field field={field}\n")
+
     def test_csv_format(self):
         _, out, _ = run_cli(["sync", "--scenario", str(DATA / "scenario_drift06.json"),
                              "--format", "csv"])
@@ -337,6 +361,13 @@ class TestScanCommand:
         assert (code, out) == (3, "")
         assert err.splitlines() == ["invalid_input reason=grid_bounds_and_step_must_be_finite"]
 
+    def test_last_point_never_passes_beta_max(self):
+        # The grid's rounding slack adds a point at 1.0; it is clamped to --beta-max.
+        code, out, err = run_cli(
+            ["scan", "--beta-min", "0.5", "--beta-max", "0.9999999999", "--step", "0.5"])
+        assert (code, err) == (0, "")
+        assert [line.split(",")[0] for line in out.splitlines()[1:-1]] == ["0.5", "0.9999999999"]
+
     def test_json_format(self):
         _, out, _ = run_cli(
             ["scan", "--beta-min", "0", "--beta-max", "0.5", "--step", "0.25",
@@ -377,6 +408,24 @@ class TestProbeCommand:
             "invalid_input reason=fit_would_have_more_than_10000000_grid-sample_cells"
         ]
 
+    def test_last_grid_point_never_passes_beta_max(self):
+        code, out, _ = run_cli(
+            ["probe", "--samples", str(DATA / "collapse_samples_beta03.csv"),
+             "--beta-min", "-0.5", "--beta-max", "0.9999999999", "--step", "0.5"])
+        assert code == 0
+        curve = json.loads(out)["residual_curve"]
+        assert [point["beta"] for point in curve] == [-0.5, 0.0, 0.5, 0.9999999999]
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"delta_E,lab_beta,t_c,sigma\n" + b"1" * 131_073 + b",0.1,1,\n", "Error"),  # csv.Error
+        (b"delta_E,lab_beta,t_c,sigma\n1,0.1,1,\xff\n", "UnicodeDecodeError"),
+    ], ids=["field-past-csv-limit", "not-utf8"])
+    def test_unparsable_samples_are_file_invalid(self, tmp_path, content, reason):
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(content)
+        assert run_cli(["probe", "--samples", str(samples)]) == (
+            3, "", f"file_invalid reason={reason}\n")
+
     def test_bad_sigma_exits_3(self, tmp_path):
         samples = tmp_path / "bad_sigma.csv"
         samples.write_text("delta_E,lab_beta,t_c,sigma\n1,0.1,1,-5\n1,0.2,1,nan\n1,0.3,1,\n")
@@ -397,6 +446,35 @@ class TestProbeCommand:
              "--beta-min", "-0.99", "--beta-max", "0.99", "--step", "0.33"])
         assert (code, out) == (4, "")
         assert err.splitlines() == ["ill_conditioned reason=fit_residuals_are_not_finite"]
+
+    def test_overflowing_energy_square_exits_4_without_warnings(self, tmp_path):
+        # delta_E**2 overflows: the normalized times are inf, so the residuals are not finite.
+        samples = tmp_path / "huge_energy.csv"
+        samples.write_text("delta_E,lab_beta,t_c,sigma\n"
+                           "1e200,-0.5,1.0,\n1e200,0.0,1.0,\n1e200,0.5,1.0,\n")
+        assert run_cli_process(["probe", "--samples", str(samples)]) == (
+            4, "", "ill_conditioned reason=fit_residuals_are_not_finite\n")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        ["oneway"],
+        ["scan", "--beta-min", "x", "--beta-max", "0.5", "--step", "0.1"],
+        ["oneway", "--k", "0", "--bogus"],
+        ["transform", "--preset", "lorentz", "--k", "0.2", "--beta", "0", "--event", "1,0"],
+    ], ids=["unknown-subcommand", "missing-flag", "not-a-float", "unknown-flag",
+            "preset-conflict"])
+    def test_one_usage_error_line_exit_2(self, argv, capsys):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+        assert err.startswith("usage_error reason=")
+        assert capsys.readouterr() == ("", "")  # nothing bypasses main's streams
+
+    def test_whitespace_in_a_value_stays_on_one_line(self):
+        code, _, err = run_cli(["oneway", "--k", "0", "a\nb c"])
+        assert (code, err) == (2, "usage_error reason=unrecognized_arguments:_a_b_c\n")
 
 
 def _pretty(payload: dict) -> str:

@@ -3,8 +3,10 @@
 Argument vectors are drawn from the real subcommands and flags, with numeric
 text that includes nan, inf, -0, 1e308 and 1e-320; scenario and sample files
 mix valid and invalid fields.  Every value is passed as ``--flag=value`` so
-that argparse never mistakes a value for a flag (usage errors are out of
-scope here).
+that argparse never mistakes a value for a flag.  Usage errors keep the same
+contract (one ``usage_error`` line, exit 2): the drawn ``--precision`` and
+``--preset`` combinations reach them only through ``@example``s here, and
+``test_cli.TestUsageErrors`` covers the rest.
 """
 
 from __future__ import annotations
@@ -104,6 +106,23 @@ def invocations(draw):
     return argv, fmt, files
 
 
+#: Every documented error code and its exit code.
+ERROR_EXITS = {"degenerate_convention": 2, "usage_error": 2, "scenario_invalid": 3,
+               "file_invalid": 3, "invalid_input": 3, "ill_conditioned": 4}
+
+
+def _unparsable(name, text) -> bool:
+    """Whether Python's JSON or CSV parser itself rejects a drawn file."""
+    try:
+        if name.endswith(".json"):
+            json.loads(text)
+        else:
+            list(csv.reader(io.StringIO(text)))
+    except (ValueError, RecursionError, csv.Error):
+        return True
+    return False
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-strict JSON constant {constant}")
@@ -147,6 +166,21 @@ def _assert_strict_csv(text):
                {"scenario.json": '{"beta": 1%s, "node_positions": [0, 1], '
                                  '"protocol": "einstein"}' % ("0" * 400)}),
          speed_of_light=None)
+# Undecodable files raised tracebacks (deep nesting, an overlong CSV field) or
+# reported a JSON integer past Python's digit limit as invalid_input.
+@example(case=(["sync", "--scenario={tmp}/scenario.json", "--format=json"], "json",
+               {"scenario.json": "[" * 100_000}),
+         speed_of_light=None)
+@example(case=(["sync", "--scenario={tmp}/scenario.json", "--format=csv"], "csv",
+               {"scenario.json": '{"beta": %s}' % ("1" * 5001)}),
+         speed_of_light=None)
+@example(case=(["probe", "--samples={tmp}/samples.csv", "--format=json"], "json",
+               {"samples.csv": "delta_E,lab_beta,t_c,sigma\n" + "1" * 131_073 + ",0.1,1,\n"}),
+         speed_of_light=None)
+# Usage errors printed a usage block to the process's stderr and exited via SystemExit.
+@example(case=(["transform", "--beta=0.6", "--event=1,0", "--preset=lorentz", "--k=0.2",
+                "--format=json"], "json", {}),
+         speed_of_light=None)
 def test_every_invocation_keeps_the_output_contract(case, speed_of_light, tmp_path, monkeypatch):
     argv, fmt, files = case
     for name, text in files.items():
@@ -172,3 +206,9 @@ def test_every_invocation_keeps_the_output_contract(case, speed_of_light, tmp_pa
         assert code in (2, 3, 4)
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1, err
+        error_code = err.partition(" ")[0]
+        assert ERROR_EXITS.get(error_code) == code, err
+        read = [(name, text) for name, text in files.items()
+                if any(f"{{tmp}}/{name}" in arg for arg in case[0])]
+        if any(_unparsable(name, text) for name, text in read):
+            assert error_code == "file_invalid", err

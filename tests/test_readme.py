@@ -1,8 +1,10 @@
-"""The README's library quick tour runs as written, and its numeric comments hold."""
+"""The README's library quick tour runs as written, its numeric comments hold, and its
+documented example commands are the ones the golden files are made from."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import math
 import os
 import re
@@ -48,3 +50,22 @@ def test_quick_tour_numeric_comments_hold():
         assert _close(got, want), f"{expression.strip()} gives {got!r}, README says {want!r}"
         checked += 1
     assert checked >= 4
+
+
+def _documented_commands() -> list[list[str]]:
+    """The ``synchrony-lab`` lines of the code block after "Documented example commands"."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "Documented example commands", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("synchrony-lab ")]
+
+
+def test_documented_commands_are_the_golden_commands():
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", ROOT / "scripts" / "make_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    data = "tests/data/"
+    documented = [[str(script.DATA / arg[len(data):]) if arg.startswith(data) else arg
+                   for arg in argv] for argv in _documented_commands()]
+    assert documented == list(script.GOLDEN_COMMANDS.values())

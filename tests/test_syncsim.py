@@ -142,11 +142,6 @@ class TestPropagate:
 
 
 class TestSignalLog:
-    @staticmethod
-    def columns(lat):
-        log = lat.log
-        return log.kind, log.emit_t, log.emit_x, log.absorb_t, log.absorb_x, log.speed_abs
-
     @pytest.mark.parametrize("kind", [LIGHT, SUPERLUMINAL_FINITE, INSTANTANEOUS])
     def test_propagate_returns_the_logged_row(self, kind):
         lat = lattice(positions=(0.0, 1.0, 2.5))
@@ -154,8 +149,9 @@ class TestSignalLog:
         rec = propagate(lat, 2, 1, kind, speed=4.0, t_emit=0.3)
         assert rec == lat.log[-1] == lat.log[1]
         assert list(lat.log) == [first, rec]
-        assert (rec.kind, rec.emit.t, rec.emit.x, rec.absorb.t, rec.absorb.x, rec.speed_abs) == tuple(
-            column[-1] for column in self.columns(lat))
+        assert len(lat.log.rows) == 2
+        assert (rec.kind, rec.emit.t, rec.emit.x, rec.absorb.t, rec.absorb.x,
+                rec.speed_abs) == lat.log.rows[-1]
 
     # Hardware drifting at +0.6 through the absolute chart; coordinates near
     # the largest float overflow once the drift or the gap is added.
@@ -181,7 +177,7 @@ class TestSignalLog:
         propagate(lat, 1, 0, LIGHT)
         with pytest.raises(error, match=message):
             propagate(lat, *args, **kwargs)
-        assert [len(column) for column in self.columns(lat)] == [1] * 6
+        assert len(lat.log.rows) == 1
 
     @pytest.mark.parametrize("protocol, rows", [
         (EINSTEIN, 2 * 4), (SUPERLUMINAL, 4), (EXTERNAL_REGULATION, 0),
@@ -190,7 +186,7 @@ class TestSignalLog:
         lat = lattice(positions=(-1.5, 0.5, 2.0, 4.5, 7.25))
         for master in (0, 2):
             run_protocol(lat, protocol, master)
-            assert [len(column) for column in self.columns(lat)] == [rows] * 6
+            assert len(lat.log.rows) == rows
             measure_two_way(lat, 0, 4)
 
 
@@ -240,6 +236,11 @@ class TestProtocols:
         assert lat.protocol is None
         run_protocol(lat, EINSTEIN)
         assert lat.protocol == EINSTEIN
+
+    def test_only_a_protocol_run_marks_a_lattice_synced(self):
+        lat = lattice()
+        with pytest.raises(TypeError):
+            ClockLattice(lat.frame, lat.positions, protocol=EINSTEIN)
 
 
 class TestMeasurements:
@@ -440,6 +441,10 @@ class TestScenario:
             ({"node_positions": [0.0, 10**400]}, "positions_finite_numbers"),
             ({"signals": [{"from": 0, "to": 1, "kind": "superluminal-finite",
                            "speed": 10**400}]}, "positive_signal_speed"),
+            # Misspelled keys, which would otherwise be ignored.
+            ({"signal": []}, "known_field"),
+            ({"signals": [{"from": 0, "to": 1, "two-way": True}]}, "known_field"),
+            ({"signals": [{"from": 0, "to": 1, "Speed": 3.0}]}, "known_field"),
         ],
     )
     def test_violations_name_the_invariant(self, patch, invariant):
