@@ -9,8 +9,11 @@ scales past the largest float is invalid input, not "inf".
 
 Exit codes: 0 success, 2 degenerate convention or usage error, 3 invalid
 input file or parameters (including a ``scan``/``probe`` grid of more than
-:data:`MAX_GRID_POINTS` points, or a ``probe`` fit of more than
-:data:`MAX_FIT_CELLS` grid points times samples), 4 ill-conditioned fit.
+:data:`MAX_GRID_POINTS` points or whose step is lost to rounding, or a
+``probe`` fit of more than :data:`MAX_FIT_CELLS` grid points times samples),
+4 ill-conditioned fit.  The fit cap bounds run time, not memory: the
+estimator works in fixed chunks of grid rows, so its memory is
+O(chunk x samples) whatever the fit's size.
 Every error path writes a single machine-parsable line
 ``error_code key=value ...`` to stderr.
 """
@@ -41,7 +44,8 @@ EXIT_ILL_CONDITIONED = 4
 #: Largest beta grid ``scan`` and ``probe`` accept; checked before allocation.
 MAX_GRID_POINTS = 10**6
 
-#: Largest grid points x samples ``probe`` fits; checked before the estimator allocates.
+#: Largest grid points x samples ``probe`` fits.  It bounds run time, not memory:
+#: the estimator works in fixed chunks of grid rows, O(chunk x samples) memory.
 MAX_FIT_CELLS = 10**7
 
 
@@ -201,7 +205,10 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     span = (hi - lo) / step + 1e-9
     if not span < MAX_GRID_POINTS:  # int(span) + 1 points; also catches overflow to inf
         raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points")
-    return [min(lo + i * step, hi) for i in range(int(span) + 1)]  # the slack may pass hi
+    points = [min(lo + i * step, hi) for i in range(int(span) + 1)]  # the slack may pass hi
+    if any(a >= b for a, b in zip(points, points[1:])):
+        raise ValueError("grid step is lost to rounding")
+    return points
 
 
 def cmd_scan(args):

@@ -30,6 +30,10 @@ HBAR_EV_S = 6.582119569e-16
 #: Planck energy in eV (1.22e19 GeV).
 PLANCK_ENERGY_EV = 1.22e28
 
+# Grid-sample cells the estimator evaluates at once: a fit of at most this
+# many cells is one chunk, larger fits go a chunk of grid rows at a time.
+_FIT_CHUNK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CollapseSample:
@@ -148,11 +152,17 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
             f"got {len(samples)} samples at {distinct}"
         )
 
+    # One chunk of grid rows at a time keeps the temporaries at O(chunk x samples).
+    rows = max(1, _FIT_CHUNK_CELLS // u.size)
+    gy = np.empty(grid.size)
+    gg = np.empty(grid.size)
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual
-        w = (u[None, :] - grid[:, None]) / (1.0 - u[None, :] * grid[:, None])
-        g = 1.0 / np.sqrt(1.0 - w * w)
-        gy = g @ y
-        gg = np.sum(g * g, axis=1)
+        for start in range(0, grid.size, rows):
+            b = grid[start : start + rows, None]
+            w = (u - b) / (1.0 - u * b)
+            g = 1.0 / np.sqrt(1.0 - w * w)
+            gy[start : start + rows] = g @ y
+            gg[start : start + rows] = np.sum(g * g, axis=1)
         scales = gy / gg
         residuals = float(y @ y) - gy * gy / gg
     if not np.isfinite(residuals).all():
@@ -173,8 +183,8 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         grid_beta_hat=float(grid[i]),
         refined=refined,
         scale=float(scales[i]),
-        beta_grid=tuple(float(b) for b in grid),
-        residuals=tuple(float(r) for r in residuals),
+        beta_grid=tuple(grid.tolist()),
+        residuals=tuple(residuals.tolist()),
         n_samples=len(samples),
         distinct_velocities=int(distinct),
     )

@@ -368,6 +368,12 @@ class TestScanCommand:
         assert (code, err) == (0, "")
         assert [line.split(",")[0] for line in out.splitlines()[1:-1]] == ["0.5", "0.9999999999"]
 
+    def test_step_lost_to_rounding_exits_3(self):
+        # 1e-18 is far below the float spacing at 0.3: every point would print as 0.3.
+        assert run_cli(["scan", "--beta-min", "0.3", "--beta-max", "0.30000000000000004",
+                        "--step", "1e-18"]) == (
+            3, "", "invalid_input reason=grid_step_is_lost_to_rounding\n")
+
     def test_json_format(self):
         _, out, _ = run_cli(
             ["scan", "--beta-min", "0", "--beta-max", "0.5", "--step", "0.25",
@@ -415,6 +421,12 @@ class TestProbeCommand:
         assert code == 0
         curve = json.loads(out)["residual_curve"]
         assert [point["beta"] for point in curve] == [-0.5, 0.0, 0.5, 0.9999999999]
+
+    def test_step_lost_to_rounding_exits_3(self):
+        assert run_cli(["probe", "--samples", str(DATA / "collapse_samples_beta03.csv"),
+                        "--beta-min", "0.3", "--beta-max", "0.30000000000000004",
+                        "--step", "1e-18"]) == (
+            3, "", "invalid_input reason=grid_step_is_lost_to_rounding\n")
 
     @pytest.mark.parametrize("content, reason", [
         (b"delta_E,lab_beta,t_c,sigma\n" + b"1" * 131_073 + b",0.1,1,\n", "Error"),  # csv.Error

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from synchrony_lab import (
     map_velocity,
 )
 
-from synchrony_lab.probe import _parabolic_vertex
+from synchrony_lab.probe import FitReport, _parabolic_vertex
 
 from conftest import (
     ORACLE_HBAR_EV_S,
@@ -27,6 +29,8 @@ from conftest import (
 )
 
 GRID_001 = [-0.9 + 0.01 * i for i in range(181)]
+GRID_0001 = [-0.9 + 0.001 * i for i in range(1801)]
+DATA = Path(__file__).parent / "data"
 
 
 class TestCollapseTime:
@@ -224,3 +228,74 @@ def test_parabolic_vertex_matches_polyfit():
         else:
             assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12)
     assert outcomes == {True, False}
+
+
+def unchunked_fit(samples, beta_grid) -> FitReport:
+    """The estimator restated over the whole grid x samples problem at once."""
+    grid = np.asarray(beta_grid, dtype=float)
+    u = np.array([s.beta for s in samples])
+    y = np.array([s.t_c * (s.delta_E * s.delta_E) for s in samples])
+    w = (u[None, :] - grid[:, None]) / (1.0 - u[None, :] * grid[:, None])
+    g = 1.0 / np.sqrt(1.0 - w * w)
+    gy = g @ y
+    gg = np.sum(g * g, axis=1)
+    scales = gy / gg
+    residuals = np.maximum(float(y @ y) - gy * gy / gg, 0.0)
+    i = int(np.argmin(residuals))
+    vertex = None
+    if 0 < i < grid.size - 1:
+        vertex = _parabolic_vertex(grid[i - 1 : i + 2], residuals[i - 1 : i + 2])
+    return FitReport(
+        beta_hat=float(grid[i]) if vertex is None else vertex,
+        grid_beta_hat=float(grid[i]),
+        refined=vertex is not None,
+        scale=float(scales[i]),
+        beta_grid=tuple(float(b) for b in grid),
+        residuals=tuple(float(r) for r in residuals),
+        n_samples=len(samples),
+        distinct_velocities=int(np.unique(u).size),
+    )
+
+
+def noisy_samples(beta0, n, seed):
+    rng = np.random.default_rng(seed)
+    return synth_collapse_samples(beta0, np.linspace(-0.8, 0.8, n), sigma=0.01, rng=rng)
+
+
+class TestChunkedFit:
+    """The residual curve is built a chunk of grid rows at a time; the answers do not move."""
+
+    @pytest.mark.parametrize("samples", [
+        load_samples(DATA / "collapse_samples_beta03.csv"),  # the probe golden's 181 x 17
+        noisy_samples(0.3, 100, 42),  # criterion 9's 181 x 100
+    ], ids=["golden-181x17", "181x100"])
+    def test_one_chunk_fit_is_bitwise_the_unchunked_fit(self, samples):
+        _, report = estimate_absolute_frame(samples, GRID_001)
+        assert report.to_dict() == unchunked_fit(samples, GRID_001).to_dict()
+
+    @pytest.mark.parametrize("beta0, n, grid", [
+        (-0.2, 2000, GRID_0001),  # 32-row chunks, the last one of 9 rows
+        (0.1, 70_000, [-0.9 + 0.3 * i for i in range(7)]),  # one row a chunk
+    ], ids=["1801x2000", "7x70000"])
+    def test_multi_chunk_fit_matches_the_unchunked_fit(self, beta0, n, grid):
+        samples = noisy_samples(beta0, n, seed=n)
+        _, got = estimate_absolute_frame(samples, grid)
+        want = unchunked_fit(samples, grid)
+        # Only the BLAS summation order of g @ y may differ between chunkings.
+        assert (got.grid_beta_hat, got.refined) == (want.grid_beta_hat, want.refined)
+        assert math.isclose(got.beta_hat, want.beta_hat, rel_tol=0.0, abs_tol=1e-12)
+        assert math.isclose(got.scale, want.scale, rel_tol=1e-12)
+        assert got.beta_grid == want.beta_grid
+        tolerance = 1e-9 * max(want.residuals)
+        assert all(abs(a - b) <= tolerance for a, b in zip(got.residuals, want.residuals))
+
+    def test_large_fit_memory_is_bounded_by_the_chunk(self):
+        samples = noisy_samples(0.3, 5000, 5)
+        estimate_absolute_frame(samples[:100], GRID_001)  # warm-up: numpy's lazy imports
+        tracemalloc.start()
+        try:
+            estimate_absolute_frame(samples, GRID_0001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000  # the whole-array fit peaked at about 216 MB
