@@ -26,7 +26,6 @@ from .kinematics import (
     resync_coeffs,
     resync_velocity,
     resynchronize,
-    superluminal_coeffs,
     superluminal_transform,
     transform_between,
 )

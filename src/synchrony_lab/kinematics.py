@@ -14,11 +14,11 @@ moving at coordinate velocity ``v = beta*C`` in the unprimed chart, is
     x' = eta * (x - v*t)
     t' = eta * [1 + beta*(k + k')] * t + eta * [beta*(k^2 - 1) + k - k'] * x / C
 
-with ``eta = 1 / sqrt((1 + beta*k)^2 - beta^2)``.  Two members get names:
-the isotropic one (k = k' = 0) is the ordinary Lorentz boost, and the
-member with ``k = 0``, ``k' = -beta`` has the x-independent time map
-``t' = sqrt(1 - beta^2) * t`` and hence absolute simultaneity; we call it
-the absolute-simultaneity (superluminal-synchrony) boost.
+with ``eta = 1 / sqrt((1 + beta*k)^2 - beta^2)``.  This one formula builds
+both named members: the isotropic one (k = k' = 0) is the ordinary Lorentz
+boost, and the one with ``k = 0``, ``k' = -beta`` has the x-independent time
+map ``t' = sqrt(1 - beta^2) * t`` (its ``a_tx = eta*((-beta + 0) - (-beta))``
+is exactly 0) and hence absolute simultaneity: the superluminal-synchrony boost.
 
 Everything here is a pure function of scalars; all types are immutable and
 safe to share between threads.  Instantaneous propagation is representable:
@@ -174,23 +174,6 @@ def edwards_coeffs(beta: float, k: float, k_prime: float) -> TransformCoeffs:
     )
 
 
-def superluminal_coeffs(beta: float) -> TransformCoeffs:
-    """Absolute-simultaneity boost in its simplified closed form.
-
-    t' = sqrt(1 - beta^2) * t and x' = (x - v*t)/sqrt(1 - beta^2).  The time
-    row's x-coefficient is literally zero, so equal-t event pairs map to
-    equal-t' pairs exactly, not merely within rounding.
-    """
-    _check_beta(beta)
-    root = math.sqrt(1.0 - beta * beta)
-    return TransformCoeffs(
-        a_tt=root,
-        a_tx=0.0,
-        a_xt=-beta * C / root,
-        a_xx=1.0 / root,
-    )
-
-
 def resync_coeffs(k_from: float, k_to: float) -> TransformCoeffs:
     """Pure clock re-setting within one frame: t -> t + (k_from - k_to)*x/C."""
     _check_k(k_from, "k_from")
@@ -203,21 +186,19 @@ def frame_coeffs(frame: FrameSpec) -> TransformCoeffs:
     return edwards_coeffs(frame.beta, 0.0, frame.k)
 
 
-def edwards_transform(
-    e: Event, beta: float, k: float, k_prime: float, chart: str = "S'"
-) -> Event:
-    """Boost ``e`` from a k-synchronized chart into a k'-synchronized one."""
-    return edwards_coeffs(beta, k, k_prime).apply(e, chart)
+def edwards_transform(e: Event, beta: float, k: float, k_prime: float) -> Event:
+    """Boost ``e`` from a k-synchronized chart into a k'-synchronized chart S'."""
+    return edwards_coeffs(beta, k, k_prime).apply(e, "S'")
 
 
-def lorentz_transform(e: Event, beta: float, chart: str = "S'") -> Event:
+def lorentz_transform(e: Event, beta: float) -> Event:
     """Standard boost: :func:`edwards_transform` with k = k' = 0."""
-    return edwards_transform(e, beta, 0.0, 0.0, chart)
+    return edwards_transform(e, beta, 0.0, 0.0)
 
 
-def superluminal_transform(e: Event, beta: float, chart: str = "S'") -> Event:
-    """Absolute-simultaneity boost; agrees with edwards_transform(e, beta, 0, -beta)."""
-    return superluminal_coeffs(beta).apply(e, chart)
+def superluminal_transform(e: Event, beta: float) -> Event:
+    """Absolute-simultaneity member (k = 0, k' = -beta); its a_tx cancels to exactly 0.0."""
+    return edwards_transform(e, beta, 0.0, induced_synchrony(0.0, beta))
 
 
 def induced_synchrony(k: float, beta: float) -> float:
@@ -267,14 +248,14 @@ def resynchronize(e: Event, k_from: float, k_to: float) -> Event:
 def _velocity_through(coeffs: TransformCoeffs, u: float) -> float:
     """Image of the coordinate velocity u under a linear chart map.
 
-    ``u`` may be +-inf (an instantaneous worldline).  Returns
+    ``u`` may be +-inf (an instantaneous worldline); |u| > 1 is traced along
+    (1/|u|, sign u), so huge velocities do not overflow.  Returns
     :data:`INFINITE_SPEED` (signed) when the image worldline lies in a
     surface of constant image-time.
     """
-    if math.isinf(u):
-        dt, dx = 0.0, math.copysign(1.0, u)
-    else:
-        dt, dx = 1.0, u
+    if math.isnan(u):
+        raise ValueError("velocity must be a number (may be +-inf)")
+    dt, dx = (1.0, u) if abs(u) <= 1.0 else (1.0 / abs(u), math.copysign(1.0, u))
     dt_img = coeffs.a_tt * dt + coeffs.a_tx * dx
     dx_img = coeffs.a_xt * dt + coeffs.a_xx * dx
     if dt_img == 0.0:
@@ -313,6 +294,4 @@ def map_velocity(u: float, frame_from: FrameSpec, frame_to: FrameSpec) -> float:
     relativistic velocity composition; returns a signed
     :data:`INFINITE_SPEED` when the image is instantaneous.
     """
-    if math.isnan(u):
-        raise ValueError("velocity must be a number (may be +-inf)")
     return _velocity_through(between_coeffs(frame_from, frame_to), u)

@@ -58,7 +58,7 @@ class CollapseSample:
 def collapse_time(delta_E: float, beta: float) -> float:
     """gamma * hbar * E_p / delta_E^2 in seconds, for delta_E in eV; beta = 0 is the rest formula.
 
-    Strictly increasing in |beta| and exactly quartic-inverse in delta_E:
+    Strictly increasing in |beta| and exactly inverse-square in delta_E:
     doubling delta_E divides the result by four.
     """
     if not (math.isfinite(delta_E) and delta_E > 0.0):
@@ -66,7 +66,10 @@ def collapse_time(delta_E: float, beta: float) -> float:
     if not (math.isfinite(beta) and abs(beta) < 1.0):
         raise ValueError(f"|beta| must be < 1, got {beta!r}")
     gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-    return gamma * HBAR_EV_S * PLANCK_ENERGY_EV / (delta_E * delta_E)
+    square = delta_E * delta_E  # 0.0 once delta_E is below about 1e-162
+    if square == 0.0 or math.isinf(t_c := gamma * HBAR_EV_S * PLANCK_ENERGY_EV / square):
+        raise ValueError(f"collapse time overflows a float for delta_E={delta_E!r}")
+    return t_c
 
 
 @dataclass(frozen=True)
@@ -129,9 +132,9 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
 
     Raises :class:`IllConditioned` when fewer than three distinct lab
     velocities are present (the curve's location and scale would be
-    unconstrained or untestable), or when a residual is not finite (samples
-    or grid points so close to |beta| = 1, or times so large, that the
-    arithmetic overflows).
+    unconstrained or untestable), when the normalized times underflow, or
+    when a residual is not finite (samples or grid points so close to
+    |beta| = 1, or times so large, that the arithmetic overflows).
     """
     import numpy as np  # deferred so that importing the package does not load numpy
 
@@ -157,6 +160,9 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     gy = np.empty(grid.size)
     gg = np.empty(grid.size)
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual
+        yy = float(y @ y)
+        if not (np.all(y > 0.0) and yy >= np.finfo(float).tiny):  # all residuals would be 0
+            raise IllConditioned("normalized collapse times underflow")
         for start in range(0, grid.size, rows):
             b = grid[start : start + rows, None]
             w = (u - b) / (1.0 - u * b)
@@ -164,7 +170,7 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
             gy[start : start + rows] = g @ y
             gg[start : start + rows] = np.sum(g * g, axis=1)
         scales = gy / gg
-        residuals = float(y @ y) - gy * gy / gg
+        residuals = yy - gy * gy / gg
     if not np.isfinite(residuals).all():
         raise IllConditioned("fit residuals are not finite")
     residuals = np.maximum(residuals, 0.0)  # clip rounding just below zero

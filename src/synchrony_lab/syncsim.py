@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FileInvalid, NotSynchronized, UnresolvableChase
@@ -274,7 +274,7 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
 
     lattice.protocol = protocol
     realized_k = 0.0 if protocol == EINSTEIN else induced_synchrony(0.0, lattice.frame.beta)
-    lattice.frame = replace(lattice.frame, k=realized_k)
+    lattice.frame = FrameSpec(lattice.frame.beta, realized_k, lattice.frame.label)
     return lattice
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import io
 import math
 
-import pytest
-
 from synchrony_lab import cli
 from synchrony_lab.probe import CollapseSample
 
@@ -55,13 +53,3 @@ def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     code = cli.main(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
-
-
-@pytest.fixture
-def cli_runner():
-    return run_cli
-
-
-def rel_err(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale

@@ -402,6 +402,18 @@ class TestProbeCommand:
         assert code == 4
         assert err.startswith("ill_conditioned ")
 
+    @pytest.mark.parametrize("delta_E", ["1e-80", "1e-170"])
+    def test_underflowing_times_exit_4_without_a_fit(self, tmp_path, delta_E):
+        # Once the normalized times underflow, every residual reads 0 and the
+        # argmin would land on the grid edge.
+        samples = tmp_path / "tiny.csv"
+        samples.write_text("delta_E,lab_beta,t_c\n" + "".join(
+            f"{delta_E},{u},{t_c}\n" for u, t_c in (("-0.5", "1.2e-5"), ("0.0", "1e-5"),
+                                                    ("0.5", "1.3e-5"))))
+        code, out, err = run_cli(["probe", "--samples", str(samples), "--step", "0.3"])
+        assert (code, out) == (4, "")
+        assert err.splitlines() == ["ill_conditioned reason=normalized_collapse_times_underflow"]
+
     def test_oversized_fit_exits_3_before_allocating(self, tmp_path):
         # 900001 grid points pass the grid cap, but times 1000 samples the
         # estimator's arrays would need several GB.

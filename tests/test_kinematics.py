@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from synchrony_lab import (
@@ -25,17 +25,19 @@ from synchrony_lab import (
     resync_coeffs,
     resync_velocity,
     resynchronize,
-    superluminal_coeffs,
     superluminal_transform,
     transform_between,
 )
 from synchrony_lab.kinematics import between_coeffs, frame_coeffs
 
-from conftest import textbook_boost
+from conftest import absolute_sync_boost, textbook_boost
 
 betas = st.floats(min_value=-0.95, max_value=0.95)
 ks = st.floats(min_value=-0.9, max_value=0.9)
 coords = st.floats(min_value=-100.0, max_value=100.0)
+
+# Finite velocities whose direction (1, u) would overflow in a chart map.
+HUGE_VELOCITIES = [1e308, -1e308, 1.7e308, -1.7e308]
 
 
 def nondegenerate(beta: float, k: float) -> bool:
@@ -138,10 +140,11 @@ class TestSuperluminalTransform:
 
     @given(beta=betas, t=coords, x=coords)
     def test_agrees_with_general_boost_coefficients(self, beta, t, x):
-        direct = superluminal_transform(Event(t, x), beta)
-        general = edwards_transform(Event(t, x), beta, 0.0, -beta)
-        assert math.isclose(direct.t, general.t, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(direct.x, general.x, rel_tol=1e-12, abs_tol=1e-12)
+        # The general coefficients at k = 0, k' = -beta against the closed form.
+        general = superluminal_transform(Event(t, x), beta)
+        t_ref, x_ref = absolute_sync_boost(t, x, beta)
+        assert math.isclose(general.t, t_ref, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(general.x, x_ref, rel_tol=1e-12, abs_tol=1e-12)
 
 
 class TestInducedSynchrony:
@@ -216,6 +219,20 @@ class TestResynchronize:
     def test_velocity_of_instantaneous_worldline(self):
         assert resync_velocity(math.inf, 0.0, 0.0) == INFINITE_SPEED
         assert math.isclose(resync_velocity(math.inf, 0.5, 0.0), 2.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("u", HUGE_VELOCITIES)
+    @example(k_from=0.9, k_to=-0.9)
+    @example(k_from=-0.9, k_to=0.9)
+    @given(k_from=ks, k_to=ks)
+    def test_huge_velocity_reads_like_the_instantaneous_one(self, u, k_from, k_to):
+        # 1/|u| is below 1e-307; the limit is finite only when the clocks are re-set.
+        assume(abs(k_from - k_to) >= 1e-6)
+        limit = resync_velocity(math.copysign(math.inf, u), k_from, k_to)
+        assert math.isclose(resync_velocity(u, k_from, k_to), limit, rel_tol=1e-12)
+
+    def test_nan_velocity_rejected(self):
+        with pytest.raises(ValueError, match="velocity must be a number"):
+            resync_velocity(math.nan, 0.3, 0.0)
 
 
 class TestTransformCoeffs:
@@ -344,6 +361,20 @@ class TestMapVelocity:
         v = map_velocity(math.inf, ABSOLUTE_FRAME, frame)
         assert math.isclose(v, -2.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("u", HUGE_VELOCITIES)
+    @pytest.mark.parametrize("frame_from, frame_to", [
+        (ABSOLUTE_FRAME, FrameSpec(0.9, 0.5, "B")),
+        (FrameSpec(-0.4, 0.3, "A"), FrameSpec(0.7, -0.2, "B")),
+        (ABSOLUTE_FRAME, FrameSpec(0.0, -0.8, "B")),
+    ])
+    def test_huge_velocity_reads_like_the_instantaneous_one(self, u, frame_from, frame_to):
+        limit = map_velocity(math.copysign(math.inf, u), frame_from, frame_to)
+        assert math.isclose(map_velocity(u, frame_from, frame_to), limit, rel_tol=1e-12)
+
+    def test_nan_velocity_rejected(self):
+        with pytest.raises(ValueError, match="velocity must be a number"):
+            map_velocity(math.nan, ABSOLUTE_FRAME, FrameSpec(0.3, 0.0, "A"))
+
     @given(k=ks, beta=betas)
     def test_null_cone_bookkeeping(self, k, beta):
         """A +x light ray in the (beta, k) chart moves at exactly 1/(1 - k)."""
@@ -371,6 +402,10 @@ class TestFrameSpecValidation:
     def test_superluminal_frame_velocity_rejected(self):
         with pytest.raises(ValueError):
             FrameSpec(1.2, 0.0, "bad")
+
+    def test_frame_requires_label(self):
+        with pytest.raises(ValueError, match="frame label must be non-empty"):
+            FrameSpec(0.1, 0.0, "")
 
     def test_event_requires_finite_components(self):
         with pytest.raises(ValueError):

@@ -64,11 +64,19 @@ class TestCollapseTime:
         with pytest.raises(ValueError):
             collapse_time(1.0, 1.0)
 
+    @pytest.mark.parametrize("delta_E", [1e-160, 1e-200])  # delta_E**2 subnormal, then zero
+    def test_time_past_the_largest_float_rejected(self, delta_E):
+        with pytest.raises(ValueError, match="overflows"):
+            collapse_time(delta_E, 0.0)
+
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             CollapseSample(delta_E=1.0, beta=0.0, t_c=-1.0)
         with pytest.raises(ValueError):
             CollapseSample(delta_E=1.0, beta=1.5, t_c=1.0)
+        for delta_E in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta_E must be positive"):
+                CollapseSample(delta_E=delta_E, beta=0.0, t_c=1.0)
 
 
 class TestEstimator:
@@ -134,6 +142,13 @@ class TestEstimator:
             warnings.simplefilter("error")
             with pytest.raises(IllConditioned, match="not finite"):
                 estimate_absolute_frame(samples, grid)
+
+    @pytest.mark.parametrize("delta_E", [1e-80, 1e-170])  # (t_c*dE^2)^2, then dE^2, underflow
+    def test_underflowing_times_are_ill_conditioned(self, delta_E):
+        samples = [CollapseSample(delta_E, u, t_c)
+                   for u, t_c in ((-0.5, 1.2e-5), (0.0, 1e-5), (0.5, 1.3e-5))]
+        with pytest.raises(IllConditioned, match="underflow"):
+            estimate_absolute_frame(samples, [-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9])
 
     def test_empty_grid_rejected(self):
         samples = synth_collapse_samples(0.0, self.velocities)

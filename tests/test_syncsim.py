@@ -445,6 +445,8 @@ class TestScenario:
             ({"signal": []}, "known_field"),
             ({"signals": [{"from": 0, "to": 1, "two-way": True}]}, "known_field"),
             ({"signals": [{"from": 0, "to": 1, "Speed": 3.0}]}, "known_field"),
+            ({"signals": {}}, "signals_list"),
+            ({"signals": [1]}, "signal_object"),
         ],
     )
     def test_violations_name_the_invariant(self, patch, invariant):
