@@ -24,6 +24,11 @@ Everything here is a pure function of scalars; all types are immutable and
 safe to share between threads.  Instantaneous propagation is representable:
 speed-valued functions return the module constant :data:`INFINITE_SPEED`
 (``math.inf``) instead of raising.
+
+Public functions and constructors validate their arguments once.  The
+``_``-prefixed kernels behind them take plain floats and 2x2 tuples, assume
+validated inputs, are not API, hold the only copy of each formula, and still
+refuse a map whose determinant rounds to 0.0 (near |beta| = 1 it can).
 """
 
 from __future__ import annotations
@@ -66,9 +71,11 @@ class Event:
     chart: str = "S"
 
     def __post_init__(self):
-        for name in ("t", "x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"event component {name} must be finite")
+        isfinite = math.isfinite
+        if not (isfinite(self.t) and isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
+            for name in ("t", "x", "y", "z"):
+                if not isfinite(getattr(self, name)):
+                    raise ValueError(f"event component {name} must be finite")
         if not self.chart:
             raise ValueError("event chart must be a non-empty identifier")
 
@@ -102,8 +109,8 @@ class TransformCoeffs:
     """Linear normal form of a chart map: (t, x) block plus y, z pass-through.
 
     Applies as ``t' = a_tt*t + a_tx*x`` and ``x' = a_xt*t + a_xx*x``.  Every
-    named transform in this module is a constructor for one of these, so
-    composition and inversion are plain 2x2 algebra.
+    named map has a ``*_coeffs`` constructor for one of these, built by the
+    kernels its transform runs, so composition and inversion are 2x2 algebra.
     """
 
     a_tt: float
@@ -112,39 +119,109 @@ class TransformCoeffs:
     a_xx: float
 
     def __post_init__(self):
-        if self.determinant == 0.0:
-            raise ValueError("transform is singular (zero determinant)")
+        _nonsingular(_entries(self))
 
     @property
     def determinant(self) -> float:
-        return self.a_tt * self.a_xx - self.a_tx * self.a_xt
+        return _det(_entries(self))
 
     def apply(self, e: Event, chart: str | None = None) -> Event:
-        return Event(
-            t=self.a_tt * e.t + self.a_tx * e.x,
-            x=self.a_xt * e.t + self.a_xx * e.x,
-            y=e.y,
-            z=e.z,
-            chart=chart if chart is not None else e.chart,
-        )
+        return _image(_entries(self), e, chart if chart is not None else e.chart)
 
     def __matmul__(self, inner: "TransformCoeffs") -> "TransformCoeffs":
         """Composition ``self after inner`` (matrix product)."""
-        return TransformCoeffs(
-            a_tt=self.a_tt * inner.a_tt + self.a_tx * inner.a_xt,
-            a_tx=self.a_tt * inner.a_tx + self.a_tx * inner.a_xx,
-            a_xt=self.a_xt * inner.a_tt + self.a_xx * inner.a_xt,
-            a_xx=self.a_xt * inner.a_tx + self.a_xx * inner.a_xx,
-        )
+        return TransformCoeffs(*_product(_entries(self), _entries(inner)))
 
     def inverse(self) -> "TransformCoeffs":
-        d = self.determinant
-        return TransformCoeffs(
-            a_tt=self.a_xx / d,
-            a_tx=-self.a_tx / d,
-            a_xt=-self.a_xt / d,
-            a_xx=self.a_tt / d,
-        )
+        return TransformCoeffs(*_inverse(_entries(self)))
+
+
+def _entries(c: TransformCoeffs) -> tuple:
+    return c.a_tt, c.a_tx, c.a_xt, c.a_xx
+
+
+def _det(m: tuple) -> float:
+    a_tt, a_tx, a_xt, a_xx = m
+    return a_tt * a_xx - a_tx * a_xt
+
+
+def _nonsingular(m: tuple) -> tuple:
+    if _det(m) == 0.0:
+        raise ValueError("transform is singular (zero determinant)")
+    return m
+
+
+def _product(outer: tuple, inner: tuple) -> tuple:
+    o_tt, o_tx, o_xt, o_xx = outer
+    i_tt, i_tx, i_xt, i_xx = inner
+    return _nonsingular((o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
+                         o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx))
+
+
+def _inverse(m: tuple) -> tuple:
+    a_tt, a_tx, a_xt, a_xx = m
+    d = _det(m)
+    return _nonsingular((a_xx / d, -a_tx / d, -a_xt / d, a_tt / d))
+
+
+def _eta(beta: float, k: float) -> float:
+    disc = (1.0 + beta * k) ** 2 - beta**2
+    if disc <= 0.0:
+        raise DegenerateConvention(beta, k)
+    return 1.0 / math.sqrt(disc)
+
+
+def _edwards(beta: float, k: float, k_prime: float) -> tuple:
+    h = _eta(beta, k)
+    return _nonsingular((h * (1.0 + beta * (k + k_prime)),
+                         h * (beta * (k * k - 1.0) + k - k_prime) / C, -h * beta * C, h))
+
+
+def _induced(k: float, beta: float) -> float:
+    return beta * (k * k - 1.0) + k
+
+
+def _between(frame_from: FrameSpec, frame_to: FrameSpec) -> tuple:
+    to = _edwards(frame_to.beta, 0.0, frame_to.k)
+    return _product(to, _inverse(_edwards(frame_from.beta, 0.0, frame_from.k)))
+
+
+def _image(m: tuple, e: Event, chart: str) -> Event:
+    """``e`` mapped through ``m`` into ``chart``; only the new t, x and chart need checks."""
+    a_tt, a_tx, a_xt, a_xx = m
+    t = a_tt * e.t + a_tx * e.x
+    x = a_xt * e.t + a_xx * e.x
+    if not (math.isfinite(t) and math.isfinite(x) and chart):
+        Event(t, x, e.y, e.z, chart)  # raises, naming the first bad field
+    image = object.__new__(Event)
+    image.__dict__.update(t=t, x=x, y=e.y, z=e.z, chart=chart)
+    return image
+
+
+def _velocity_through(m: tuple, u: float) -> float:
+    """Image of the coordinate velocity u under a linear chart map.
+
+    ``u`` may be +-inf (an instantaneous worldline); |u| > 1 is traced along
+    (1/|u|, sign u), so huge velocities do not overflow.  Returns
+    :data:`INFINITE_SPEED` (signed) when the image worldline lies in a
+    surface of constant image-time.
+    """
+    if math.isnan(u):
+        raise ValueError("velocity must be a number (may be +-inf)")
+    a_tt, a_tx, a_xt, a_xx = m
+    dt, dx = (1.0, u) if abs(u) <= 1.0 else (1.0 / abs(u), math.copysign(1.0, u))
+    dt_img = a_tt * dt + a_tx * dx
+    dx_img = a_xt * dt + a_xx * dx
+    if dt_img == 0.0:
+        return math.copysign(INFINITE_SPEED, dx_img)
+    return dx_img / dt_img
+
+
+def _checked_edwards(beta: float, k: float, k_prime: float) -> tuple:
+    _check_k(k_prime, "k_prime")
+    _check_beta(beta)
+    _check_k(k)
+    return _edwards(beta, k, k_prime)
 
 
 def eta(beta: float, k: float) -> float:
@@ -156,22 +233,12 @@ def eta(beta: float, k: float) -> float:
     """
     _check_beta(beta)
     _check_k(k)
-    disc = (1.0 + beta * k) ** 2 - beta**2
-    if disc <= 0.0:
-        raise DegenerateConvention(beta, k)
-    return 1.0 / math.sqrt(disc)
+    return _eta(beta, k)
 
 
 def edwards_coeffs(beta: float, k: float, k_prime: float) -> TransformCoeffs:
     """Coefficients of the general two-convention boost (k-chart to k'-chart)."""
-    _check_k(k_prime, "k_prime")
-    h = eta(beta, k)
-    return TransformCoeffs(
-        a_tt=h * (1.0 + beta * (k + k_prime)),
-        a_tx=h * (beta * (k * k - 1.0) + k - k_prime) / C,
-        a_xt=-h * beta * C,
-        a_xx=h,
-    )
+    return TransformCoeffs(*_checked_edwards(beta, k, k_prime))
 
 
 def resync_coeffs(k_from: float, k_to: float) -> TransformCoeffs:
@@ -183,22 +250,24 @@ def resync_coeffs(k_from: float, k_to: float) -> TransformCoeffs:
 
 def frame_coeffs(frame: FrameSpec) -> TransformCoeffs:
     """Map from the isotropy chart into ``frame``'s chart."""
-    return edwards_coeffs(frame.beta, 0.0, frame.k)
+    return TransformCoeffs(*_edwards(frame.beta, 0.0, frame.k))
 
 
 def edwards_transform(e: Event, beta: float, k: float, k_prime: float) -> Event:
     """Boost ``e`` from a k-synchronized chart into a k'-synchronized chart S'."""
-    return edwards_coeffs(beta, k, k_prime).apply(e, "S'")
+    return _image(_checked_edwards(beta, k, k_prime), e, "S'")
 
 
 def lorentz_transform(e: Event, beta: float) -> Event:
     """Standard boost: :func:`edwards_transform` with k = k' = 0."""
-    return edwards_transform(e, beta, 0.0, 0.0)
+    _check_beta(beta)
+    return _image(_edwards(beta, 0.0, 0.0), e, "S'")
 
 
 def superluminal_transform(e: Event, beta: float) -> Event:
     """Absolute-simultaneity member (k = 0, k' = -beta); its a_tx cancels to exactly 0.0."""
-    return edwards_transform(e, beta, 0.0, induced_synchrony(0.0, beta))
+    _check_beta(beta)
+    return _image(_edwards(beta, 0.0, _induced(0.0, beta)), e, "S'")
 
 
 def induced_synchrony(k: float, beta: float) -> float:
@@ -211,7 +280,7 @@ def induced_synchrony(k: float, beta: float) -> float:
     """
     _check_beta(beta)
     _check_k(k)
-    k_prime = beta * (k * k - 1.0) + k
+    k_prime = _induced(k, beta)
     if abs(k_prime) > 1.0:
         raise ConventionOutOfRange(k_prime)
     return k_prime
@@ -245,32 +314,14 @@ def resynchronize(e: Event, k_from: float, k_to: float) -> Event:
     return resync_coeffs(k_from, k_to).apply(e)
 
 
-def _velocity_through(coeffs: TransformCoeffs, u: float) -> float:
-    """Image of the coordinate velocity u under a linear chart map.
-
-    ``u`` may be +-inf (an instantaneous worldline); |u| > 1 is traced along
-    (1/|u|, sign u), so huge velocities do not overflow.  Returns
-    :data:`INFINITE_SPEED` (signed) when the image worldline lies in a
-    surface of constant image-time.
-    """
-    if math.isnan(u):
-        raise ValueError("velocity must be a number (may be +-inf)")
-    dt, dx = (1.0, u) if abs(u) <= 1.0 else (1.0 / abs(u), math.copysign(1.0, u))
-    dt_img = coeffs.a_tt * dt + coeffs.a_tx * dx
-    dx_img = coeffs.a_xt * dt + coeffs.a_xx * dx
-    if dt_img == 0.0:
-        return math.copysign(INFINITE_SPEED, dx_img)
-    return dx_img / dt_img
-
-
 def resync_velocity(u: float, k_from: float, k_to: float) -> float:
     """How a coordinate velocity reads after a clock re-setting."""
-    return _velocity_through(resync_coeffs(k_from, k_to), u)
+    return _velocity_through(_entries(resync_coeffs(k_from, k_to)), u)
 
 
 def between_coeffs(frame_from: FrameSpec, frame_to: FrameSpec) -> TransformCoeffs:
     """Chart map from one registered frame to another, through the isotropy chart."""
-    return frame_coeffs(frame_to) @ frame_coeffs(frame_from).inverse()
+    return TransformCoeffs(*_between(frame_from, frame_to))
 
 
 def transform_between(e: Event, frame_from: FrameSpec, frame_to: FrameSpec) -> Event:
@@ -283,7 +334,7 @@ def transform_between(e: Event, frame_from: FrameSpec, frame_to: FrameSpec) -> E
         raise ValueError(
             f"event lives in chart {e.chart!r}, expected {frame_from.label!r}"
         )
-    return between_coeffs(frame_from, frame_to).apply(e, frame_to.label)
+    return _image(_between(frame_from, frame_to), e, frame_to.label)
 
 
 def map_velocity(u: float, frame_from: FrameSpec, frame_to: FrameSpec) -> float:
@@ -294,4 +345,4 @@ def map_velocity(u: float, frame_from: FrameSpec, frame_to: FrameSpec) -> float:
     relativistic velocity composition; returns a signed
     :data:`INFINITE_SPEED` when the image is instantaneous.
     """
-    return _velocity_through(between_coeffs(frame_from, frame_to), u)
+    return _velocity_through(_between(frame_from, frame_to), u)

@@ -6,6 +6,7 @@ import io
 import math
 
 from synchrony_lab import cli
+from synchrony_lab.errors import ConventionOutOfRange, DegenerateConvention
 from synchrony_lab.probe import CollapseSample
 
 # Constants restated here on purpose: the fixtures must not borrow them from
@@ -24,6 +25,137 @@ def absolute_sync_boost(t: float, x: float, beta: float) -> tuple[float, float]:
     """Absolute-simultaneity boost evaluated directly from its closed form."""
     root = math.sqrt(1.0 - beta * beta)
     return root * t, (x - beta * t) / root
+
+
+class OracleKinematics:
+    """The kinematics API as one composition of checked coefficient objects.
+
+    Every call validates all of its arguments, builds a checked 2x2 map
+    (``coeffs``: ``edwards`` -> ``Coeffs`` -> ``apply``, then ``inverse``
+    and ``@``) and applies it, in the argument order and with the messages
+    of the public functions.  Events are ``(t, x, y, z, chart)`` tuples and
+    maps are ``Coeffs``; the library's kernels must agree bit for bit.
+    """
+
+    class Coeffs:
+        def __init__(self, a_tt, a_tx, a_xt, a_xx):
+            self.entries = (a_tt, a_tx, a_xt, a_xx)
+            if self.determinant == 0.0:
+                raise ValueError("transform is singular (zero determinant)")
+
+        @property
+        def determinant(self):
+            a_tt, a_tx, a_xt, a_xx = self.entries
+            return a_tt * a_xx - a_tx * a_xt
+
+        def apply(self, e, chart=None):
+            a_tt, a_tx, a_xt, a_xx = self.entries
+            t, x, y, z, own = e
+            return OracleKinematics.event(
+                a_tt * t + a_tx * x, a_xt * t + a_xx * x, y, z, own if chart is None else chart
+            )
+
+        def __matmul__(self, inner):
+            o_tt, o_tx, o_xt, o_xx = self.entries
+            i_tt, i_tx, i_xt, i_xx = inner.entries
+            return OracleKinematics.Coeffs(
+                o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
+                o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx,
+            )
+
+        def inverse(self):
+            a_tt, a_tx, a_xt, a_xx = self.entries
+            d = self.determinant
+            return OracleKinematics.Coeffs(a_xx / d, -a_tx / d, -a_xt / d, a_tt / d)
+
+    @staticmethod
+    def event(t, x, y=0.0, z=0.0, chart="S"):
+        for name, value in (("t", t), ("x", x), ("y", y), ("z", z)):
+            if not math.isfinite(value):
+                raise ValueError(f"event component {name} must be finite")
+        if not chart:
+            raise ValueError("event chart must be a non-empty identifier")
+        return (t, x, y, z, chart)
+
+    @staticmethod
+    def check_beta(beta):
+        if not (math.isfinite(beta) and abs(beta) < 1.0):
+            raise ValueError(f"boost velocity must satisfy |beta| < 1, got {beta!r}")
+
+    @staticmethod
+    def check_k(k, name="k"):
+        if not (math.isfinite(k) and abs(k) <= 1.0):
+            raise ValueError(f"synchrony parameter {name} must lie in [-1, 1], got {k!r}")
+
+    def eta(self, beta, k):
+        self.check_beta(beta)
+        self.check_k(k)
+        disc = (1.0 + beta * k) ** 2 - beta**2
+        if disc <= 0.0:
+            raise DegenerateConvention(beta, k)
+        return 1.0 / math.sqrt(disc)
+
+    def edwards_coeffs(self, beta, k, k_prime):
+        self.check_k(k_prime, "k_prime")
+        h = self.eta(beta, k)
+        return self.Coeffs(
+            h * (1.0 + beta * (k + k_prime)), h * (beta * (k * k - 1.0) + k - k_prime),
+            -h * beta, h,
+        )
+
+    def induced_synchrony(self, k, beta):
+        self.check_beta(beta)
+        self.check_k(k)
+        k_prime = beta * (k * k - 1.0) + k
+        if abs(k_prime) > 1.0:
+            raise ConventionOutOfRange(k_prime)
+        return k_prime
+
+    def resync_coeffs(self, k_from, k_to):
+        self.check_k(k_from, "k_from")
+        self.check_k(k_to, "k_to")
+        return self.Coeffs(1.0, k_from - k_to, 0.0, 1.0)
+
+    def frame_coeffs(self, frame):
+        return self.edwards_coeffs(frame.beta, 0.0, frame.k)
+
+    def between_coeffs(self, frame_from, frame_to):
+        return self.frame_coeffs(frame_to) @ self.frame_coeffs(frame_from).inverse()
+
+    def edwards_transform(self, e, beta, k, k_prime):
+        return self.edwards_coeffs(beta, k, k_prime).apply(e, "S'")
+
+    def lorentz_transform(self, e, beta):
+        return self.edwards_transform(e, beta, 0.0, 0.0)
+
+    def superluminal_transform(self, e, beta):
+        return self.edwards_transform(e, beta, 0.0, self.induced_synchrony(0.0, beta))
+
+    def resynchronize(self, e, k_from, k_to):
+        return self.resync_coeffs(k_from, k_to).apply(e)
+
+    @staticmethod
+    def velocity_through(coeffs, u):
+        if math.isnan(u):
+            raise ValueError("velocity must be a number (may be +-inf)")
+        dt, dx = (1.0, u) if abs(u) <= 1.0 else (1.0 / abs(u), math.copysign(1.0, u))
+        a_tt, a_tx, a_xt, a_xx = coeffs.entries
+        dt_img = a_tt * dt + a_tx * dx
+        dx_img = a_xt * dt + a_xx * dx
+        if dt_img == 0.0:
+            return math.copysign(math.inf, dx_img)
+        return dx_img / dt_img
+
+    def resync_velocity(self, u, k_from, k_to):
+        return self.velocity_through(self.resync_coeffs(k_from, k_to), u)
+
+    def transform_between(self, e, frame_from, frame_to):
+        if e[4] != frame_from.label:
+            raise ValueError(f"event lives in chart {e[4]!r}, expected {frame_from.label!r}")
+        return self.between_coeffs(frame_from, frame_to).apply(e, frame_to.label)
+
+    def map_velocity(self, u, frame_from, frame_to):
+        return self.velocity_through(self.between_coeffs(frame_from, frame_to), u)
 
 
 def velocity_subtract(u: float, v: float) -> float:

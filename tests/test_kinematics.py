@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from synchrony_lab import (
 )
 from synchrony_lab.kinematics import between_coeffs, frame_coeffs
 
-from conftest import absolute_sync_boost, textbook_boost
+from conftest import OracleKinematics, absolute_sync_boost, textbook_boost
 
 betas = st.floats(min_value=-0.95, max_value=0.95)
 ks = st.floats(min_value=-0.9, max_value=0.9)
@@ -414,3 +416,104 @@ class TestFrameSpecValidation:
     def test_event_requires_chart(self):
         with pytest.raises(ValueError):
             Event(0.0, 0.0, chart="")
+
+
+# Inputs that sit on a boundary of some check, or push a result past the float range.
+SPECIAL_BETAS = [0.0, -0.0, 1.0, -1.0, 1.5, -2.0, math.nan, math.inf, -math.inf] + [
+    sign * (1.0 - 10.0**-j) for j in range(1, 17) for sign in (1.0, -1.0)
+]  # j = 16 rounds to +-1.0, which is out of range
+SPECIAL_KS = [0.0, -0.0, 1.0, -1.0, 1.0000000000000002, -1.5, math.nan, math.inf]
+SPECIAL_COORDS = [0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308, 5e-324]
+SPECIAL_VELOCITIES = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 1e308, -1e308, math.nan]
+
+
+def _draw(rng: random.Random, specials, lo: float, hi: float) -> float:
+    return rng.choice(specials) if rng.random() < 0.3 else rng.uniform(lo, hi)
+
+
+def _frame_beta(rng: random.Random) -> float:
+    """A legal frame velocity, half of them within 1e-15..0.3 of +-1."""
+    if rng.random() < 0.5:
+        return rng.uniform(-0.99, 0.99)
+    return rng.choice((1.0, -1.0)) * (1.0 - 10.0 ** -rng.uniform(0.5, 15.4))
+
+
+def _outcome(fn, *args) -> tuple:
+    """repr of the result in plain tuples, or the exception's type and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the exception is the outcome under test
+        return type(exc), str(exc)
+    if isinstance(value, Event):
+        value = (value.t, value.x, value.y, value.z, value.chart)
+    elif isinstance(value, TransformCoeffs):
+        value = (value.a_tt, value.a_tx, value.a_xt, value.a_xx)
+    elif isinstance(value, OracleKinematics.Coeffs):
+        value = value.entries
+    return ("ok", repr(value))
+
+
+class TestKernelsMatchTheObjectComposition:
+    """Every public kinematics call, bit for bit against conftest.OracleKinematics."""
+
+    DRAWS = 20_000
+    SINGULAR = (ValueError, "transform is singular (zero determinant)")
+
+    def cases(self, rng: random.Random, oracle: OracleKinematics):
+        beta = _draw(rng, SPECIAL_BETAS, -0.99, 0.99)
+        k, kp = _draw(rng, SPECIAL_KS, -1.0, 1.0), _draw(rng, SPECIAL_KS, -1.0, 1.0)
+        t, x = _draw(rng, SPECIAL_COORDS, -100.0, 100.0), _draw(rng, SPECIAL_COORDS, -100.0, 100.0)
+        u = _draw(rng, SPECIAL_VELOCITIES, -3.0, 3.0)
+        e, oe = Event(t, x, 1.5, -2.5), (t, x, 1.5, -2.5, "S")
+        yield "eta", (eta, beta, k), (oracle.eta, beta, k)
+        yield "edwards_coeffs", (edwards_coeffs, beta, k, kp), (oracle.edwards_coeffs, beta, k, kp)
+        yield "edwards_transform", (edwards_transform, e, beta, k, kp), \
+            (oracle.edwards_transform, oe, beta, k, kp)
+        yield "lorentz_transform", (lorentz_transform, e, beta), (oracle.lorentz_transform, oe, beta)
+        yield "superluminal_transform", (superluminal_transform, e, beta), \
+            (oracle.superluminal_transform, oe, beta)
+        yield "induced_synchrony", (induced_synchrony, k, beta), (oracle.induced_synchrony, k, beta)
+        yield "resync_coeffs", (resync_coeffs, k, kp), (oracle.resync_coeffs, k, kp)
+        yield "resynchronize", (resynchronize, e, k, kp), (oracle.resynchronize, oe, k, kp)
+        yield "resync_velocity", (resync_velocity, u, k, kp), (oracle.resync_velocity, u, k, kp)
+
+        a = FrameSpec(_frame_beta(rng), _draw(rng, [1.0, -1.0, 0.0, -0.0], -1.0, 1.0), "A")
+        b = FrameSpec(_frame_beta(rng), _draw(rng, [1.0, -1.0, 0.0, -0.0], -1.0, 1.0), "B")
+        chart = rng.choice(("A", "A", "A", "B"))
+        ea, oea = Event(t, x, 1.5, -2.5, chart), (t, x, 1.5, -2.5, chart)
+        yield "frame_coeffs", (frame_coeffs, a), (oracle.frame_coeffs, a)
+        yield "between_coeffs", (between_coeffs, a, b), (oracle.between_coeffs, a, b)
+        yield "transform_between", (transform_between, ea, a, b), (oracle.transform_between, oea, a, b)
+        yield "map_velocity", (map_velocity, u, a, b), (oracle.map_velocity, u, a, b)
+
+        m = [_draw(rng, SPECIAL_COORDS + [1.0, 2.0, 4.0], -2.0, 2.0) for _ in range(4)]
+        yield "TransformCoeffs", (TransformCoeffs, *m), (OracleKinematics.Coeffs, *m)
+        try:
+            c, oc = TransformCoeffs(*m), OracleKinematics.Coeffs(*m)
+        except ValueError:
+            return
+        boost, oboost = edwards_coeffs(0.6, 0.2, -0.3), oracle.edwards_coeffs(0.6, 0.2, -0.3)
+        target = rng.choice((None, "", "Q"))
+        yield "apply", (c.apply, e, target), (oc.apply, oe, target)
+        yield "inverse", (c.inverse,), (oc.inverse,)
+        yield "determinant", (lambda: c.determinant,), (lambda: oc.determinant,)
+        yield "square", (c.__matmul__, c), (oc.__matmul__, oc)
+        yield "matmul", (boost.__matmul__, c), (oboost.__matmul__, oc)
+
+    def test_every_public_call_matches_bit_for_bit(self):
+        rng, oracle = random.Random(2002), OracleKinematics()
+        mismatches, seen = [], Counter()
+        for _ in range(self.DRAWS):
+            for name, (fn, *args), (ofn, *oargs) in self.cases(rng, oracle):
+                got, want = _outcome(fn, *args), _outcome(ofn, *oargs)
+                seen[name, "ok" if want[0] == "ok" else "singular" if want == self.SINGULAR else "error"] += 1
+                if got != want:
+                    mismatches.append((name, args, got, want))
+        assert not mismatches, mismatches[:5]
+        # The draws reach the checks: every call that can fail both fails and
+        # succeeds, and valid frames near |beta| = 1 give composites whose
+        # determinant rounds to 0.
+        for name in {name for name, _ in seen} - {"frame_coeffs", "determinant"}:
+            assert seen[name, "ok"] and seen[name, "singular"] + seen[name, "error"], name
+        for name in ("between_coeffs", "transform_between", "map_velocity"):
+            assert seen[name, "singular"] > 0, name
