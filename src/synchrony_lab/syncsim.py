@@ -22,8 +22,9 @@ toward -x, while every round trip averages to ``C`` under every protocol.
 ``frame_coeffs(lattice.frame)`` therefore maps absolute events into the
 lattice chart.
 
-A lattice is owned by one simulation run at a time; independent runs (for
-example the points of an isotropy scan) share nothing.
+A lattice is owned by one simulation run at a time.  Every signal goes
+through one kernel, :func:`_signal`, after its caller has checked the
+inputs once; an isotropy scan checks each point's beta and builds no lattice.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FileInvalid, NotSynchronized, UnresolvableChase
-from .kinematics import C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, induced_synchrony
+from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
+                         induced_synchrony)
 
 LIGHT = "light"
 SUPERLUMINAL_FINITE = "superluminal-finite"
@@ -179,7 +181,8 @@ def propagate(
     finite.  A signal that raises is not logged.  Returns the signal's row,
     ``lattice.log[-1]``.
     """
-    _send(lattice, from_id, to_id, kind, speed, t_emit)
+    x_from, x_to, magnitude = _check_signal(lattice, from_id, to_id, kind, speed)
+    _signal(lattice.log.rows, kind, lattice.frame.beta * C, magnitude, x_from, x_to, t_emit, to_id)
     return lattice.log[-1]
 
 
@@ -191,17 +194,28 @@ def _check_finite(t: float, x: float) -> None:
         raise ValueError("event component x must be finite")
 
 
-def _send(
-    lattice: ClockLattice, from_id: int, to_id: int, kind: str, speed: float | None, t_emit: float
-) -> float:
-    """:func:`propagate`'s checks and intersection; logs one row, returns the absorb time."""
+def _check_signal(lattice, from_id, to_id, kind, speed) -> tuple:
+    """:func:`propagate`'s checks, in order; returns :func:`_signal`'s x_from, x_to, magnitude."""
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"unknown signal kind {kind!r}")
     if from_id == to_id:
         raise ValueError("signal endpoints must differ")
     x_from = lattice.positions[lattice.index(from_id)]
     x_to = lattice.positions[lattice.index(to_id)]
-    u = lattice.frame.beta * C
+    if kind != SUPERLUMINAL_FINITE:
+        return x_from, x_to, C
+    if speed is None or not math.isfinite(speed) or speed <= 0.0:
+        raise ValueError("superluminal-finite signals need a positive finite speed")
+    return x_from, x_to, float(speed)
+
+
+def _signal(rows, kind, u, magnitude, x_from, x_to, t_emit, to_id) -> float:
+    """One signal on plain floats: intersection, chase and finiteness checks, then one row.
+
+    The caller owns :func:`_check_signal`'s checks (known kind, two distinct
+    valid nodes at ``x_from`` and ``x_to``, ``magnitude`` C or a checked
+    speed); ``u`` is ``frame.beta*C``.  Returns the absorb time.
+    """
     x_emit = x_from + u * t_emit
     gap = x_to - x_from  # constant in time: clocks are comoving
     sign = 1.0 if gap > 0 else -1.0
@@ -211,12 +225,6 @@ def _send(
         x_abs = x_to + u * t_emit
         w = math.copysign(INFINITE_SPEED, gap)
     else:
-        if kind == LIGHT:
-            magnitude = C
-        else:
-            if speed is None or not math.isfinite(speed) or speed <= 0.0:
-                raise ValueError("superluminal-finite signals need a positive finite speed")
-            magnitude = float(speed)
         w = sign * magnitude
         denom = w - u
         if denom == 0.0 or gap / denom <= 0.0:
@@ -230,7 +238,7 @@ def _send(
 
     _check_finite(t_emit, x_emit)
     _check_finite(t_abs, x_abs)
-    lattice.log.rows.append((kind, t_emit, x_emit, t_abs, x_abs, w))
+    rows.append((kind, t_emit, x_emit, t_abs, x_abs, w))
     return t_abs
 
 
@@ -260,16 +268,17 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     rate = lattice.rate
     offsets = lattice.offsets = [0.0] * len(lattice.positions)  # the master reads rate*t
     lattice.log = SignalLog()
+    rows, p, u = lattice.log.rows, lattice.positions, lattice.frame.beta * C
     slaves = [i for i in range(len(offsets)) if i != m]
     t0 = 0.0
     if protocol == EINSTEIN:
         for i in slaves:
-            t_reflect = _send(lattice, m, i, LIGHT, None, t0)
-            t_return = _send(lattice, i, m, LIGHT, None, t_reflect)
+            t_reflect = _signal(rows, LIGHT, u, C, p[m], p[i], t0, i)
+            t_return = _signal(rows, LIGHT, u, C, p[i], p[m], t_reflect, m)
             offsets[i] = 0.5 * (rate * t0 + rate * t_return) - rate * t_reflect
     elif protocol == SUPERLUMINAL:
         for i in slaves:
-            offsets[i] = rate * t0 - rate * _send(lattice, m, i, INSTANTANEOUS, None, t0)
+            offsets[i] = rate * t0 - rate * _signal(rows, INSTANTANEOUS, u, C, p[m], p[i], t0, i)
     # EXTERNAL_REGULATION: at absolute time 0 the reference reads the master's 0.
 
     lattice.protocol = protocol
@@ -317,14 +326,15 @@ def _measure(lattice, from_id, to_id, kind, speed, two_way) -> SpeedMeasurement:
     """One-way, or out and back when ``two_way``: sync check, legs, clock readings, rest length."""
     if lattice.protocol is None:
         raise NotSynchronized("run a synchronization protocol before measuring")
-    t0 = 0.0
-    t = _send(lattice, from_id, to_id, kind, speed, t0)
+    x_from, x_to, magnitude = _check_signal(lattice, from_id, to_id, kind, speed)
+    rows, u, t0 = lattice.log.rows, lattice.frame.beta * C, 0.0
+    t = _signal(rows, kind, u, magnitude, x_from, x_to, t0, to_id)
     if two_way:
-        t = _send(lattice, to_id, from_id, kind, speed, t)
+        t = _signal(rows, kind, u, magnitude, x_to, x_from, t, from_id)
     end = from_id if two_way else to_id
     rate, offsets = lattice.rate, lattice.offsets
     elapsed = (rate * t + offsets[end]) - (rate * t0 + offsets[from_id])
-    gap = lattice.positions[to_id] - lattice.positions[from_id]
+    gap = x_to - x_from
     distance = (1.0 / math.sqrt(1.0 - lattice.frame.beta**2)) * abs(gap)  # rest length
     if two_way:
         distance = 2.0 * distance
@@ -346,18 +356,26 @@ class ScanPoint:
 def isotropy_scan(betas) -> list[ScanPoint]:
     """Measure the one-way anisotropy for each candidate drift velocity.
 
-    Each candidate gets a fresh two-node lattice, zero-delay synchronization
-    from node 0, and a light signal in each direction.  The anisotropy
-    ``c_plus - c_minus`` equals 2*beta/(1 - beta^2) and vanishes exactly in
-    the isotropy frame, so the argmin of its magnitude locates that frame.
+    Each drift is checked once and no lattice is built: three signals go
+    through :func:`_signal` between clocks at x = 0 and 1, a zero-delay one to
+    synchronize them and a light one each way, timed as :func:`measure_one_way`
+    times it.  The anisotropy ``c_plus - c_minus`` equals 2*beta/(1 - beta^2)
+    and vanishes exactly in the isotropy frame, so the argmin of its
+    magnitude locates that frame.
     """
     points = []
-    for beta in betas:
-        lattice = ClockLattice.build(float(beta), (0.0, 1.0))
-        run_protocol(lattice, SUPERLUMINAL)
-        c_plus = measure_one_way(lattice, 0, 1).speed
-        c_minus = measure_one_way(lattice, 1, 0).speed
-        points.append(ScanPoint(float(beta), c_plus, c_minus, c_plus - c_minus))
+    for beta in map(float, betas):
+        b, rows, t0 = -beta, [], 0.0  # b: ClockLattice.build's frame.beta
+        _check_beta(b)
+        u, rate = b * C, math.sqrt(1.0 - b * b)
+        offsets = (0.0, rate * t0 - rate * _signal(rows, INSTANTANEOUS, u, C, 0.0, 1.0, t0, 1))
+        distance = 1.0 / math.sqrt(1.0 - b**2)  # rest length of the unit gap
+        speeds = []
+        for i, j in ((0, 1), (1, 0)):
+            t = _signal(rows, LIGHT, u, C, float(i), float(j), t0, j)
+            elapsed = (rate * t + offsets[j]) - (rate * t0 + offsets[i])
+            speeds.append(INFINITE_SPEED if elapsed == 0.0 else distance / elapsed)
+        points.append(ScanPoint(beta, *speeds, speeds[0] - speeds[1]))
     return points
 
 

@@ -8,6 +8,13 @@ import math
 from synchrony_lab import cli
 from synchrony_lab.errors import ConventionOutOfRange, DegenerateConvention
 from synchrony_lab.probe import CollapseSample
+from synchrony_lab.syncsim import (
+    SUPERLUMINAL,
+    ClockLattice,
+    ScanPoint,
+    measure_one_way,
+    run_protocol,
+)
 
 # Constants restated here on purpose: the fixtures must not borrow them from
 # the code under test.
@@ -156,6 +163,24 @@ class OracleKinematics:
 
     def map_velocity(self, u, frame_from, frame_to):
         return self.velocity_through(self.between_coeffs(frame_from, frame_to), u)
+
+
+def lattice_scan(betas) -> list[ScanPoint]:
+    """The isotropy scan through the public lattice path: one lattice per point.
+
+    Each point builds a two-node lattice at positions 0 and 1, runs the
+    superluminal protocol from node 0 and measures light one way in each
+    direction.  ``isotropy_scan`` must agree with it bit for bit, errors
+    included.
+    """
+    points = []
+    for beta in betas:
+        lattice = ClockLattice.build(float(beta), (0.0, 1.0))
+        run_protocol(lattice, SUPERLUMINAL)
+        c_plus = measure_one_way(lattice, 0, 1).speed
+        c_minus = measure_one_way(lattice, 1, 0).speed
+        points.append(ScanPoint(float(beta), c_plus, c_minus, c_plus - c_minus))
+    return points
 
 
 def velocity_subtract(u: float, v: float) -> float:

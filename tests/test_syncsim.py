@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import copy
 import math
+import random
+import re
 from dataclasses import replace
 
 import pytest
+from conftest import lattice_scan
 
 from synchrony_lab import (
     INFINITE_SPEED,
@@ -190,6 +193,46 @@ class TestSignalLog:
             measure_two_way(lat, 0, 4)
 
 
+class TestCheckOrder:
+    """The first rule an input breaks names the error, whichever others it breaks."""
+
+    BAD_KIND = "unknown signal kind 'carrier-pigeon'"
+    SAME_ENDS = "signal endpoints must differ"
+    NO_SPEED = "superluminal-finite signals need a positive finite speed"
+    # (from_id, to_id, kind, speed, first error message)
+    CASES = [
+        (0, 0, "carrier-pigeon", None, BAD_KIND),
+        (-1, 7, "carrier-pigeon", None, BAD_KIND),
+        (5, 5, LIGHT, None, SAME_ENDS),
+        (True, True, SUPERLUMINAL_FINITE, None, SAME_ENDS),
+        (-1, 7, LIGHT, None, "no node with id -1"),
+        (0, 7, SUPERLUMINAL_FINITE, None, "no node with id 7"),
+        (1.0, 0, SUPERLUMINAL_FINITE, math.nan, "no node with id 1.0"),
+        (0, 1, SUPERLUMINAL_FINITE, 0.0, NO_SPEED),
+    ]
+
+    @pytest.mark.parametrize("from_id, to_id, kind, speed, message", CASES)
+    @pytest.mark.parametrize("send", [propagate, measure_one_way, measure_two_way])
+    def test_first_broken_rule_is_reported(self, send, from_id, to_id, kind, speed, message):
+        lat = lattice(positions=(0.0, 1.0, 2.5))
+        run_protocol(lat, SUPERLUMINAL)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            send(lat, from_id, to_id, kind, speed=speed)
+        assert len(lat.log.rows) == 2
+
+    def test_a_bad_speed_is_reported_before_a_non_finite_event(self):
+        lat = lattice()
+        with pytest.raises(ValueError, match=f"^{re.escape(self.NO_SPEED)}$"):
+            propagate(lat, 0, 1, SUPERLUMINAL_FINITE, t_emit=math.inf)
+        assert len(lat.log.rows) == 0
+
+    @pytest.mark.parametrize("measure", [measure_one_way, measure_two_way])
+    def test_measurements_check_synchronization_first(self, measure):
+        for from_id, to_id, kind, speed, _ in self.CASES:
+            with pytest.raises(NotSynchronized):
+                measure(lattice(), from_id, to_id, kind, speed=speed)
+
+
 class TestProtocols:
     @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL, EXTERNAL_REGULATION])
     def test_rest_lattice_needs_no_correction(self, protocol):
@@ -241,6 +284,51 @@ class TestProtocols:
         lat = lattice()
         with pytest.raises(TypeError):
             ClockLattice(lat.frame, lat.positions, protocol=EINSTEIN)
+
+
+class TestProtocolReplay:
+    """``run_protocol``'s signals, replayed one by one through public ``propagate``."""
+
+    N = 300
+
+    @staticmethod
+    def replay(drift, positions, protocol, master):
+        """Rows and offsets of the protocol's exchange, sent through :func:`propagate`."""
+        ref = ClockLattice.build(drift, positions)
+        rate, t0 = ref.rate, 0.0
+        offsets, legs = [0.0] * len(positions), []
+        for i in range(len(positions)):
+            if i == master:
+                continue
+            if protocol == EINSTEIN:
+                out = propagate(ref, master, i, LIGHT, t_emit=t0)
+                back = propagate(ref, i, master, LIGHT, t_emit=out.absorb.t)
+                offsets[i] = 0.5 * (rate * t0 + rate * back.absorb.t) - rate * out.absorb.t
+                legs += [(master, i), (i, master)]
+            else:
+                offsets[i] = rate * t0 - rate * propagate(ref, master, i, INSTANTANEOUS).absorb.t
+                legs.append((master, i))
+        return ref, offsets, legs
+
+    @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
+    @pytest.mark.parametrize("master", [0, N // 2, N - 1])
+    @pytest.mark.parametrize("drift", [0.6, -0.8])
+    def test_rows_and_offsets_match_a_propagate_replay(self, protocol, master, drift):
+        rng = random.Random(self.N)
+        positions = [0.0]
+        for _ in range(self.N - 1):
+            positions.append(positions[-1] + rng.uniform(0.5, 1.5))
+        lat = ClockLattice.build(drift, positions)
+        run_protocol(lat, protocol, master)
+        ref, offsets, legs = self.replay(drift, positions, protocol, master)
+        assert list(map(repr, lat.log.rows)) == list(map(repr, ref.log.rows))
+        assert list(map(repr, lat.offsets)) == list(map(repr, offsets))
+        # Both ends of every signal lie on their clocks' worldlines x = x_i + u*t.
+        u = ref.frame.beta
+        for (i, j), (_, emit_t, emit_x, absorb_t, absorb_x, _) in zip(legs, ref.log.rows):
+            assert math.isclose(emit_x, ref.positions[i] + u * emit_t, rel_tol=0.0, abs_tol=1e-9)
+            assert math.isclose(absorb_x, ref.positions[j] + u * absorb_t, rel_tol=0.0,
+                                abs_tol=1e-9)
 
 
 class TestMeasurements:
@@ -389,6 +477,22 @@ class TestIsotropyScan:
         points = isotropy_scan(betas)
         best = min(points, key=lambda p: abs(p.anisotropy))
         assert abs(best.beta) < 1e-12
+
+    def test_matches_the_lattice_path_bit_for_bit(self):
+        rng = random.Random(2002)
+        edge = [1.0 - 10.0**-j for j in range(1, 13)] + [math.nextafter(1.0, 0.0)]
+        betas = [0.0, *edge, *(rng.uniform(-0.999, 0.999) for _ in range(300))]
+        betas += [-b for b in betas]
+        assert list(map(repr, isotropy_scan(betas))) == list(map(repr, lattice_scan(betas)))
+
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, -7.0, math.inf, -math.inf, math.nan, "x"])
+    def test_rejects_like_the_lattice_path(self, bad):
+        def outcome(scan):
+            with pytest.raises((ValueError, TypeError)) as info:
+                scan([0.3, bad, 0.2])
+            return type(info.value), str(info.value)
+
+        assert outcome(isotropy_scan) == outcome(lattice_scan)
 
 
 class TestScenario:
