@@ -69,8 +69,8 @@ def attempt(feed, fn, *args, **kwargs):
 
 def feed_lattice(feed, lattice: ClockLattice) -> None:
     feed(lattice.protocol, lattice.frame, lattice.offsets, len(lattice.log))
-    for rec in lattice.log:
-        feed(rec.kind, rec.emit.t, rec.emit.x, rec.absorb.t, rec.absorb.x, rec.speed_abs)
+    for row in lattice.log:
+        feed(*row)
 
 
 def measure(feed, lattice: ClockLattice, pairs) -> None:

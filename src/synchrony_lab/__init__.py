@@ -40,7 +40,6 @@ from .syncsim import (
     ClockLattice,
     ScanPoint,
     Scenario,
-    SignalLog,
     SignalRecord,
     SpeedMeasurement,
     isotropy_scan,

@@ -73,29 +73,6 @@ class SignalRecord:
     speed_abs: float  # signed absolute-chart coordinate speed, inf allowed
 
 
-class SignalLog:
-    """Signals in send order, one row per signal, all in the absolute chart.
-
-    ``rows[i]`` is ``(kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs)``:
-    the signal emitted at ``(emit_t, emit_x)`` and absorbed at ``(absorb_t,
-    absorb_x)`` at signed speed ``speed_abs``.  ``log[i]`` (negative i too)
-    and iteration build :class:`SignalRecord` rows on demand.
-    """
-
-    def __init__(self):
-        self.rows: list[tuple[str, float, float, float, float, float]] = []
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int) -> SignalRecord:
-        kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs = self.rows[i]
-        return SignalRecord(kind, Event(emit_t, emit_x), Event(absorb_t, absorb_x), speed_abs)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-
 @dataclass(frozen=True)
 class SpeedMeasurement:
     """Outcome of a one-way or round-trip speed measurement.
@@ -119,16 +96,17 @@ class ClockLattice:
     ``k`` as realized by the last protocol run).  Clock i sits at absolute
     position ``positions[i]`` at absolute time 0, moves at ``frame.beta*C``
     and reads ``rate*t + offsets[i]`` at absolute time t; offsets are zero
-    until a protocol sets them.  ``log`` holds every signal since the last
-    protocol run started (its exchange, then any measurements) in the
-    absolute chart; ``log[i]`` is a :class:`SignalRecord`.  ``protocol``
-    names the last protocol run; only :func:`run_protocol` sets it.
+    until a protocol sets them.  ``log`` lists every signal since the last
+    protocol run started (its exchange, then any measurements) as a
+    ``(kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs)`` tuple in the
+    absolute chart.  ``protocol`` names the last completed protocol run;
+    only :func:`run_protocol` sets it.
     """
 
     frame: FrameSpec
     positions: tuple[float, ...]
     offsets: list[float] = field(init=False)
-    log: SignalLog = field(init=False, default_factory=SignalLog)
+    log: list = field(init=False, default_factory=list)
     protocol: str | None = field(init=False, default=None)
 
     def __post_init__(self):
@@ -177,21 +155,18 @@ def propagate(
     ``speed`` (absolute-chart magnitude) is required for
     ``superluminal-finite`` and ignored otherwise.  Raises
     :class:`UnresolvableChase` when a finite signal is too slow to catch a
-    receding node, and ``ValueError`` when an event coordinate is not
-    finite.  A signal that raises is not logged.  Returns the signal's row,
-    ``lattice.log[-1]``.
+    receding node, and ``ValueError`` when ``t_emit`` is not an int or float
+    that a float can hold or an event coordinate is not finite.  A signal
+    that raises is not logged.  Returns the row it appended to
+    ``lattice.log`` as a :class:`SignalRecord`.
     """
     x_from, x_to, magnitude = _check_signal(lattice, from_id, to_id, kind, speed)
-    _signal(lattice.log.rows, kind, lattice.frame.beta * C, magnitude, x_from, x_to, t_emit, to_id)
-    return lattice.log[-1]
-
-
-def _check_finite(t: float, x: float) -> None:
-    """:class:`Event`'s finiteness check, in its order, without building one."""
-    if not math.isfinite(t):
-        raise ValueError("event component t must be finite")
-    if not math.isfinite(x):
-        raise ValueError("event component x must be finite")
+    if not _is_number(t_emit) or isinstance(t_emit, int) and not _is_finite(t_emit):
+        raise ValueError("t_emit must be an int or float that a float can hold")
+    u, t_emit = lattice.frame.beta * C, float(t_emit)
+    _signal(lattice.log, kind, u, magnitude, x_from, x_to, t_emit, to_id)
+    kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs = lattice.log[-1]
+    return SignalRecord(kind, Event(emit_t, emit_x), Event(absorb_t, absorb_x), speed_abs)
 
 
 def _check_signal(lattice, from_id, to_id, kind, speed) -> tuple:
@@ -236,8 +211,10 @@ def _signal(rows, kind, u, magnitude, x_from, x_to, t_emit, to_id) -> float:
         t_abs = t_emit + dt
         x_abs = x_emit + w * dt
 
-    _check_finite(t_emit, x_emit)
-    _check_finite(t_abs, x_abs)
+    isfinite = math.isfinite
+    if not (isfinite(t_emit) and isfinite(x_emit) and isfinite(t_abs) and isfinite(x_abs)):
+        Event(t_emit, x_emit)  # raises, naming the first bad component
+        Event(t_abs, x_abs)
     rows.append((kind, t_emit, x_emit, t_abs, x_abs, w))
     return t_abs
 
@@ -267,8 +244,9 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     m = lattice.index(master)
     rate = lattice.rate
     offsets = lattice.offsets = [0.0] * len(lattice.positions)  # the master reads rate*t
-    lattice.log = SignalLog()
-    rows, p, u = lattice.log.rows, lattice.positions, lattice.frame.beta * C
+    rows = lattice.log = []
+    lattice.protocol = None  # a run that raises leaves the lattice unsynchronized
+    p, u = lattice.positions, lattice.frame.beta * C
     slaves = [i for i in range(len(offsets)) if i != m]
     t0 = 0.0
     if protocol == EINSTEIN:
@@ -327,7 +305,7 @@ def _measure(lattice, from_id, to_id, kind, speed, two_way) -> SpeedMeasurement:
     if lattice.protocol is None:
         raise NotSynchronized("run a synchronization protocol before measuring")
     x_from, x_to, magnitude = _check_signal(lattice, from_id, to_id, kind, speed)
-    rows, u, t0 = lattice.log.rows, lattice.frame.beta * C, 0.0
+    rows, u, t0 = lattice.log, lattice.frame.beta * C, 0.0
     t = _signal(rows, kind, u, magnitude, x_from, x_to, t0, to_id)
     if two_way:
         t = _signal(rows, kind, u, magnitude, x_to, x_from, t, from_id)

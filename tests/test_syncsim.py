@@ -12,6 +12,7 @@ from conftest import lattice_scan
 from synchrony_lab import (
     INFINITE_SPEED,
     ClockLattice,
+    Event,
     NotSynchronized,
     UnresolvableChase,
     isotropy_scan,
@@ -132,16 +133,16 @@ class TestPropagate:
         lat = lattice()
         propagate(lat, 0, 1, LIGHT)
         propagate(lat, 1, 0, INSTANTANEOUS)
-        assert [r.kind for r in lat.log] == [LIGHT, INSTANTANEOUS]
+        assert [kind for kind, *_ in lat.log] == [LIGHT, INSTANTANEOUS]
 
     def test_causality_of_log(self):
         lat = lattice(beta=0.45, positions=(0.0, 1.0, 3.0))
         propagate(lat, 0, 2, LIGHT)
         propagate(lat, 2, 0, SUPERLUMINAL_FINITE, speed=5.0)
         propagate(lat, 0, 1, INSTANTANEOUS)
-        for rec in lat.log:
-            assert rec.absorb.t >= rec.emit.t
-            assert (rec.absorb.t == rec.emit.t) == (rec.kind == INSTANTANEOUS)
+        for kind, emit_t, _, absorb_t, _, _ in lat.log:
+            assert absorb_t >= emit_t
+            assert (absorb_t == emit_t) == (kind == INSTANTANEOUS)
 
 
 class TestSignalLog:
@@ -150,11 +151,11 @@ class TestSignalLog:
         lat = lattice(positions=(0.0, 1.0, 2.5))
         first = propagate(lat, 0, 2, LIGHT)
         rec = propagate(lat, 2, 1, kind, speed=4.0, t_emit=0.3)
-        assert rec == lat.log[-1] == lat.log[1]
-        assert list(lat.log) == [first, rec]
-        assert len(lat.log.rows) == 2
-        assert (rec.kind, rec.emit.t, rec.emit.x, rec.absorb.t, rec.absorb.x,
-                rec.speed_abs) == lat.log.rows[-1]
+        assert len(lat.log) == 2
+        for record, row in zip((first, rec), lat.log):
+            assert (record.kind, record.emit.t, record.emit.x, record.absorb.t,
+                    record.absorb.x, record.speed_abs) == row
+            assert record.emit == Event(*row[1:3]) and record.absorb == Event(*row[3:5])
 
     # Hardware drifting at +0.6 through the absolute chart; coordinates near
     # the largest float overflow once the drift or the gap is added.
@@ -172,6 +173,10 @@ class TestSignalLog:
         ((2, 1, LIGHT), {"t_emit": 1.7e308}, ValueError, "^event component x must be finite$"),
         ((0, 2, INSTANTANEOUS), {"t_emit": 1.7e308}, ValueError,
          "^event component x must be finite$"),
+    ] + [
+        ((1, 0, LIGHT), {"t_emit": t_emit}, ValueError,
+         "^t_emit must be an int or float that a float can hold$")
+        for t_emit in (True, False, 10**400, -(10**400), 2**1024, "a", None, 1j, [0.0])
     ]
 
     @pytest.mark.parametrize("args, kwargs, error, message", FAILURES)
@@ -180,7 +185,14 @@ class TestSignalLog:
         propagate(lat, 1, 0, LIGHT)
         with pytest.raises(error, match=message):
             propagate(lat, *args, **kwargs)
-        assert len(lat.log.rows) == 1
+        assert len(lat.log) == 1
+
+    @pytest.mark.parametrize("t_emit", [3, 2**1023, 0.25], ids=["3", "2**1023", "0.25"])
+    def test_rows_hold_float_emission_times(self, t_emit):
+        lat = lattice()
+        rec = propagate(lat, 0, 1, INSTANTANEOUS, t_emit=t_emit)
+        assert type(lat.log[-1][1]) is float and type(rec.emit.t) is float
+        assert lat.log[-1][1] == t_emit
 
     @pytest.mark.parametrize("protocol, rows", [
         (EINSTEIN, 2 * 4), (SUPERLUMINAL, 4), (EXTERNAL_REGULATION, 0),
@@ -189,7 +201,7 @@ class TestSignalLog:
         lat = lattice(positions=(-1.5, 0.5, 2.0, 4.5, 7.25))
         for master in (0, 2):
             run_protocol(lat, protocol, master)
-            assert len(lat.log.rows) == rows
+            assert len(lat.log) == rows
             measure_two_way(lat, 0, 4)
 
 
@@ -218,13 +230,13 @@ class TestCheckOrder:
         run_protocol(lat, SUPERLUMINAL)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             send(lat, from_id, to_id, kind, speed=speed)
-        assert len(lat.log.rows) == 2
+        assert len(lat.log) == 2
 
     def test_a_bad_speed_is_reported_before_a_non_finite_event(self):
         lat = lattice()
         with pytest.raises(ValueError, match=f"^{re.escape(self.NO_SPEED)}$"):
             propagate(lat, 0, 1, SUPERLUMINAL_FINITE, t_emit=math.inf)
-        assert len(lat.log.rows) == 0
+        assert len(lat.log) == 0
 
     @pytest.mark.parametrize("measure", [measure_one_way, measure_two_way])
     def test_measurements_check_synchronization_first(self, measure):
@@ -280,6 +292,16 @@ class TestProtocols:
         run_protocol(lat, EINSTEIN)
         assert lat.protocol == EINSTEIN
 
+    def test_a_failed_run_leaves_the_lattice_unsynchronized(self):
+        # The return leg from x = 1e308 overflows, after one slave was set.
+        lat = lattice(beta=0.6, positions=(0.0, 1.0, 1e308))
+        run_protocol(lat, SUPERLUMINAL, master=1)
+        with pytest.raises(ValueError, match="^event component t must be finite$"):
+            run_protocol(lat, EINSTEIN, master=1)
+        assert lat.protocol is None
+        with pytest.raises(NotSynchronized):
+            measure_one_way(lat, 0, 1)
+
     def test_only_a_protocol_run_marks_a_lattice_synced(self):
         lat = lattice()
         with pytest.raises(TypeError):
@@ -321,11 +343,11 @@ class TestProtocolReplay:
         lat = ClockLattice.build(drift, positions)
         run_protocol(lat, protocol, master)
         ref, offsets, legs = self.replay(drift, positions, protocol, master)
-        assert list(map(repr, lat.log.rows)) == list(map(repr, ref.log.rows))
+        assert list(map(repr, lat.log)) == list(map(repr, ref.log))
         assert list(map(repr, lat.offsets)) == list(map(repr, offsets))
         # Both ends of every signal lie on their clocks' worldlines x = x_i + u*t.
         u = ref.frame.beta
-        for (i, j), (_, emit_t, emit_x, absorb_t, absorb_x, _) in zip(legs, ref.log.rows):
+        for (i, j), (_, emit_t, emit_x, absorb_t, absorb_x, _) in zip(legs, ref.log):
             assert math.isclose(emit_x, ref.positions[i] + u * emit_t, rel_tol=0.0, abs_tol=1e-9)
             assert math.isclose(absorb_x, ref.positions[j] + u * absorb_t, rel_tol=0.0,
                                 abs_tol=1e-9)
@@ -405,7 +427,7 @@ class TestChartConsistency:
         instants = [(2.0 - offset) / lat.rate for offset in lat.offsets]
         events = [
             superluminal_transform(
-                type(lat.log[0].emit)(t=t, x=lat.positions[i] + lat.frame.beta * t, chart="S"),
+                Event(t=t, x=lat.positions[i] + lat.frame.beta * t, chart="S"),
                 beta,
             )
             for i, t in enumerate(instants)
@@ -436,9 +458,9 @@ class TestChartConsistency:
         assert len(lat.log) == len(receivers)
         master_term = coeffs.a_tx * lat.positions[master]
         misses = 0
-        for rec, r in zip(lat.log, receivers):
-            image = coeffs.apply(rec.absorb)
-            reading = lat.rate * rec.absorb.t + lat.offsets[r]
+        for (_, _, _, absorb_t, absorb_x, _), r in zip(lat.log, receivers):
+            image = coeffs.apply(Event(absorb_t, absorb_x))
+            reading = lat.rate * absorb_t + lat.offsets[r]
             t_ok = math.isclose(image.t - master_term, reading, rel_tol=0.0, abs_tol=1e-9)
             x_ok = math.isclose(image.x, gamma * lat.positions[r],
                                 rel_tol=0.0, abs_tol=1e-9)
