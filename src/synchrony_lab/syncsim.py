@@ -22,9 +22,10 @@ toward -x, while every round trip averages to ``C`` under every protocol.
 ``frame_coeffs(lattice.frame)`` therefore maps absolute events into the
 lattice chart.
 
-A lattice is owned by one simulation run at a time.  Every signal goes
-through one kernel, :func:`_signal`, after its caller has checked the
-inputs once; an isotropy scan checks each point's beta and builds no lattice.
+A lattice is owned by one simulation run at a time.  Callers check their
+inputs once; then every signal goes through one kernel, :func:`_signal`,
+and every speed measurement through one, :func:`_timed`, which the
+isotropy scan calls with no lattice.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from pathlib import Path
 
 from .errors import FileInvalid, NotSynchronized, UnresolvableChase
 from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
-                         induced_synchrony)
+                         _eta, induced_synchrony)
 
 LIGHT = "light"
 SUPERLUMINAL_FINITE = "superluminal-finite"
@@ -93,14 +94,14 @@ class ClockLattice:
     """Simulator ground truth: the hardware's frame, its clocks, and a signal log.
 
     ``frame`` is the kinematics frame of the hardware (``beta = -drift``,
-    ``k`` as realized by the last protocol run).  Clock i sits at absolute
-    position ``positions[i]`` at absolute time 0, moves at ``frame.beta*C``
-    and reads ``rate*t + offsets[i]`` at absolute time t; offsets are zero
-    until a protocol sets them.  ``log`` lists every signal since the last
-    protocol run started (its exchange, then any measurements) as a
-    ``(kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs)`` tuple in the
-    absolute chart.  ``protocol`` names the last completed protocol run;
-    only :func:`run_protocol` sets it.
+    ``k`` as realized by ``protocol``).  Clock i sits at absolute position
+    ``positions[i]`` at absolute time 0, moves at ``frame.beta*C`` and reads
+    ``rate*t + offsets[i]`` at absolute time t.  ``log`` lists every signal
+    since the last protocol run started (its exchange, then any
+    measurements) as a ``(kind, emit_t, emit_x, absorb_t, absorb_x,
+    speed_abs)`` tuple in the absolute chart.  ``protocol`` names the last
+    protocol run if it completed, else None, and then ``k`` and the offsets
+    are zero; only :func:`run_protocol` sets them.
     """
 
     frame: FrameSpec
@@ -127,8 +128,7 @@ class ClockLattice:
     @property
     def rate(self) -> float:
         """Tick rate of every clock per absolute time unit."""
-        b = self.frame.beta
-        return math.sqrt(1.0 - b * b)
+        return _rate(self.frame.beta)
 
     def index(self, node_id: int) -> int:
         """``node_id``, checked: negative, bool, non-integer or out-of-range ids are rejected."""
@@ -179,7 +179,7 @@ def _check_signal(lattice, from_id, to_id, kind, speed) -> tuple:
     x_to = lattice.positions[lattice.index(to_id)]
     if kind != SUPERLUMINAL_FINITE:
         return x_from, x_to, C
-    if speed is None or not math.isfinite(speed) or speed <= 0.0:
+    if not (_is_finite(speed) and speed > 0.0):
         raise ValueError("superluminal-finite signals need a positive finite speed")
     return x_from, x_to, float(speed)
 
@@ -219,10 +219,17 @@ def _signal(rows, kind, u, magnitude, x_from, x_to, t_emit, to_id) -> float:
     return t_abs
 
 
-def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> ClockLattice:
-    """Zero every offset and start a fresh log, then set the offsets against ``master``.
+def _rate(b: float) -> float:
+    """Tick rate per absolute time unit of a clock moving at ``b*C``."""
+    return math.sqrt(1.0 - b * b)
 
-    The exchange starts at absolute time 0 and is logged.
+
+def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> ClockLattice:
+    """Reset the lattice to its built state, then synchronize it against ``master``.
+
+    The built state has zero offsets and ``frame.k``, an empty log and no
+    ``protocol``.  The exchange starts at absolute time 0 and is logged; the
+    offsets, ``frame.k`` and ``protocol`` are set together once it completes.
 
     einstein
         Literal two-way light exchange per slave: emit, reflect, return;
@@ -242,13 +249,12 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     m = lattice.index(master)
-    rate = lattice.rate
-    offsets = lattice.offsets = [0.0] * len(lattice.positions)  # the master reads rate*t
-    rows = lattice.log = []
-    lattice.protocol = None  # a run that raises leaves the lattice unsynchronized
-    p, u = lattice.positions, lattice.frame.beta * C
-    slaves = [i for i in range(len(offsets)) if i != m]
-    t0 = 0.0
+    p, b, label = lattice.positions, lattice.frame.beta, lattice.frame.label
+    rows, offsets = [], [0.0] * len(p)  # the master reads rate*t
+    lattice.offsets, lattice.log, lattice.protocol = [0.0] * len(p), rows, None
+    lattice.frame = FrameSpec(b, 0.0, label)
+    rate, u, t0 = _rate(b), b * C, 0.0
+    slaves = [i for i in range(len(p)) if i != m]
     if protocol == EINSTEIN:
         for i in slaves:
             t_reflect = _signal(rows, LIGHT, u, C, p[m], p[i], t0, i)
@@ -259,9 +265,8 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
             offsets[i] = rate * t0 - rate * _signal(rows, INSTANTANEOUS, u, C, p[m], p[i], t0, i)
     # EXTERNAL_REGULATION: at absolute time 0 the reference reads the master's 0.
 
-    lattice.protocol = protocol
-    realized_k = 0.0 if protocol == EINSTEIN else induced_synchrony(0.0, lattice.frame.beta)
-    lattice.frame = FrameSpec(lattice.frame.beta, realized_k, lattice.frame.label)
+    lattice.offsets, lattice.protocol = offsets, protocol
+    lattice.frame = FrameSpec(b, 0.0 if protocol == EINSTEIN else induced_synchrony(0.0, b), label)
     return lattice
 
 
@@ -301,24 +306,28 @@ def measure_two_way(
 
 
 def _measure(lattice, from_id, to_id, kind, speed, two_way) -> SpeedMeasurement:
-    """One-way, or out and back when ``two_way``: sync check, legs, clock readings, rest length."""
+    """One-way, or out and back when ``two_way``: sync check, signal checks, then :func:`_timed`."""
     if lattice.protocol is None:
         raise NotSynchronized("run a synchronization protocol before measuring")
     x_from, x_to, magnitude = _check_signal(lattice, from_id, to_id, kind, speed)
-    rows, u, t0 = lattice.log, lattice.frame.beta * C, 0.0
+    direction = TWO_WAY if two_way else PLUS_X if x_to > x_from else MINUS_X
+    return SpeedMeasurement(direction, *_timed(lattice.log, kind, lattice.frame.beta, lattice.rate,
+                                               magnitude, x_from, x_to, from_id, to_id,
+                                               lattice.offsets, two_way))
+
+
+def _timed(rows, kind, b, rate, magnitude, x_from, x_to, from_id, to_id, offsets, two_way):
+    """:func:`_measure` on checked plain floats, ``rate = _rate(b)``: (distance, elapsed, speed)."""
+    u, t0 = b * C, 0.0
     t = _signal(rows, kind, u, magnitude, x_from, x_to, t0, to_id)
     if two_way:
         t = _signal(rows, kind, u, magnitude, x_to, x_from, t, from_id)
     end = from_id if two_way else to_id
-    rate, offsets = lattice.rate, lattice.offsets
     elapsed = (rate * t + offsets[end]) - (rate * t0 + offsets[from_id])
-    gap = x_to - x_from
-    distance = (1.0 / math.sqrt(1.0 - lattice.frame.beta**2)) * abs(gap)  # rest length
+    distance = _eta(b, 0.0) * abs(x_to - x_from)  # rest length
     if two_way:
         distance = 2.0 * distance
-    direction = TWO_WAY if two_way else PLUS_X if gap > 0 else MINUS_X
-    speed_val = INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
-    return SpeedMeasurement(direction, distance, elapsed, speed_val)
+    return distance, elapsed, INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
 
 
 @dataclass(frozen=True)
@@ -334,26 +343,20 @@ class ScanPoint:
 def isotropy_scan(betas) -> list[ScanPoint]:
     """Measure the one-way anisotropy for each candidate drift velocity.
 
-    Each drift is checked once and no lattice is built: three signals go
-    through :func:`_signal` between clocks at x = 0 and 1, a zero-delay one to
-    synchronize them and a light one each way, timed as :func:`measure_one_way`
-    times it.  The anisotropy ``c_plus - c_minus`` equals 2*beta/(1 - beta^2)
-    and vanishes exactly in the isotropy frame, so the argmin of its
-    magnitude locates that frame.
+    Each drift is checked once; with no lattice, :func:`_timed` times a light
+    signal each way between clocks at x = 0 and 1 with zero offsets, which
+    external regulation sets and which equal the superluminal ones exactly.
+    ``c_plus - c_minus`` is 2*beta/(1 - beta^2) and vanishes exactly in the
+    isotropy frame, so the argmin of its magnitude locates that frame.
     """
-    points = []
+    points, offsets = [], (0.0, 0.0)
     for beta in map(float, betas):
-        b, rows, t0 = -beta, [], 0.0  # b: ClockLattice.build's frame.beta
+        b, rows = -beta, []  # b: ClockLattice.build's frame.beta
         _check_beta(b)
-        u, rate = b * C, math.sqrt(1.0 - b * b)
-        offsets = (0.0, rate * t0 - rate * _signal(rows, INSTANTANEOUS, u, C, 0.0, 1.0, t0, 1))
-        distance = 1.0 / math.sqrt(1.0 - b**2)  # rest length of the unit gap
-        speeds = []
-        for i, j in ((0, 1), (1, 0)):
-            t = _signal(rows, LIGHT, u, C, float(i), float(j), t0, j)
-            elapsed = (rate * t + offsets[j]) - (rate * t0 + offsets[i])
-            speeds.append(INFINITE_SPEED if elapsed == 0.0 else distance / elapsed)
-        points.append(ScanPoint(beta, *speeds, speeds[0] - speeds[1]))
+        rate = _rate(b)
+        c_plus = _timed(rows, LIGHT, b, rate, C, 0.0, 1.0, 0, 1, offsets, False)[2]
+        c_minus = _timed(rows, LIGHT, b, rate, C, 1.0, 0.0, 1, 0, offsets, False)[2]
+        points.append(ScanPoint(beta, c_plus, c_minus, c_plus - c_minus))
     return points
 
 

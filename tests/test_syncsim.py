@@ -21,6 +21,7 @@ from synchrony_lab import (
     propagate,
     run_protocol,
     superluminal_transform,
+    syncsim,
 )
 from synchrony_lab.kinematics import frame_coeffs
 from synchrony_lab.syncsim import (
@@ -177,6 +178,10 @@ class TestSignalLog:
         ((1, 0, LIGHT), {"t_emit": t_emit}, ValueError,
          "^t_emit must be an int or float that a float can hold$")
         for t_emit in (True, False, 10**400, -(10**400), 2**1024, "a", None, 1j, [0.0])
+    ] + [
+        ((0, 1, SUPERLUMINAL_FINITE), {"speed": speed}, ValueError,
+         "^superluminal-finite signals need a positive finite speed$")
+        for speed in (True, "3", 3 + 0j, 10**400)
     ]
 
     @pytest.mark.parametrize("args, kwargs, error, message", FAILURES)
@@ -283,8 +288,12 @@ class TestProtocols:
         assert lat.offsets[2] == 0.0
 
     def test_unknown_protocol(self):
-        with pytest.raises(ValueError):
-            run_protocol(lattice(), "gps")
+        lat = lattice()
+        run_protocol(lat, SUPERLUMINAL)
+        for protocol, master in (("gps", 0), (EINSTEIN, 2)):  # raise before the reset
+            with pytest.raises(ValueError):
+                run_protocol(lat, protocol, master)
+            assert (lat.protocol, lat.frame.k, len(lat.log)) == (SUPERLUMINAL, 0.6, 1)
 
     def test_protocol_marks_lattice_synced(self):
         lat = lattice()
@@ -292,15 +301,30 @@ class TestProtocols:
         run_protocol(lat, EINSTEIN)
         assert lat.protocol == EINSTEIN
 
-    def test_a_failed_run_leaves_the_lattice_unsynchronized(self):
+    def test_a_failed_run_leaves_the_lattice_unsynchronized(self, monkeypatch):
         # The return leg from x = 1e308 overflows, after one slave was set.
         lat = lattice(beta=0.6, positions=(0.0, 1.0, 1e308))
         run_protocol(lat, SUPERLUMINAL, master=1)
         with pytest.raises(ValueError, match="^event component t must be finite$"):
             run_protocol(lat, EINSTEIN, master=1)
         assert lat.protocol is None
+        assert lat.frame.k == 0.0
+        assert lat.offsets == [0.0, 0.0, 0.0]
         with pytest.raises(NotSynchronized):
             measure_one_way(lat, 0, 1)
+
+        # A zero-delay signal cannot fail, so fail the second one by hand:
+        # the run must not leave its realized k = 0.6 behind.
+        def second_signal_fails(rows, *args):
+            if rows:
+                raise UnresolvableChase("second signal")
+            return signal(rows, *args)
+
+        signal = syncsim._signal
+        monkeypatch.setattr(syncsim, "_signal", second_signal_fails)
+        with pytest.raises(UnresolvableChase):
+            run_protocol(lat, SUPERLUMINAL, master=1)
+        assert (lat.protocol, lat.frame.k, lat.offsets, len(lat.log)) == (None, 0.0, [0.0] * 3, 1)
 
     def test_only_a_protocol_run_marks_a_lattice_synced(self):
         lat = lattice()
