@@ -11,9 +11,8 @@ Exit codes: 0 success, 2 degenerate convention or usage error, 3 invalid
 input file or parameters (including a ``scan``/``probe`` grid of more than
 :data:`MAX_GRID_POINTS` points or whose step is lost to rounding, or a
 ``probe`` fit of more than :data:`MAX_FIT_CELLS` grid points times samples),
-4 ill-conditioned fit.  The fit cap bounds run time, not memory: the
-estimator works in fixed chunks of grid rows, so its memory is
-O(chunk x samples) whatever the fit's size.
+4 ill-conditioned fit.  The estimator's time and memory are
+O(grid + samples) whatever the fit's size.
 Every error path writes a single machine-parsable line
 ``error_code key=value ...`` to stderr.
 """
@@ -44,8 +43,8 @@ EXIT_ILL_CONDITIONED = 4
 #: Largest beta grid ``scan`` and ``probe`` accept; checked before allocation.
 MAX_GRID_POINTS = 10**6
 
-#: Largest grid points x samples ``probe`` fits.  It bounds run time, not memory:
-#: the estimator works in fixed chunks of grid rows, O(chunk x samples) memory.
+#: Largest grid points x samples ``probe`` fits; the estimator itself is
+#: O(grid + samples) in time and memory.
 MAX_FIT_CELLS = 10**7
 
 

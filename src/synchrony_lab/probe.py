@@ -30,10 +30,6 @@ HBAR_EV_S = 6.582119569e-16
 #: Planck energy in eV (1.22e19 GeV).
 PLANCK_ENERGY_EV = 1.22e28
 
-# Grid-sample cells the estimator evaluates at once: a fit of at most this
-# many cells is one chunk, larger fits go a chunk of grid rows at a time.
-_FIT_CHUNK_CELLS = 1 << 16
-
 
 @dataclass(frozen=True)
 class CollapseSample:
@@ -65,7 +61,7 @@ def collapse_time(delta_E: float, beta: float) -> float:
         raise ValueError(f"delta_E must be positive, got {delta_E!r}")
     if not (math.isfinite(beta) and abs(beta) < 1.0):
         raise ValueError(f"|beta| must be < 1, got {beta!r}")
-    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
     square = delta_E * delta_E  # 0.0 once delta_E is below about 1e-162
     if square == 0.0 or math.isinf(t_c := gamma * HBAR_EV_S * PLANCK_ENERGY_EV / square):
         raise ValueError(f"collapse time overflows a float for delta_E={delta_E!r}")
@@ -123,12 +119,13 @@ def _parabolic_vertex(bs, rs) -> float | None:
 def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     """Locate the preferred-frame velocity from collapse-time samples.
 
-    For each candidate ``b`` on the grid the samples' lab velocities are
-    composed relativistically with ``b`` (u ominus b = (u - b)/(1 - u*b)),
-    the gamma curve is scaled to the delta_E^2-normalized times by least
-    squares, and the squared residual is recorded.  The grid argmin gets one
-    step of parabolic refinement through its neighbors.  Deterministic by
-    construction: no optimizer, grid order fixed.
+    Each grid point ``b`` composes the lab velocities u with it (u ominus b
+    = (u - b)/(1 - u*b)), scales the gamma curve to the delta_E^2-normalized
+    times y by least squares and records the squared residual.  As gamma(u
+    ominus b) = gamma(b)*gamma(u)*(1 - u*b), every curve lies in the plane of
+    gamma(u) and u*gamma(u): y is projected onto it once, so the fit is
+    O(samples + grid) in time and memory.  The grid argmin gets one step of
+    parabolic refinement through its neighbors; there is no optimizer.
 
     Raises :class:`IllConditioned` when fewer than three distinct lab
     velocities are present (the curve's location and scale would be
@@ -155,46 +152,46 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
             f"got {len(samples)} samples at {distinct}"
         )
 
-    # One chunk of grid rows at a time keeps the temporaries at O(chunk x samples).
-    rows = max(1, _FIT_CHUNK_CELLS // u.size)
-    gy = np.empty(grid.size)
-    gg = np.empty(grid.size)
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual
         yy = float(y @ y)
         if not (np.all(y > 0.0) and yy >= np.finfo(float).tiny):  # all residuals would be 0
             raise IllConditioned("normalized collapse times underflow")
-        for start in range(0, grid.size, rows):
-            b = grid[start : start + rows, None]
-            w = (u - b) / (1.0 - u * b)
-            g = 1.0 / np.sqrt(1.0 - w * w)
-            gy[start : start + rows] = g @ y
-            gg[start : start + rows] = np.sum(g * g, axis=1)
-        scales = gy / gg
-        residuals = yy - gy * gy / gg
+        phi1 = 1.0 / np.sqrt((1.0 - u) * (1.0 + u))
+        # Orthonormal q1, q2 with u*phi1 = p12*q1 + n2*q2: one Gram-Schmidt pass
+        # loses orthogonality when the velocities cluster, two passes do not.
+        n1 = math.sqrt(phi1 @ phi1)
+        q1 = phi1 / n1
+        q2, p12 = u * phi1, 0.0
+        for _ in range(2):
+            p = q1 @ q2
+            q2, p12 = q2 - p * q1, p12 + p
+        n2 = math.sqrt(q2 @ q2)
+        q2 /= n2
+        c1, c2 = q1 @ y, q2 @ y
+        # Curve b is gamma(b)*(d1*q1 + d2*q2); both residual terms are non-negative.
+        d1, d2 = n1 - grid * p12, -grid * n2
+        dd = d1 * d1 + d2 * d2
+        residuals = np.sum((y - c1 * q1 - c2 * q2) ** 2) + (c1 * d2 - c2 * d1) ** 2 / dd
     if not np.isfinite(residuals).all():
         raise IllConditioned("fit residuals are not finite")
-    residuals = np.maximum(residuals, 0.0)  # clip rounding just below zero
 
     i = int(np.argmin(residuals))
-    beta_hat = float(grid[i])
-    refined = False
+    b = float(grid[i])
+    vertex = None
     if 0 < i < grid.size - 1:
         vertex = _parabolic_vertex(grid[i - 1 : i + 2], residuals[i - 1 : i + 2])
-        if vertex is not None:
-            beta_hat = vertex
-            refined = True
 
     report = FitReport(
-        beta_hat=beta_hat,
-        grid_beta_hat=float(grid[i]),
-        refined=refined,
-        scale=float(scales[i]),
+        beta_hat=b if vertex is None else vertex,
+        grid_beta_hat=b,
+        refined=vertex is not None,
+        scale=float((c1 * d1[i] + c2 * d2[i]) / dd[i]) * math.sqrt((1.0 - b) * (1.0 + b)),
         beta_grid=tuple(grid.tolist()),
         residuals=tuple(residuals.tolist()),
         n_samples=len(samples),
         distinct_velocities=int(distinct),
     )
-    return beta_hat, report
+    return report.beta_hat, report
 
 
 def load_samples(path) -> list[CollapseSample]:

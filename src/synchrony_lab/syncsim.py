@@ -177,11 +177,10 @@ def _check_signal(lattice, from_id, to_id, kind, speed) -> tuple:
         raise ValueError("signal endpoints must differ")
     x_from = lattice.positions[lattice.index(from_id)]
     x_to = lattice.positions[lattice.index(to_id)]
-    if kind != SUPERLUMINAL_FINITE:
-        return x_from, x_to, C
-    if not (_is_finite(speed) and speed > 0.0):
-        raise ValueError("superluminal-finite signals need a positive finite speed")
-    return x_from, x_to, float(speed)
+    if speed is not None or kind == SUPERLUMINAL_FINITE:
+        if not (_is_finite(speed) and speed > 0.0):
+            raise ValueError(f"{kind} signals need a positive finite speed")
+    return x_from, x_to, float(speed) if kind == SUPERLUMINAL_FINITE else C
 
 
 def _signal(rows, kind, u, magnitude, x_from, x_to, t_emit, to_id) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+from decimal import Context, Decimal, localcontext
 
 from synchrony_lab import cli
 from synchrony_lab.errors import ConventionOutOfRange, DegenerateConvention
@@ -203,6 +204,39 @@ def synth_collapse_samples(beta0, velocities, delta_E=1.0, sigma=0.0, rng=None):
             t_c *= 1.0 + sigma * rng.standard_normal()
         samples.append(CollapseSample(delta_E=delta_E, beta=float(u), t_c=t_c))
     return samples
+
+
+def oracle_collapse_time(delta_E: float, beta: float) -> Decimal:
+    """gamma * hbar * E_p / delta_E^2 for the float inputs and constants, to 50 digits."""
+    with localcontext(Context(prec=50)):
+        b = Decimal(beta)
+        gamma = 1 / ((1 - b) * (1 + b)).sqrt()
+        hbar_e_p = Decimal(ORACLE_HBAR_EV_S) * Decimal(ORACLE_PLANCK_ENERGY_EV)
+        return gamma * hbar_e_p / Decimal(delta_E) ** 2
+
+
+def oracle_residuals(samples, grid) -> list[Decimal]:
+    """The probe fit's residual at each grid point, to 50 digits.
+
+    With y = t_c * delta_E^2 and g_b(u) = gamma((u - b)/(1 - u*b)), the
+    residual at b is y.y - (g_b.y)^2 / (g_b.g_b).  Since g_b(u) =
+    gamma(b) * gamma(u) * (1 - u*b), both dot products are quadratics in b
+    over six sums taken once; 50 digits leave about 19 after the worst
+    cancellation in the tests.
+    """
+    with localcontext(Context(prec=50)):
+        sums = [Decimal(0)] * 6  # y.y, g.g, g.ug, ug.ug, g.y, ug.y with g = gamma(u)
+        for s in samples:
+            u, y = Decimal(s.beta), Decimal(s.t_c) * Decimal(s.delta_E) ** 2
+            g = 1 / ((1 - u) * (1 + u)).sqrt()
+            for k, term in enumerate((y * y, g * g, g * u * g, u * g * u * g, g * y, u * g * y)):
+                sums[k] += term
+        yy, a, ab, bb, p, q = sums
+        residuals = []
+        for beta in grid:
+            b = Decimal(beta)
+            residuals.append(yy - (p - b * q) ** 2 / (a - 2 * b * ab + b * b * bb))
+        return residuals
 
 
 def run_cli(argv):

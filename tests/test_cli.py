@@ -415,8 +415,8 @@ class TestProbeCommand:
         assert err.splitlines() == ["ill_conditioned reason=normalized_collapse_times_underflow"]
 
     def test_oversized_fit_exits_3_before_allocating(self, tmp_path):
-        # 900001 grid points pass the grid cap, but times 1000 samples the
-        # estimator's arrays would need several GB.
+        # 900001 grid points pass the grid cap, but times 1000 samples they
+        # pass the 10^7-cell fit cap.
         samples = tmp_path / "many.csv"
         rows = "".join(f"1.0,{-0.8 + 1.6 * i / 999!r},1e12,\n" for i in range(1000))
         samples.write_text("delta_E,lab_beta,t_c,sigma\n" + rows)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from synchrony_lab.probe import FitReport, _parabolic_vertex
 from conftest import (
     ORACLE_HBAR_EV_S,
     ORACLE_PLANCK_ENERGY_EV,
+    oracle_collapse_time,
+    oracle_residuals,
     synth_collapse_samples,
     velocity_subtract,
 )
@@ -68,6 +71,21 @@ class TestCollapseTime:
     def test_time_past_the_largest_float_rejected(self, delta_E):
         with pytest.raises(ValueError, match="overflows"):
             collapse_time(delta_E, 0.0)
+
+    # |beta| = 1 - 10^-j on both sides, where 1 - beta*beta loses up to 2e6 ulps,
+    # and a mid-range sample, where the digits must not be traded away.
+    EDGE = [sign * (1.0 - 10.0**-j) for j in range(1, 13) for sign in (1.0, -1.0)]
+    MID = np.random.default_rng(15).uniform(-0.9, 0.9, 200).tolist()
+
+    @pytest.mark.parametrize("delta_E", [1.0, 0.7, 3e-3])
+    @pytest.mark.parametrize("betas", [EDGE, MID], ids=["edge", "mid"])
+    def test_within_three_ulps_of_the_50_digit_oracle(self, delta_E, betas):
+        # gamma's radicand and square root cost about 1 ulp; the products with
+        # hbar and E_p and the division by delta_E^2 round four more times.
+        for beta in betas:
+            exact = oracle_collapse_time(delta_E, beta)
+            error = abs(Decimal(collapse_time(delta_E, beta)) - exact)
+            assert error <= 3 * Decimal(math.ulp(float(exact))), beta
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
@@ -246,7 +264,7 @@ def test_parabolic_vertex_matches_polyfit():
 
 
 def unchunked_fit(samples, beta_grid) -> FitReport:
-    """The estimator restated over the whole grid x samples problem at once."""
+    """The estimator restated cell by cell over the whole grid x samples problem."""
     grid = np.asarray(beta_grid, dtype=float)
     u = np.array([s.beta for s in samples])
     y = np.array([s.t_c * (s.delta_E * s.delta_E) for s in samples])
@@ -272,39 +290,89 @@ def unchunked_fit(samples, beta_grid) -> FitReport:
     )
 
 
-def noisy_samples(beta0, n, seed):
+def noisy_samples(beta0, n, seed, velocities=None):
     rng = np.random.default_rng(seed)
-    return synth_collapse_samples(beta0, np.linspace(-0.8, 0.8, n), sigma=0.01, rng=rng)
+    if velocities is None:
+        velocities = np.linspace(-0.8, 0.8, n)
+    return synth_collapse_samples(beta0, velocities, sigma=0.01, rng=rng)
 
 
-class TestChunkedFit:
-    """The residual curve is built a chunk of grid rows at a time; the answers do not move."""
+FIT_CASES = {
+    "golden-181x17": lambda: (load_samples(DATA / "collapse_samples_beta03.csv"), GRID_001),
+    "181x100": lambda: (noisy_samples(0.3, 100, 42), GRID_001),  # criterion 9's size
+    "1801x2000": lambda: (noisy_samples(-0.2, 2000, 2000), GRID_0001),
+    "7x70000": lambda: (noisy_samples(0.1, 70_000, 70_000), [-0.9 + 0.3 * i for i in range(7)]),
+    # 50 velocities within 1e-8 of each other: gamma(u) and u*gamma(u) are
+    # nearly parallel, and one Gram-Schmidt pass is off by about 6e-8.
+    "clustered-181x50": lambda: (
+        noisy_samples(0.3, 50, 50, velocities=0.5 + 1e-8 * np.linspace(-1.0, 1.0, 50)), GRID_001),
+}
 
-    @pytest.mark.parametrize("samples", [
-        load_samples(DATA / "collapse_samples_beta03.csv"),  # the probe golden's 181 x 17
-        noisy_samples(0.3, 100, 42),  # criterion 9's 181 x 100
-    ], ids=["golden-181x17", "181x100"])
-    def test_one_chunk_fit_is_bitwise_the_unchunked_fit(self, samples):
-        _, report = estimate_absolute_frame(samples, GRID_001)
-        assert report.to_dict() == unchunked_fit(samples, GRID_001).to_dict()
 
-    @pytest.mark.parametrize("beta0, n, grid", [
-        (-0.2, 2000, GRID_0001),  # 32-row chunks, the last one of 9 rows
-        (0.1, 70_000, [-0.9 + 0.3 * i for i in range(7)]),  # one row a chunk
-    ], ids=["1801x2000", "7x70000"])
-    def test_multi_chunk_fit_matches_the_unchunked_fit(self, beta0, n, grid):
-        samples = noisy_samples(beta0, n, seed=n)
+def oracle_vertex(grid, residuals) -> float:
+    """The oracle curve's argmin, moved to the vertex of the parabola through its neighbors."""
+    i = min(range(len(residuals)), key=residuals.__getitem__)
+    if not 0 < i < len(grid) - 1:
+        return grid[i]
+    with localcontext(Context(prec=50)):
+        (b0, b1, b2), (r0, r1, r2) = map(Decimal, grid[i - 1 : i + 2]), residuals[i - 1 : i + 2]
+        den = (b1 - b0) * (r1 - r2) - (b1 - b2) * (r1 - r0)
+        if den == 0:
+            return grid[i]
+        return float(b1 - ((b1 - b0) ** 2 * (r1 - r2) - (b1 - b2) ** 2 * (r1 - r0)) / (2 * den))
+
+
+class TestFitKernel:
+    """The O(grid + samples) fit against the cell-by-cell fit and a 50-digit oracle."""
+
+    @pytest.mark.parametrize("case", ["golden-181x17", "181x100", "1801x2000", "7x70000"])
+    def test_fit_matches_the_cell_by_cell_fit(self, case):
+        samples, grid = FIT_CASES[case]()
         _, got = estimate_absolute_frame(samples, grid)
         want = unchunked_fit(samples, grid)
-        # Only the BLAS summation order of g @ y may differ between chunkings.
+        # The cell-by-cell residuals are cancelling differences, good to about
+        # 1e-11 relative, so only the answers and a loose curve are compared.
         assert (got.grid_beta_hat, got.refined) == (want.grid_beta_hat, want.refined)
-        assert math.isclose(got.beta_hat, want.beta_hat, rel_tol=0.0, abs_tol=1e-12)
         assert math.isclose(got.scale, want.scale, rel_tol=1e-12)
         assert got.beta_grid == want.beta_grid
         tolerance = 1e-9 * max(want.residuals)
         assert all(abs(a - b) <= tolerance for a, b in zip(got.residuals, want.residuals))
 
-    def test_large_fit_memory_is_bounded_by_the_chunk(self):
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_fit_matches_the_50_digit_oracle(self, case):
+        samples, grid = FIT_CASES[case]()
+        beta_hat, report = estimate_absolute_frame(samples, grid)
+        exact = oracle_residuals(samples, grid)
+        yy = math.fsum((s.t_c * s.delta_E**2) ** 2 for s in samples)
+        relative, absolute = 0.0, 0.0
+        for got, want in zip(report.residuals, exact):
+            error = abs(Decimal(got) - want)
+            if want >= Decimal(1e-6 * yy):
+                relative = max(relative, float(error / want))
+            else:  # near an exact fit the residual is rounding noise; bound it absolutely
+                absolute = max(absolute, float(error) / yy)
+        assert relative <= 1e-13
+        assert absolute <= 1e-20
+        assert abs(beta_hat - oracle_vertex(grid, exact)) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["golden-181x17", "clustered-181x50"])
+    def test_oracle_matches_the_cell_by_cell_sum(self, case):
+        # oracle_residuals factors gamma(u (-) b); here each cell is composed as written.
+        samples, grid = FIT_CASES[case]()
+        grid = grid[::20]
+        with localcontext(Context(prec=50)):
+            for b, got in zip(grid, oracle_residuals(samples, grid)):
+                b = Decimal(b)
+                gy = gg = yy = Decimal(0)
+                for s in samples:
+                    u, y = Decimal(s.beta), Decimal(s.t_c) * Decimal(s.delta_E) ** 2
+                    w = (u - b) / (1 - u * b)
+                    g = 1 / (1 - w * w).sqrt()
+                    gy, gg, yy = gy + g * y, gg + g * g, yy + y * y
+                want = yy - gy * gy / gg
+                assert abs(got - want) <= Decimal("1e-30") * yy
+
+    def test_large_fit_memory_is_bounded(self):
         samples = noisy_samples(0.3, 5000, 5)
         estimate_absolute_frame(samples[:100], GRID_001)  # warm-up: numpy's lazy imports
         tracemalloc.start()

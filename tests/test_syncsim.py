@@ -226,6 +226,12 @@ class TestCheckOrder:
         (0, 7, SUPERLUMINAL_FINITE, None, "no node with id 7"),
         (1.0, 0, SUPERLUMINAL_FINITE, math.nan, "no node with id 1.0"),
         (0, 1, SUPERLUMINAL_FINITE, 0.0, NO_SPEED),
+        # Light and instantaneous signals do not use a speed, but a given one
+        # must be valid, as parse_scenario requires of scenario files.
+        (0, 1, LIGHT, -5.0, "light signals need a positive finite speed"),
+        (0, 1, LIGHT, "junk", "light signals need a positive finite speed"),
+        (0, 1, INSTANTANEOUS, math.inf, "instantaneous signals need a positive finite speed"),
+        (0, 1, INSTANTANEOUS, True, "instantaneous signals need a positive finite speed"),
     ]
 
     @pytest.mark.parametrize("from_id, to_id, kind, speed, message", CASES)
@@ -236,6 +242,17 @@ class TestCheckOrder:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             send(lat, from_id, to_id, kind, speed=speed)
         assert len(lat.log) == 2
+
+    @pytest.mark.parametrize("kind", [LIGHT, INSTANTANEOUS])
+    def test_a_valid_speed_leaves_light_and_instantaneous_signals_alone(self, kind):
+        runs = []
+        for speed in (None, 4.0, 0.5):
+            lat = lattice(positions=(0.0, 1.0, 2.5))
+            run_protocol(lat, SUPERLUMINAL)
+            runs.append((propagate(lat, 2, 0, kind, speed=speed, t_emit=0.3),
+                         measure_one_way(lat, 0, 2, kind, speed=speed),
+                         measure_two_way(lat, 2, 1, kind, speed=speed), list(lat.log)))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_a_bad_speed_is_reported_before_a_non_finite_event(self):
         lat = lattice()
