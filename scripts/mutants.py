@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Mutation gate: every catalogued slip in the source must fail the tests named for it.
+
+Each catalogue entry is one exact substitution (file, old text, new text)
+plus the pytest node ids that must kill it.  The script first checks that
+every old text occurs exactly once and that all named tests pass on an
+unmutated copy of the tree.  Then, for each entry, it copies the tree to a
+fresh temporary directory, applies the substitution and runs the entry's
+tests with pytest in a subprocess; they must report a failure (pytest exit
+status 1).  A surviving mutant is a check that cannot see the slip: make the
+test stronger, or explain why the mutant is equivalent, but do not drop the
+entry.  Standard library only:
+
+    python scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts")
+
+KINEMATICS = "src/synchrony_lab/kinematics.py"
+SYNCSIM = "src/synchrony_lab/syncsim.py"
+PROBE = "src/synchrony_lab/probe.py"
+
+FIT_ORACLE = "tests/test_probe.py::TestFitKernel::test_fit_matches_the_50_digit_oracle"
+EDGE_DIGITS = ("tests/test_syncsim.py::TestDigitsNearTheSpeedOfLight::"
+               "test_within_a_few_ulps_of_the_oracles[edge]")
+
+#: (name, file, old text, new text, tests that must fail)
+CATALOGUE = (
+    ("lattice frame moves at +drift", SYNCSIM,
+     'FrameSpec(-drift, 0.0, "lab")', 'FrameSpec(drift, 0.0, "lab")',
+     ["tests/test_syncsim.py::TestMeasurements::"
+      "test_superluminal_sync_measures_anisotropic_light"]),
+    ("signal kernel flips the lattice velocity", SYNCSIM,
+     "    x_emit = x_from + u * t_emit\n", "    u = -u\n    x_emit = x_from + u * t_emit\n",
+     ["tests/test_syncsim.py::TestPropagate::test_drift_shortens_downwind_flight"]),
+    ("rest length divides by the rate", SYNCSIM,
+     "distance = _eta(b, 0.0) * abs(x_to - x_from)", "distance = abs(x_to - x_from) / rate",
+     ["tests/test_sync_digest.py"]),
+    ("realized k set before the exchange", SYNCSIM,
+     "    lattice.frame = FrameSpec(b, 0.0, label)\n",
+     "    lattice.frame = FrameSpec(b, 0.0 if protocol == EINSTEIN"
+     " else induced_synchrony(0.0, b), label)\n",
+     ["tests/test_syncsim.py::TestProtocols::"
+      "test_a_failed_run_leaves_the_lattice_unsynchronized"]),
+    ("speed rule only for superluminal-finite signals", SYNCSIM,
+     "    if speed is not None or kind == SUPERLUMINAL_FINITE:\n        if not (_is_finite",
+     "    if kind == SUPERLUMINAL_FINITE:\n        if not (_is_finite",
+     ["tests/test_syncsim.py::TestCheckOrder::test_first_broken_rule_is_reported"]),
+    ("scan drifts at +beta", SYNCSIM,
+     "b, rows = -beta, []", "b, rows = beta, []",
+     ["tests/test_syncsim.py::TestIsotropyScan"]),
+    ("scan offsets (0, rate)", SYNCSIM,
+     "        rate = _rate(b)\n", "        rate = _rate(b)\n        offsets = (0.0, rate)\n",
+     ["tests/test_syncsim.py::TestIsotropyScan"]),
+    ("clock rate radicand 1 - b*b", SYNCSIM,
+     "math.sqrt((1.0 - b) * (1.0 + b))", "math.sqrt(1.0 - b * b)",
+     [EDGE_DIGITS]),
+    ("eta radicand (1 + beta*k)**2 - beta**2", KINEMATICS,
+     "    a = 1.0 + beta * k\n    disc = (a - beta) * (a + beta)",
+     "    disc = (1.0 + beta * k) ** 2 - beta**2",
+     [EDGE_DIGITS]),
+    ("superluminal transform induces k' = +beta", KINEMATICS,
+     "_induced(0.0, beta)), e", "_induced(0.0, -beta)), e",
+     ["tests/test_kinematics.py::TestSuperluminalTransform"]),
+    ("collapse time radicand 1 - beta*beta", PROBE,
+     "math.sqrt((1.0 - beta) * (1.0 + beta))", "math.sqrt(1.0 - beta * beta)",
+     ["tests/test_probe.py::TestCollapseTime"]),
+    ("probe curve d1 = n1 + b*p12", PROBE,
+     "d1, d2 = n1 - grid * p12", "d1, d2 = n1 + grid * p12",
+     [f"{FIT_ORACLE}[one-sided-181x60]"]),
+    ("one Gram-Schmidt pass", PROBE,
+     "for _ in range(2):", "for _ in range(1):",
+     [f"{FIT_ORACLE}[clustered-181x50]"]),
+    ("minimizer denominator c1*n2 - c2*p12", PROBE,
+     "(c2 * p12 - c1 * n2)", "(c1 * n2 - c2 * p12)",
+     [f"{FIT_ORACLE}[golden-181x17]"]),
+    ("minimizer drops p12", PROBE,
+     "(c2 * p12 - c1 * n2)", "(-c1 * n2)",
+     [f"{FIT_ORACLE}[one-sided-181x60]"]),
+    ("minimizer always used", PROBE,
+     "refined = bool(grid.min() <= b_star <= grid.max())", "refined = True",
+     ["tests/test_probe.py::TestFitKernel::test_clustered_fit_falls_back_to_the_grid_argmin"]),
+)
+
+
+def copy_tree(dest: Path) -> Path:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+    for name in COPIED:
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    return dest
+
+
+def run_pytest(tree: Path, tests, *options) -> int:
+    """pytest's exit status on ``tests`` in ``tree``, importing the package from its src/."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options, *tests],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def main() -> int:
+    started = time.perf_counter()
+    for name, path, old, _, _ in CATALOGUE:
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            print(f"mutant {name!r}: old text occurs {count} times in {path}, expected once")
+            return 2
+
+    every_test = sorted({test for *_, tests in CATALOGUE for test in tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        status = run_pytest(copy_tree(Path(tmp)), every_test)
+    if status != 0:
+        print(f"the named tests do not pass on the unmutated tree (pytest exit {status})")
+        return 2
+
+    survivors = 0
+    for name, path, old, new, tests in CATALOGUE:
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = copy_tree(Path(tmp))
+            source = tree / path
+            source.write_text(source.read_text(encoding="utf-8").replace(old, new),
+                              encoding="utf-8")
+            status = run_pytest(tree, tests, "-x")
+        verdict = "killed" if status == 1 else "SURVIVED" if status == 0 else f"error {status}"
+        survivors += status != 1
+        print(f"{verdict:>8}  {name}")
+
+    elapsed = time.perf_counter() - started
+    print(f"{len(CATALOGUE) - survivors} of {len(CATALOGUE)} mutants killed in {elapsed:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,10 +9,9 @@ scales past the largest float is invalid input, not "inf".
 
 Exit codes: 0 success, 2 degenerate convention or usage error, 3 invalid
 input file or parameters (including a ``scan``/``probe`` grid of more than
-:data:`MAX_GRID_POINTS` points or whose step is lost to rounding, or a
-``probe`` fit of more than :data:`MAX_FIT_CELLS` grid points times samples),
+:data:`MAX_GRID_POINTS` points or whose step is lost to rounding),
 4 ill-conditioned fit.  The estimator's time and memory are
-O(grid + samples) whatever the fit's size.
+O(grid + samples), so no cap applies to their product.
 Every error path writes a single machine-parsable line
 ``error_code key=value ...`` to stderr.
 """
@@ -42,10 +41,6 @@ EXIT_ILL_CONDITIONED = 4
 
 #: Largest beta grid ``scan`` and ``probe`` accept; checked before allocation.
 MAX_GRID_POINTS = 10**6
-
-#: Largest grid points x samples ``probe`` fits; the estimator itself is
-#: O(grid + samples) in time and memory.
-MAX_FIT_CELLS = 10**7
 
 
 class Formatter:
@@ -230,8 +225,6 @@ def cmd_scan(args):
 def cmd_probe(args):
     samples = probe.load_samples(args.samples)
     grid = _grid(args.beta_min, args.beta_max, args.step)
-    if len(grid) * len(samples) > MAX_FIT_CELLS:
-        raise ValueError(f"fit would have more than {MAX_FIT_CELLS} grid-sample cells")
     _, report = probe.estimate_absolute_frame(samples, grid)
     return {"command": "probe", **report.to_dict()}, [], []
 

@@ -165,7 +165,8 @@ def _inverse(m: tuple) -> tuple:
 
 
 def _eta(beta: float, k: float) -> float:
-    disc = (1.0 + beta * k) ** 2 - beta**2
+    a = 1.0 + beta * k
+    disc = (a - beta) * (a + beta)  # a*a - beta*beta cancels near |beta| = 1
     if disc <= 0.0:
         raise DegenerateConvention(beta, k)
     return 1.0 / math.sqrt(disc)

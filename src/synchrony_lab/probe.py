@@ -1,4 +1,4 @@
-"""Collapse-time model and the grid estimator for the preferred frame.
+"""Collapse-time model and the least-squares estimator for the preferred frame.
 
 The model: a wave function with energy spread ``delta_E`` collapses after
 
@@ -8,7 +8,8 @@ where ``beta`` is the laboratory's velocity relative to the preferred frame
 and ``E_p`` is the Planck energy.  Collapse is fastest in the preferred
 frame itself, so fitting measured collapse times against laboratory
 velocity and finding where the fitted curve bottoms out estimates that
-frame's velocity.
+frame's velocity.  That bottom has a closed form; a beta grid gives the
+residual curve around it.
 
 Only the shape of the curve is identified: the proportionality constant is
 absorbed into a per-candidate least-squares scale, and samples taken at
@@ -70,7 +71,12 @@ def collapse_time(delta_E: float, beta: float) -> float:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Everything the estimator decided; ``to_dict`` adds the model constants."""
+    """Everything the estimator decided; ``to_dict`` adds the model constants.
+
+    ``refined`` means the closed-form minimizer b* lies within the grid's span
+    and is ``beta_hat``; otherwise ``beta_hat`` is ``grid_beta_hat``, the grid
+    argmin.
+    """
 
     beta_hat: float
     grid_beta_hat: float
@@ -98,24 +104,6 @@ class FitReport:
         }
 
 
-def _parabolic_vertex(bs, rs) -> float | None:
-    """Vertex of the quadratic through three points; None if not a minimum.
-
-    Newton form: with divided differences s = f[b0, b1] and
-    a = f[b0, b1, b2], the vertex of s*(b - b0) + a*(b - b0)*(b - b1) is
-    (b0 + b1)/2 - s/(2a).
-    """
-    (b0, b1, b2), (r0, r1, r2) = bs, rs
-    slope = (r1 - r0) / (b1 - b0)
-    a = ((r2 - r1) / (b2 - b1) - slope) / (b2 - b0)
-    if a <= 0.0:
-        return None
-    vertex = 0.5 * (b0 + b1) - slope / (2.0 * a)
-    if not (b0 <= vertex <= b2):
-        return None
-    return float(vertex)
-
-
 def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     """Locate the preferred-frame velocity from collapse-time samples.
 
@@ -124,8 +112,10 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     times y by least squares and records the squared residual.  As gamma(u
     ominus b) = gamma(b)*gamma(u)*(1 - u*b), every curve lies in the plane of
     gamma(u) and u*gamma(u): y is projected onto it once, so the fit is
-    O(samples + grid) in time and memory.  The grid argmin gets one step of
-    parabolic refinement through its neighbors; there is no optimizer.
+    O(samples + grid) in time and memory.  The residual is least where the
+    curve is parallel to that projection, so the least-squares minimizer b*
+    is one division; it is the estimate when it lies within the grid's span,
+    and the grid argmin is otherwise.  There is no optimizer.
 
     Raises :class:`IllConditioned` when fewer than three distinct lab
     velocities are present (the curve's location and scale would be
@@ -172,20 +162,20 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         d1, d2 = n1 - grid * p12, -grid * n2
         dd = d1 * d1 + d2 * d2
         residuals = np.sum((y - c1 * q1 - c2 * q2) ** 2) + (c1 * d2 - c2 * d1) ** 2 / dd
+        # The second residual term vanishes where d(b) is parallel to c.
+        b_star = c2 * n1 / (c2 * p12 - c1 * n2)
     if not np.isfinite(residuals).all():
         raise IllConditioned("fit residuals are not finite")
 
-    i = int(np.argmin(residuals))
-    b = float(grid[i])
-    vertex = None
-    if 0 < i < grid.size - 1:
-        vertex = _parabolic_vertex(grid[i - 1 : i + 2], residuals[i - 1 : i + 2])
-
+    grid_b = float(grid[np.argmin(residuals)])
+    refined = bool(grid.min() <= b_star <= grid.max())  # False for nan and +-inf
+    b = float(b_star) if refined else grid_b
+    d1, d2 = n1 - b * p12, -b * n2
     report = FitReport(
-        beta_hat=b if vertex is None else vertex,
-        grid_beta_hat=b,
-        refined=vertex is not None,
-        scale=float((c1 * d1[i] + c2 * d2[i]) / dd[i]) * math.sqrt((1.0 - b) * (1.0 + b)),
+        beta_hat=b,
+        grid_beta_hat=grid_b,
+        refined=refined,
+        scale=float((c1 * d1 + c2 * d2) / (d1 * d1 + d2 * d2)) * math.sqrt((1.0 - b) * (1.0 + b)),
         beta_grid=tuple(grid.tolist()),
         residuals=tuple(residuals.tolist()),
         n_samples=len(samples),

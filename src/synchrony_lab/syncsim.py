@@ -220,7 +220,7 @@ def _signal(rows, kind, u, magnitude, x_from, x_to, t_emit, to_id) -> float:
 
 def _rate(b: float) -> float:
     """Tick rate per absolute time unit of a clock moving at ``b*C``."""
-    return math.sqrt(1.0 - b * b)
+    return math.sqrt((1.0 - b) * (1.0 + b))
 
 
 def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> ClockLattice:

@@ -98,7 +98,8 @@ class OracleKinematics:
     def eta(self, beta, k):
         self.check_beta(beta)
         self.check_k(k)
-        disc = (1.0 + beta * k) ** 2 - beta**2
+        a = 1.0 + beta * k
+        disc = (a - beta) * (a + beta)
         if disc <= 0.0:
             raise DegenerateConvention(beta, k)
         return 1.0 / math.sqrt(disc)
@@ -215,6 +216,25 @@ def oracle_collapse_time(delta_E: float, beta: float) -> Decimal:
         return gamma * hbar_e_p / Decimal(delta_E) ** 2
 
 
+def oracle_gamma(beta: float) -> Decimal:
+    """1/sqrt(1 - beta^2) for the float beta, to 50 digits."""
+    with localcontext(Context(prec=50)):
+        b = Decimal(beta)
+        return 1 / ((1 - b) * (1 + b)).sqrt()
+
+
+def oracle_scan_speeds(beta: float) -> tuple[Decimal, Decimal]:
+    """One scan point's (c_plus, c_minus) to 50 digits, from the literal light chase.
+
+    Clocks at rest positions 0 and 1 drift at -beta, tick at 1/gamma and
+    read zero offsets; light covers the gap 1 in time 1/(1 -+ (-beta)), and
+    the speed is the rest length gamma over the reading.
+    """
+    with localcontext(Context(prec=50)):
+        b, gamma = -Decimal(beta), oracle_gamma(beta)
+        return tuple(gamma / (t / gamma) for t in (1 / (1 - b), 1 / (1 + b)))
+
+
 def oracle_residuals(samples, grid) -> list[Decimal]:
     """The probe fit's residual at each grid point, to 50 digits.
 
@@ -237,6 +257,24 @@ def oracle_residuals(samples, grid) -> list[Decimal]:
             b = Decimal(beta)
             residuals.append(yy - (p - b * q) ** 2 / (a - 2 * b * ab + b * b * bb))
         return residuals
+
+
+def oracle_argmin(samples) -> float:
+    """The probe fit's exact least-squares minimizer over all b, to 50 digits.
+
+    With phi = gamma(u) and y = t_c * delta_E^2, the curve at b is
+    proportional to phi*(1 - u*b), so g_b.y = A - b*B and g_b.g_b = C - 2*b*D
+    + b^2*E over the raw sums below; (A - b*B)^2/(C - 2*b*D + b^2*E) is
+    stationary at b* = (B*C - A*D)/(B*D - A*E).  No basis is built.
+    """
+    with localcontext(Context(prec=50)):
+        A = B = C = D = E = Decimal(0)
+        for s in samples:
+            u, y = Decimal(s.beta), Decimal(s.t_c) * Decimal(s.delta_E) ** 2
+            phi = 1 / ((1 - u) * (1 + u)).sqrt()
+            A, B, C = A + phi * y, B + u * phi * y, C + phi * phi
+            D, E = D + u * phi * phi, E + u * u * phi * phi
+        return float((B * C - A * D) / (B * D - A * E))
 
 
 def run_cli(argv):

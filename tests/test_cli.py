@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -414,17 +415,22 @@ class TestProbeCommand:
         assert (code, out) == (4, "")
         assert err.splitlines() == ["ill_conditioned reason=normalized_collapse_times_underflow"]
 
-    def test_oversized_fit_exits_3_before_allocating(self, tmp_path):
-        # 900001 grid points pass the grid cap, but times 1000 samples they
-        # pass the 10^7-cell fit cap.
+    def test_fit_of_ten_million_cells_runs_in_grid_plus_samples_memory(self, tmp_path):
+        # 10001 grid points times 1001 samples: about 1e7 cells, which a
+        # cell-by-cell fit would hold at about 24 bytes each.
         samples = tmp_path / "many.csv"
-        rows = "".join(f"1.0,{-0.8 + 1.6 * i / 999!r},1e12,\n" for i in range(1000))
+        rows = "".join(f"1.0,{-0.8 + 1.6 * i / 1000!r},{1e12 + i},\n" for i in range(1001))
         samples.write_text("delta_E,lab_beta,t_c,sigma\n" + rows)
-        code, out, err = run_cli_process(["probe", "--samples", str(samples), "--step", "2e-6"])
-        assert (code, out) == (3, "")
-        assert err.splitlines() == [
-            "invalid_input reason=fit_would_have_more_than_10000000_grid-sample_cells"
-        ]
+        run_cli(["probe", "--samples", str(DATA / "collapse_samples_beta03.csv")])  # warm-up
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["probe", "--samples", str(samples), "--step", "0.00018"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["residual_curve"]) == 10_001
+        assert peak <= 16_000_000, peak
 
     def test_last_grid_point_never_passes_beta_max(self):
         code, out, _ = run_cli(

@@ -20,11 +20,12 @@ from synchrony_lab import (
     map_velocity,
 )
 
-from synchrony_lab.probe import FitReport, _parabolic_vertex
+from synchrony_lab.probe import FitReport
 
 from conftest import (
     ORACLE_HBAR_EV_S,
     ORACLE_PLANCK_ENERGY_EV,
+    oracle_argmin,
     oracle_collapse_time,
     oracle_residuals,
     synth_collapse_samples,
@@ -231,58 +232,33 @@ class TestSampleIO:
             load_samples(path)
 
 
-def polyfit_vertex(bs, rs):
-    """Least-squares parabola through the three points, via numpy as an oracle."""
-    a, b, _ = np.polyfit(bs, rs, 2)
-    if a <= 0.0:
-        return None
-    vertex = -b / (2.0 * a)
-    return float(vertex) if bs[0] <= vertex <= bs[2] else None
-
-
-def test_parabolic_vertex_matches_polyfit():
-    rng = np.random.default_rng(7)
-    outcomes = set()
-    for _ in range(2000):
-        bs = np.sort(rng.uniform(-0.95, 0.95, 3))
-        if np.min(np.diff(bs)) < 1e-3:
-            continue
-        span = bs[2] - bs[0]
-        apex = rng.uniform(bs[0] - span, bs[2] + span)
-        if min(abs(apex - bs[0]), abs(apex - bs[2])) < 1e-6 * span:
-            continue  # too close to the bracket edge for the oracle to decide
-        curvature = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0)
-        rs = curvature * (bs - apex) ** 2 + rng.uniform(0.0, 5.0)
-        expected = polyfit_vertex(bs, rs)
-        got = _parabolic_vertex(bs, rs)
-        outcomes.add(expected is None)
-        if expected is None:
-            assert got is None
-        else:
-            assert math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12)
-    assert outcomes == {True, False}
-
-
 def unchunked_fit(samples, beta_grid) -> FitReport:
     """The estimator restated cell by cell over the whole grid x samples problem."""
     grid = np.asarray(beta_grid, dtype=float)
     u = np.array([s.beta for s in samples])
     y = np.array([s.t_c * (s.delta_E * s.delta_E) for s in samples])
-    w = (u[None, :] - grid[:, None]) / (1.0 - u[None, :] * grid[:, None])
-    g = 1.0 / np.sqrt(1.0 - w * w)
+
+    def gamma_curves(bs):
+        w = (u[None, :] - bs[:, None]) / (1.0 - u[None, :] * bs[:, None])
+        return 1.0 / np.sqrt(1.0 - w * w)
+
+    g = gamma_curves(grid)
     gy = g @ y
     gg = np.sum(g * g, axis=1)
-    scales = gy / gg
     residuals = np.maximum(float(y @ y) - gy * gy / gg, 0.0)
     i = int(np.argmin(residuals))
-    vertex = None
-    if 0 < i < grid.size - 1:
-        vertex = _parabolic_vertex(grid[i - 1 : i + 2], residuals[i - 1 : i + 2])
+    # The stationary point of gy^2/gg over all b, from raw sums (see conftest.oracle_argmin).
+    phi = 1.0 / np.sqrt(1.0 - u * u)
+    A, B, C, D, E = phi @ y, (u * phi) @ y, phi @ phi, u @ (phi * phi), (u * u) @ (phi * phi)
+    b_star = (B * C - A * D) / (B * D - A * E)
+    refined = bool(grid.min() <= b_star <= grid.max())
+    beta_hat = float(b_star) if refined else float(grid[i])
+    g_hat = gamma_curves(np.array([beta_hat]))[0]
     return FitReport(
-        beta_hat=float(grid[i]) if vertex is None else vertex,
+        beta_hat=beta_hat,
         grid_beta_hat=float(grid[i]),
-        refined=vertex is not None,
-        scale=float(scales[i]),
+        refined=refined,
+        scale=float((g_hat @ y) / (g_hat @ g_hat)),
         beta_grid=tuple(float(b) for b in grid),
         residuals=tuple(float(r) for r in residuals),
         n_samples=len(samples),
@@ -302,30 +278,23 @@ FIT_CASES = {
     "181x100": lambda: (noisy_samples(0.3, 100, 42), GRID_001),  # criterion 9's size
     "1801x2000": lambda: (noisy_samples(-0.2, 2000, 2000), GRID_0001),
     "7x70000": lambda: (noisy_samples(0.1, 70_000, 70_000), [-0.9 + 0.3 * i for i in range(7)]),
+    # Velocities on one side of 0: gamma(u) and u*gamma(u) are far from
+    # orthogonal (p12 is not 0), unlike the symmetric sets above.
+    "one-sided-181x60": lambda: (
+        noisy_samples(0.3, 60, 60, velocities=np.linspace(0.0, 0.9, 60)), GRID_001),
     # 50 velocities within 1e-8 of each other: gamma(u) and u*gamma(u) are
     # nearly parallel, and one Gram-Schmidt pass is off by about 6e-8.
     "clustered-181x50": lambda: (
         noisy_samples(0.3, 50, 50, velocities=0.5 + 1e-8 * np.linspace(-1.0, 1.0, 50)), GRID_001),
 }
 
-
-def oracle_vertex(grid, residuals) -> float:
-    """The oracle curve's argmin, moved to the vertex of the parabola through its neighbors."""
-    i = min(range(len(residuals)), key=residuals.__getitem__)
-    if not 0 < i < len(grid) - 1:
-        return grid[i]
-    with localcontext(Context(prec=50)):
-        (b0, b1, b2), (r0, r1, r2) = map(Decimal, grid[i - 1 : i + 2]), residuals[i - 1 : i + 2]
-        den = (b1 - b0) * (r1 - r2) - (b1 - b2) * (r1 - r0)
-        if den == 0:
-            return grid[i]
-        return float(b1 - ((b1 - b0) ** 2 * (r1 - r2) - (b1 - b2) ** 2 * (r1 - r0)) / (2 * den))
+IN_GRID = [case for case in FIT_CASES if case != "clustered-181x50"]  # b* within the grid
 
 
 class TestFitKernel:
     """The O(grid + samples) fit against the cell-by-cell fit and a 50-digit oracle."""
 
-    @pytest.mark.parametrize("case", ["golden-181x17", "181x100", "1801x2000", "7x70000"])
+    @pytest.mark.parametrize("case", IN_GRID)
     def test_fit_matches_the_cell_by_cell_fit(self, case):
         samples, grid = FIT_CASES[case]()
         _, got = estimate_absolute_frame(samples, grid)
@@ -353,7 +322,33 @@ class TestFitKernel:
                 absolute = max(absolute, float(error) / yy)
         assert relative <= 1e-13
         assert absolute <= 1e-20
-        assert abs(beta_hat - oracle_vertex(grid, exact)) <= 1e-14
+        exact_argmin = oracle_argmin(samples)
+        assert report.refined == (min(grid) <= exact_argmin <= max(grid))
+        if report.refined:
+            assert abs(beta_hat - exact_argmin) <= 1e-14
+        else:
+            assert beta_hat == report.grid_beta_hat
+
+    def test_clustered_fit_falls_back_to_the_grid_argmin(self):
+        # b* lies near 2, outside the grid, so the grid's edge is the answer.
+        samples, grid = FIT_CASES["clustered-181x50"]()
+        beta_hat, report = estimate_absolute_frame(samples, grid)
+        assert report.refined is False
+        assert beta_hat == report.grid_beta_hat == -0.9
+
+    def test_truth_outside_the_grid_falls_back_to_the_grid_argmin(self):
+        samples = synth_collapse_samples(0.3, np.linspace(-0.8, 0.8, 33))
+        beta_hat, report = estimate_absolute_frame(samples, GRID_001[:91])  # -0.9 .. 0.0
+        assert report.refined is False
+        assert beta_hat == report.grid_beta_hat == 0.0
+
+    @pytest.mark.parametrize("case", IN_GRID)
+    def test_refined_fit_has_a_positive_scale(self, case):
+        # At b* the curve is parallel to the samples' projection and points
+        # the same way, so b* is the minimum, not a maximum.
+        _, report = estimate_absolute_frame(*FIT_CASES[case]())
+        assert report.refined
+        assert report.scale > 0.0
 
     @pytest.mark.parametrize("case", ["golden-181x17", "clustered-181x50"])
     def test_oracle_matches_the_cell_by_cell_sum(self, case):

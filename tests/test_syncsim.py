@@ -5,9 +5,10 @@ import math
 import random
 import re
 from dataclasses import replace
+from decimal import Context, Decimal, localcontext
 
 import pytest
-from conftest import lattice_scan
+from conftest import lattice_scan, oracle_gamma, oracle_scan_speeds
 
 from synchrony_lab import (
     INFINITE_SPEED,
@@ -15,6 +16,7 @@ from synchrony_lab import (
     Event,
     NotSynchronized,
     UnresolvableChase,
+    eta,
     isotropy_scan,
     measure_one_way,
     measure_two_way,
@@ -556,6 +558,33 @@ class TestIsotropyScan:
             return type(info.value), str(info.value)
 
         assert outcome(isotropy_scan) == outcome(lattice_scan)
+
+
+class TestDigitsNearTheSpeedOfLight:
+    """Gamma, the clock rate, rest lengths and scan speeds against 50-digit oracles."""
+
+    # |beta| = 1 - 10^-j on both sides, where 1 - beta*beta loses up to 2e6
+    # ulps, and a mid-range sample, where the digits must not be traded away.
+    EDGE = [sign * (1.0 - 10.0**-j) for j in range(1, 13) for sign in (1.0, -1.0)]
+    MID = [random.Random(16).uniform(-0.9, 0.9) for _ in range(200)]
+    # The scan speeds compound about eight roundings; 20000 mid-range draws
+    # reached 4.2 ulps, and gamma, the rate and rest lengths 2.
+    ULPS = 5
+
+    @pytest.mark.parametrize("betas", [EDGE, MID], ids=["edge", "mid"])
+    def test_within_a_few_ulps_of_the_oracles(self, betas):
+        for beta in betas:
+            lat = run_protocol(ClockLattice.build(beta, (0.0, 2.5)), EINSTEIN)
+            point = isotropy_scan([beta])[0]
+            c_plus, c_minus = oracle_scan_speeds(beta)
+            with localcontext(Context(prec=50)):
+                gamma = oracle_gamma(beta)
+                pairs = [(eta(beta, 0.0), gamma), (lat.rate, 1 / gamma),
+                         (measure_one_way(lat, 0, 1).distance, Decimal(2.5) * gamma),
+                         (point.c_plus, c_plus), (point.c_minus, c_minus)]
+                for got, want in pairs:
+                    error = abs(Decimal(got) - want)
+                    assert error <= self.ULPS * Decimal(math.ulp(float(want))), (beta, got, want)
 
 
 class TestScenario:
