@@ -34,6 +34,8 @@ PROBE = "src/synchrony_lab/probe.py"
 FIT_ORACLE = "tests/test_probe.py::TestFitKernel::test_fit_matches_the_50_digit_oracle"
 EDGE_DIGITS = ("tests/test_syncsim.py::TestDigitsNearTheSpeedOfLight::"
                "test_within_a_few_ulps_of_the_oracles[edge]")
+FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
+              "tests/test_kinematics.py::TestFrameMapsMatchTheDecimalOracle"]
 
 #: (name, file, old text, new text, tests that must fail)
 CATALOGUE = (
@@ -70,6 +72,10 @@ CATALOGUE = (
      "    a = 1.0 + beta * k\n    disc = (a - beta) * (a + beta)",
      "    disc = (1.0 + beta * k) ** 2 - beta**2",
      [EDGE_DIGITS]),
+    ("frame-to-frame a_xt = 2(b_to - b_from)", KINEMATICS,
+     "2.0 * (b_from - b_to)", "2.0 * (b_to - b_from)", FRAME_MAPS),
+    ("frame-to-frame m = (1 + b_to)(1 - b_from)", KINEMATICS,
+     "m, p = (1.0 - b_to) * (1.0 + b_from)", "m, p = (1.0 + b_to) * (1.0 - b_from)", FRAME_MAPS),
     ("superluminal transform induces k' = +beta", KINEMATICS,
      "_induced(0.0, beta)), e", "_induced(0.0, -beta)), e",
      ["tests/test_kinematics.py::TestSuperluminalTransform"]),

@@ -27,8 +27,8 @@ speed-valued functions return the module constant :data:`INFINITE_SPEED`
 
 Public functions and constructors validate their arguments once.  The
 ``_``-prefixed kernels behind them take plain floats and 2x2 tuples, assume
-validated inputs, are not API, hold the only copy of each formula, and still
-refuse a map whose determinant rounds to 0.0 (near |beta| = 1 it can).
+validated inputs, are not API and hold the only copy of each formula.  Only a
+:class:`TransformCoeffs` instance (and ``_edwards``) checks its determinant.
 """
 
 from __future__ import annotations
@@ -130,10 +130,13 @@ class TransformCoeffs:
 
     def __matmul__(self, inner: "TransformCoeffs") -> "TransformCoeffs":
         """Composition ``self after inner`` (matrix product)."""
-        return TransformCoeffs(*_product(_entries(self), _entries(inner)))
+        (o_tt, o_tx, o_xt, o_xx), (i_tt, i_tx, i_xt, i_xx) = _entries(self), _entries(inner)
+        return TransformCoeffs(o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
+                               o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx)
 
     def inverse(self) -> "TransformCoeffs":
-        return TransformCoeffs(*_inverse(_entries(self)))
+        d = self.determinant
+        return TransformCoeffs(self.a_xx / d, -self.a_tx / d, -self.a_xt / d, self.a_tt / d)
 
 
 def _entries(c: TransformCoeffs) -> tuple:
@@ -149,19 +152,6 @@ def _nonsingular(m: tuple) -> tuple:
     if _det(m) == 0.0:
         raise ValueError("transform is singular (zero determinant)")
     return m
-
-
-def _product(outer: tuple, inner: tuple) -> tuple:
-    o_tt, o_tx, o_xt, o_xx = outer
-    i_tt, i_tx, i_xt, i_xx = inner
-    return _nonsingular((o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
-                         o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx))
-
-
-def _inverse(m: tuple) -> tuple:
-    a_tt, a_tx, a_xt, a_xx = m
-    d = _det(m)
-    return _nonsingular((a_xx / d, -a_tx / d, -a_xt / d, a_tt / d))
 
 
 def _eta(beta: float, k: float) -> float:
@@ -183,8 +173,14 @@ def _induced(k: float, beta: float) -> float:
 
 
 def _between(frame_from: FrameSpec, frame_to: FrameSpec) -> tuple:
-    to = _edwards(frame_to.beta, 0.0, frame_to.k)
-    return _product(to, _inverse(_edwards(frame_from.beta, 0.0, frame_from.k)))
+    # a_xt is b_from - b_to as given; each other entry is an m-term +- a p-term.
+    b_from, k_from, b_to, k_to = frame_from.beta, frame_from.k, frame_to.beta, frame_to.k
+    m, p = (1.0 - b_to) * (1.0 + b_from), (1.0 + b_to) * (1.0 - b_from)
+    s = 2.0 * math.sqrt(m * p)
+    return ((p * (1.0 + k_to) + m * (1.0 - k_to)) / s,
+            (m * (1.0 + k_from) * (1.0 - k_to) - p * (1.0 - k_from) * (1.0 + k_to)) / (s * C),
+            2.0 * (b_from - b_to) * C / s,
+            (p * (1.0 - k_from) + m * (1.0 + k_from)) / s)
 
 
 def _image(m: tuple, e: Event, chart: str) -> Event:
@@ -321,15 +317,19 @@ def resync_velocity(u: float, k_from: float, k_to: float) -> float:
 
 
 def between_coeffs(frame_from: FrameSpec, frame_to: FrameSpec) -> TransformCoeffs:
-    """Chart map from one registered frame to another, through the isotropy chart."""
+    """Chart map between frames: resync(0 -> k_to) . L(beta_rel) . resync(k_from -> 0).
+
+    Closed form in m = (1 - b_to)(1 + b_from) and p = (1 + b_to)(1 - b_from); raises
+    "transform is singular" only if its determinant, exactly 1, rounds to 0 (gamma_rel > 3e7).
+    """
     return TransformCoeffs(*_between(frame_from, frame_to))
 
 
 def transform_between(e: Event, frame_from: FrameSpec, frame_to: FrameSpec) -> Event:
     """Map ``e`` from ``frame_from``'s chart to ``frame_to``'s chart.
 
-    Both legs go through the isotropy chart, so arbitrary frame pairs
-    compose consistently.  ``e.chart`` must equal ``frame_from.label``.
+    Through :func:`between_coeffs`'s closed form, unchecked, so it never calls
+    valid frames singular.  ``e.chart`` must equal ``frame_from.label``.
     """
     if e.chart != frame_from.label:
         raise ValueError(
@@ -341,9 +341,9 @@ def transform_between(e: Event, frame_from: FrameSpec, frame_to: FrameSpec) -> E
 def map_velocity(u: float, frame_from: FrameSpec, frame_to: FrameSpec) -> float:
     """Coordinate velocity of the worldline x = u*t seen from another chart.
 
-    Computed exactly from the linear chart map by transforming two events on
-    the worldline.  For isotropic conventions this reduces to the standard
-    relativistic velocity composition; returns a signed
+    Pushes the worldline's direction through :func:`between_coeffs`'s closed form,
+    unchecked, so it never calls valid frames singular; isotropic conventions give
+    the standard relativistic velocity composition.  Returns a signed
     :data:`INFINITE_SPEED` when the image is instantaneous.
     """
     return _velocity_through(_between(frame_from, frame_to), u)

@@ -197,19 +197,16 @@ def load_samples(path) -> list[CollapseSample]:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
                 raise ValueError(f"sample file must have columns {', '.join(required)}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 try:
                     sigma_raw = (row.get("sigma") or "").strip()
-                    samples.append(
-                        CollapseSample(
-                            delta_E=float(row["delta_E"]),
-                            beta=float(row["lab_beta"]),
-                            t_c=float(row["t_c"]),
-                            sigma=float(sigma_raw) if sigma_raw else None,
-                        )
-                    )
+                    samples.append(CollapseSample(
+                        delta_E=float(row["delta_E"]), beta=float(row["lab_beta"]),
+                        t_c=float(row["t_c"]), sigma=float(sigma_raw) if sigma_raw else None))
                 except (TypeError, ValueError) as exc:
-                    raise ValueError(f"bad sample on line {lineno}: {exc}") from None
+                    short = [c for c in required if row[c] is None]  # DictReader pads with None
+                    reason = f"row ends before column {short[0]}" if short else exc
+                    raise ValueError(f"bad sample on line {reader.line_num}: {reason}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # file errors only, not row errors
         raise FileInvalid(type(exc).__name__) from exc
     if not samples:

@@ -42,7 +42,10 @@ class OracleKinematics:
     (``coeffs``: ``edwards`` -> ``Coeffs`` -> ``apply``, then ``inverse``
     and ``@``) and applies it, in the argument order and with the messages
     of the public functions.  Events are ``(t, x, y, z, chart)`` tuples and
-    maps are ``Coeffs``; the library's kernels must agree bit for bit.
+    maps are ``Coeffs``; the library's kernels must agree bit for bit.  The
+    frame-to-frame maps are not here: the library evaluates them in a closed
+    form whose bits differ from this composition, and :func:`oracle_between`
+    holds them to 50 digits instead.
     """
 
     class Coeffs:
@@ -128,9 +131,6 @@ class OracleKinematics:
     def frame_coeffs(self, frame):
         return self.edwards_coeffs(frame.beta, 0.0, frame.k)
 
-    def between_coeffs(self, frame_from, frame_to):
-        return self.frame_coeffs(frame_to) @ self.frame_coeffs(frame_from).inverse()
-
     def edwards_transform(self, e, beta, k, k_prime):
         return self.edwards_coeffs(beta, k, k_prime).apply(e, "S'")
 
@@ -158,13 +158,27 @@ class OracleKinematics:
     def resync_velocity(self, u, k_from, k_to):
         return self.velocity_through(self.resync_coeffs(k_from, k_to), u)
 
-    def transform_between(self, e, frame_from, frame_to):
-        if e[4] != frame_from.label:
-            raise ValueError(f"event lives in chart {e[4]!r}, expected {frame_from.label!r}")
-        return self.between_coeffs(frame_from, frame_to).apply(e, frame_to.label)
 
-    def map_velocity(self, u, frame_from, frame_to):
-        return self.velocity_through(self.between_coeffs(frame_from, frame_to), u)
+def oracle_between(frame_from, frame_to) -> tuple[Decimal, ...]:
+    """(a_tt, a_tx, a_xt, a_xx) of the map between two frames, to 50 digits.
+
+    Composes E(to) @ E(from)^-1 the plain way, where E(beta, k) =
+    gamma * ((1 + beta*k, -beta - k), (-beta, 1)) maps the isotropy chart
+    into the frame's chart, for the frames' float beta and k.  Near
+    |beta| = 1 the product cancels some 16 digits, which 50 can spare.
+    """
+    with localcontext(Context(prec=50)):
+        def edwards(frame):
+            b, k = Decimal(frame.beta), Decimal(frame.k)
+            gamma = 1 / ((1 - b) * (1 + b)).sqrt()
+            return gamma * (1 + b * k), gamma * (-b - k), -gamma * b, gamma
+
+        o_tt, o_tx, o_xt, o_xx = edwards(frame_to)
+        f_tt, f_tx, f_xt, f_xx = edwards(frame_from)
+        d = f_tt * f_xx - f_tx * f_xt
+        i_tt, i_tx, i_xt, i_xx = f_xx / d, -f_tx / d, -f_xt / d, f_tt / d
+        return (o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
+                o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx)
 
 
 def lattice_scan(betas) -> list[ScanPoint]:

@@ -464,6 +464,20 @@ class TestProbeCommand:
         assert err.splitlines() == ["invalid_input reason=bad_sample_on_line_2:"
                                     "_sigma_must_be_positive_and_finite_when_given"]
 
+    @pytest.mark.parametrize("content, reason", [
+        ("delta_E,lab_beta,t_c,sigma\n1,0.1,1,\n\n1,0.2,1,\n1,0.3,x,\n",
+         "bad_sample_on_line_5:_could_not_convert_string_to_float:_'x'"),
+        ('delta_E,lab_beta,t_c,sigma\n"1\n",0.1,1,\n1,0.2,1,\n1,0.3,x,\n',
+         "bad_sample_on_line_5:_could_not_convert_string_to_float:_'x'"),
+        ("delta_E,lab_beta,t_c,sigma\n1,0.1,1,\n1,0.2\n",
+         "bad_sample_on_line_3:_row_ends_before_column_t_c"),
+    ], ids=["after-blank-line", "after-multi-line-field", "short-row"])
+    def test_bad_sample_names_its_physical_line(self, tmp_path, content, reason):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(content, encoding="utf-8")
+        assert run_cli(["probe", "--samples", str(samples)]) == (
+            3, "", f"invalid_input reason={reason}\n")
+
     def test_non_finite_residuals_exit_4_without_warnings(self, tmp_path):
         # Samples at |beta| -> 1 with huge times overflow the residuals to NaN.
         samples = tmp_path / "overflow.csv"

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from synchrony_lab import (
 )
 from synchrony_lab.kinematics import between_coeffs, frame_coeffs
 
-from conftest import OracleKinematics, absolute_sync_boost, textbook_boost
+from conftest import OracleKinematics, absolute_sync_boost, oracle_between, textbook_boost
 
 betas = st.floats(min_value=-0.95, max_value=0.95)
 ks = st.floats(min_value=-0.9, max_value=0.9)
@@ -453,8 +455,18 @@ def _outcome(fn, *args) -> tuple:
     return ("ok", repr(value))
 
 
+def _gamma_rel(entries) -> Decimal:
+    """The relative boost's gamma: a_xt = -gamma_rel*beta_rel, as resyncs leave x' alone."""
+    return (1 + entries[2] * entries[2]).sqrt()
+
+
 class TestKernelsMatchTheObjectComposition:
-    """Every public kinematics call, bit for bit against conftest.OracleKinematics."""
+    """Every public kinematics call, bit for bit against conftest.OracleKinematics.
+
+    The three frame-to-frame maps are drawn here too but have no bitwise
+    oracle (see TestFrameMapsMatchTheDecimalOracle); on these draws they must
+    not call a valid frame pair singular.
+    """
 
     DRAWS = 20_000
     SINGULAR = (ValueError, "transform is singular (zero determinant)")
@@ -480,11 +492,11 @@ class TestKernelsMatchTheObjectComposition:
         a = FrameSpec(_frame_beta(rng), _draw(rng, [1.0, -1.0, 0.0, -0.0], -1.0, 1.0), "A")
         b = FrameSpec(_frame_beta(rng), _draw(rng, [1.0, -1.0, 0.0, -0.0], -1.0, 1.0), "B")
         chart = rng.choice(("A", "A", "A", "B"))
-        ea, oea = Event(t, x, 1.5, -2.5, chart), (t, x, 1.5, -2.5, chart)
+        ea = Event(t, x, 1.5, -2.5, chart)
         yield "frame_coeffs", (frame_coeffs, a), (oracle.frame_coeffs, a)
-        yield "between_coeffs", (between_coeffs, a, b), (oracle.between_coeffs, a, b)
-        yield "transform_between", (transform_between, ea, a, b), (oracle.transform_between, oea, a, b)
-        yield "map_velocity", (map_velocity, u, a, b), (oracle.map_velocity, u, a, b)
+        yield "between_coeffs", (between_coeffs, a, b), None
+        yield "transform_between", (transform_between, ea, a, b), None
+        yield "map_velocity", (map_velocity, u, a, b), None
 
         m = [_draw(rng, SPECIAL_COORDS + [1.0, 2.0, 4.0], -2.0, 2.0) for _ in range(4)]
         yield "TransformCoeffs", (TransformCoeffs, *m), (OracleKinematics.Coeffs, *m)
@@ -500,20 +512,110 @@ class TestKernelsMatchTheObjectComposition:
         yield "square", (c.__matmul__, c), (oc.__matmul__, oc)
         yield "matmul", (boost.__matmul__, c), (oboost.__matmul__, oc)
 
-    def test_every_public_call_matches_bit_for_bit(self):
+    def outcomes(self, bitwise: bool):
+        """(name, args, outcome, oracle outcome or None) for every drawn call of one kind."""
         rng, oracle = random.Random(2002), OracleKinematics()
-        mismatches, seen = [], Counter()
         for _ in range(self.DRAWS):
-            for name, (fn, *args), (ofn, *oargs) in self.cases(rng, oracle):
-                got, want = _outcome(fn, *args), _outcome(ofn, *oargs)
-                seen[name, "ok" if want[0] == "ok" else "singular" if want == self.SINGULAR else "error"] += 1
-                if got != want:
-                    mismatches.append((name, args, got, want))
+            for name, (fn, *args), want in self.cases(rng, oracle):
+                if (want is not None) == bitwise:
+                    yield name, args, _outcome(fn, *args), None if want is None else _outcome(*want)
+
+    def kind(self, outcome) -> str:
+        return "ok" if outcome[0] == "ok" else "singular" if outcome == self.SINGULAR else "error"
+
+    def test_every_public_call_matches_bit_for_bit(self):
+        mismatches, seen = [], Counter()
+        for name, args, got, want in self.outcomes(bitwise=True):
+            seen[name, self.kind(want)] += 1
+            if got != want:
+                mismatches.append((name, args, got, want))
         assert not mismatches, mismatches[:5]
-        # The draws reach the checks: every call that can fail both fails and
-        # succeeds, and valid frames near |beta| = 1 give composites whose
-        # determinant rounds to 0.
+        # The draws reach the checks: every call that can fail both fails and succeeds.
         for name in {name for name, _ in seen} - {"frame_coeffs", "determinant"}:
             assert seen[name, "ok"] and seen[name, "singular"] + seen[name, "error"], name
-        for name in ("between_coeffs", "transform_between", "map_velocity"):
-            assert seen[name, "singular"] > 0, name
+
+    def test_frame_maps_never_call_valid_frames_singular(self):
+        # Only between_coeffs builds a checked TransformCoeffs, and it may refuse
+        # a map only where no float 2x2 matrix of its size has determinant 1.
+        bad, seen = [], Counter()
+        for name, args, got, _ in self.outcomes(bitwise=False):
+            seen[name, self.kind(got)] += 1
+            if got == self.SINGULAR and not (
+                    name == "between_coeffs" and _gamma_rel(oracle_between(*args)) > 2**24):
+                bad.append((name, args))
+        assert not bad, (len(bad), bad[:5])
+        for name in ("transform_between", "map_velocity"):
+            assert seen[name, "ok"] and seen[name, "error"], name
+        assert seen["between_coeffs", "ok"] and seen["between_coeffs", "singular"]
+
+
+EPS = sys.float_info.epsilon
+
+
+def _edge_beta(rng: random.Random) -> float:
+    return rng.choice((1.0, -1.0)) * (1.0 - 10.0 ** -rng.uniform(10.0, 15.0))
+
+
+def _frame_pair(rng: random.Random, edge: bool) -> tuple[FrameSpec, FrameSpec]:
+    """(from, to); at the edge one frame has 1 - |beta| = 10^-U(10, 15), the other
+    likewise or |beta| <= 0.9, in either order."""
+    if not edge:
+        return (FrameSpec(rng.uniform(-0.9, 0.9), rng.uniform(-1.0, 1.0), "A"),
+                FrameSpec(rng.uniform(-0.9, 0.9), rng.uniform(-1.0, 1.0), "B"))
+    a = FrameSpec(_edge_beta(rng), rng.uniform(-1.0, 1.0), "A")
+    b_beta = _edge_beta(rng) if rng.random() < 0.5 else rng.uniform(-0.9, 0.9)
+    b = FrameSpec(b_beta, rng.uniform(-1.0, 1.0), "B")
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+class TestFrameMapsMatchTheDecimalOracle:
+    """between_coeffs, transform_between and map_velocity against conftest.oracle_between.
+
+    Event errors are relative to max(|t'|, |x'|).  A velocity's error is in
+    units of kappa*eps, where kappa = (|a_tt*dt| + |a_tx*dx|)/|dt'| +
+    (|a_xt*dt| + |a_xx*dx|)/|dx'| is the condition number of dx'/dt' in the
+    map's entries.  between_coeffs' entries are compared with the largest
+    oracle entry, and it may raise only beyond gamma_rel = 2^24.
+    """
+
+    @pytest.mark.parametrize("edge, draws, event_bound", [
+        (True, 5_000, 1e-12), (False, 20_000, 3e-14),
+    ], ids=["edge", "mid-range"])
+    def test_within_bounds(self, edge, draws, event_bound):
+        rng = random.Random(1963)
+        worst = dict.fromkeys(("event", "velocity", "entries"), 0.0)
+        refused = []
+        for _ in range(draws):
+            frame_from, frame_to = _frame_pair(rng, edge)
+            t, x, u = rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0), rng.uniform(-0.99, 0.99)
+            image = transform_between(Event(t, x, chart=frame_from.label), frame_from, frame_to)
+            velocity = map_velocity(u, frame_from, frame_to)
+            ref = oracle_between(frame_from, frame_to)
+            try:
+                coeffs = between_coeffs(frame_from, frame_to)
+            except ValueError:
+                coeffs = None
+            with localcontext(Context(prec=50)):
+                a_tt, a_tx, a_xt, a_xx = ref
+                t_ref = a_tt * Decimal(t) + a_tx * Decimal(x)
+                x_ref = a_xt * Decimal(t) + a_xx * Decimal(x)
+                err = max(abs(Decimal(image.t) - t_ref), abs(Decimal(image.x) - x_ref))
+                worst["event"] = max(worst["event"], float(err / max(abs(t_ref), abs(x_ref))))
+                du = Decimal(u)
+                dt_ref, dx_ref = a_tt + a_tx * du, a_xt + a_xx * du
+                kappa = ((abs(a_tt) + abs(a_tx * du)) / abs(dt_ref)
+                         + (abs(a_xt) + abs(a_xx * du)) / abs(dx_ref))
+                v_ref = dx_ref / dt_ref
+                err = abs(Decimal(velocity) - v_ref) / (abs(v_ref) * kappa * Decimal(EPS))
+                worst["velocity"] = max(worst["velocity"], float(err))
+                if coeffs is None:
+                    if not _gamma_rel(ref) > 2**24:
+                        refused.append((frame_from, frame_to))
+                    continue
+                got = (coeffs.a_tt, coeffs.a_tx, coeffs.a_xt, coeffs.a_xx)
+                err = max(abs(Decimal(g) - r) for g, r in zip(got, ref)) / max(map(abs, ref))
+                worst["entries"] = max(worst["entries"], float(err))
+        assert not refused, refused[:5]
+        assert worst["event"] <= event_bound, worst
+        assert worst["velocity"] <= 16.0, worst
+        assert worst["entries"] <= 2e-15, worst
