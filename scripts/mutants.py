@@ -94,6 +94,11 @@ CATALOGUE = (
     ("minimizer drops p12", PROBE,
      "(c2 * p12 - c1 * n2)", "(-c1 * n2)",
      [f"{FIT_ORACLE}[one-sided-181x60]"]),
+    ("sample rows longer than the header accepted", PROBE,
+     "                    if None in row:  # DictReader files the surplus fields under None\n"
+     "                        raise ValueError(\"row has more fields than the header\")\n", "",
+     ["tests/test_probe.py::TestSampleIO::test_row_longer_than_the_header_is_rejected",
+      "tests/test_cli.py::TestProbeCommand::test_row_longer_than_the_header_exits_3"]),
     ("minimizer always used", PROBE,
      "refined = bool(grid.min() <= b_star <= grid.max())", "refined = True",
      ["tests/test_probe.py::TestFitKernel::test_clustered_fit_falls_back_to_the_grid_argmin"]),

@@ -101,14 +101,15 @@ def _render(stream, fmt: Formatter, output: str, document: dict,
     key=value ...`` comment line.
     """
     if output == "json":
-        stream.write(json.dumps(_walk(document, fmt.num), indent=2) + "\n")
+        json.dump(_walk(document, fmt.num), stream, indent=2)
+        stream.write("\n")
     elif output == "jsonl":
         for row in rows:
             stream.write(json.dumps(_walk(row, fmt.num)) + "\n")
     else:
         writer = csv.DictWriter(stream, columns, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
-        writer.writerows(_walk(rows, fmt.text))
+        writer.writerows(_walk(row, fmt.text) for row in rows)
         if footer is not None:
             pairs = _walk(document[footer], fmt.text).items()
             stream.write(f"# {footer} " + " ".join(f"{k}={v}" for k, v in pairs) + "\n")

@@ -22,6 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import FileInvalid, IllConditioned
 
@@ -69,8 +70,7 @@ def collapse_time(delta_E: float, beta: float) -> float:
     return t_c
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Everything the estimator decided; ``to_dict`` adds the model constants.
 
     ``refined`` means the closed-form minimizer b* lies within the grid's span
@@ -199,6 +199,8 @@ def load_samples(path) -> list[CollapseSample]:
                 raise ValueError(f"sample file must have columns {', '.join(required)}")
             for row in reader:
                 try:
+                    if None in row:  # DictReader files the surplus fields under None
+                        raise ValueError("row has more fields than the header")
                     sigma_raw = (row.get("sigma") or "").strip()
                     samples.append(CollapseSample(
                         delta_E=float(row["delta_E"]), beta=float(row["lab_beta"]),

@@ -34,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import FileInvalid, NotSynchronized, UnresolvableChase
 from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
@@ -64,8 +65,7 @@ class ScenarioError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class SignalRecord:
+class SignalRecord(NamedTuple):
     """One propagated signal; emit/absorb events are in the absolute chart."""
 
     kind: str
@@ -74,8 +74,7 @@ class SignalRecord:
     speed_abs: float  # signed absolute-chart coordinate speed, inf allowed
 
 
-@dataclass(frozen=True)
-class SpeedMeasurement:
+class SpeedMeasurement(NamedTuple):
     """Outcome of a one-way or round-trip speed measurement.
 
     ``distance`` and ``elapsed`` are frame-chart quantities (synchronized
@@ -329,8 +328,7 @@ def _timed(rows, kind, b, rate, magnitude, x_from, x_to, from_id, to_id, offsets
     return distance, elapsed, INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
 
 
-@dataclass(frozen=True)
-class ScanPoint:
+class ScanPoint(NamedTuple):
     """One candidate drift velocity with its measured one-way speeds."""
 
     beta: float
@@ -359,8 +357,7 @@ def isotropy_scan(betas) -> list[ScanPoint]:
     return points
 
 
-@dataclass(frozen=True)
-class SignalSpec:
+class SignalSpec(NamedTuple):
     """One requested measurement from a scenario file."""
 
     source: int
@@ -370,8 +367,7 @@ class SignalSpec:
     speed: float | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     beta: float
     node_positions: tuple[float, ...]
     protocol: str

@@ -385,6 +385,25 @@ class TestScanCommand:
         assert len(payload["points"]) == 3
 
 
+    @pytest.mark.parametrize("output, bound", [("csv", 650), ("json", 1330)])
+    def test_rendering_holds_no_second_copy_of_the_rows(self, output, bound):
+        # Bytes of traced Python heap per grid point at 10^4 points; a renderer
+        # that walks every row into a new list, or builds the JSON text apart
+        # from the output buffer, needs about 865 (CSV) and 1535 (JSON).
+        argv = ["scan", "--beta-min", "-0.5", "--beta-max", "0.5", "--step", "1e-4",
+                "--format", output]
+        run_cli(argv)  # warm-up
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out.count("\n") > 10_001
+        assert peak / 10_001 <= bound, peak / 10_001
+
+
 class TestProbeCommand:
     def test_fit_report(self):
         code, out, _ = run_cli(
@@ -477,6 +496,14 @@ class TestProbeCommand:
         samples.write_text(content, encoding="utf-8")
         assert run_cli(["probe", "--samples", str(samples)]) == (
             3, "", f"invalid_input reason={reason}\n")
+
+    def test_row_longer_than_the_header_exits_3(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("delta_E,lab_beta,t_c,sigma\n1.0,-0.5,2e13,\n1.0,0.5,2e13,\n"
+                           "1.0,0.0,1e13,,9\n", encoding="utf-8")
+        assert run_cli(["probe", "--samples", str(samples)]) == (
+            3, "", "invalid_input reason=bad_sample_on_line_4:"
+                   "_row_has_more_fields_than_the_header\n")
 
     def test_non_finite_residuals_exit_4_without_warnings(self, tmp_path):
         # Samples at |beta| -> 1 with huge times overflow the residuals to NaN.

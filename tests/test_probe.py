@@ -217,6 +217,15 @@ class TestSampleIO:
         with pytest.raises(ValueError, match="line 2"):
             load_samples(path)
 
+    @pytest.mark.parametrize("extra", [",9", ",", ",,"])
+    def test_row_longer_than_the_header_is_rejected(self, tmp_path, extra):
+        path = tmp_path / "samples.csv"
+        path.write_text("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,\n"
+                        f"1.0,0.0,1e13,{extra}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^bad sample on line 3: row has more fields "
+                                             "than the header$"):
+            load_samples(path)
+
     @pytest.mark.parametrize("sigma", ["-5", "0", "nan", "inf"])
     def test_bad_sigma_reports_line(self, tmp_path, sigma):
         path = tmp_path / "samples.csv"
