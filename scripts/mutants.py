@@ -99,6 +99,30 @@ CATALOGUE = (
      "                        raise ValueError(\"row has more fields than the header\")\n", "",
      ["tests/test_probe.py::TestSampleIO::test_row_longer_than_the_header_is_rejected",
       "tests/test_cli.py::TestProbeCommand::test_row_longer_than_the_header_exits_3"]),
+    ("column loader accepts rows longer than the header", PROBE,
+     "    if max(map(len, rows)) > len(header):\n"
+     "        raise ValueError(\"a row has more fields than the header\")\n", "",
+     ["tests/test_probe.py::TestSampleIO::test_row_longer_than_the_header_is_rejected",
+      "tests/test_cli.py::TestProbeCommand::test_row_longer_than_the_header_exits_3"]),
+    ("column loader drops the sigma predicate", PROBE,
+     "\n            & (blank | positive(sigma))", "",
+     ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line",
+      "tests/test_cli.py::TestProbeCommand::test_bad_sigma_exits_3"]),
+    ("column loader reads a sigma of nan as blank", PROBE,
+     "    if any(sigma_text[i].strip() for i in np.flatnonzero(blank)):", "    if False:",
+     ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line"]),
+    ("row cap read one row short", PROBE,
+     "MAX_SAMPLE_ROWS + 1 - n", "MAX_SAMPLE_ROWS - n",
+     ["tests/test_probe.py::TestSampleIO::test_row_cap_is_exact"]),
+    ("row cap checked only per block", PROBE,
+     "min(_BLOCK_ROWS, MAX_SAMPLE_ROWS + 1 - n)", "_BLOCK_ROWS",
+     ["tests/test_probe.py::TestSampleIO::test_row_cap_stops_reading_before_the_rows_are_held"]),
+    ("row cap one row early", PROBE,
+     "if n > MAX_SAMPLE_ROWS:", "if n >= MAX_SAMPLE_ROWS:",
+     ["tests/test_probe.py::TestSampleIO::test_row_cap_is_exact"]),
+    ("column fit drops the square of delta_E", PROBE,
+     "samples.t_c * (samples.delta_E * samples.delta_E)", "samples.t_c * samples.delta_E",
+     ["tests/test_probe.py::TestFitKernel::test_columns_fit_bit_for_bit_as_their_rows"]),
     ("minimizer always used", PROBE,
      "refined = bool(grid.min() <= b_star <= grid.max())", "refined = True",
      ["tests/test_probe.py::TestFitKernel::test_clustered_fit_falls_back_to_the_grid_argmin"]),

@@ -32,6 +32,7 @@ from .kinematics import (
 from .probe import (
     CollapseSample,
     FitReport,
+    SampleColumns,
     collapse_time,
     estimate_absolute_frame,
     load_samples,

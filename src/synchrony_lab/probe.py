@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,6 +32,15 @@ HBAR_EV_S = 6.582119569e-16
 
 #: Planck energy in eV (1.22e19 GeV).
 PLANCK_ENERGY_EV = 1.22e28
+
+#: Most rows a sample file may hold; :func:`load_samples` stops reading one row past it.
+MAX_SAMPLE_ROWS = 10**6
+
+# Rows that load_samples holds as text at a time before turning them into
+# floats: about 0.4 MB of text, and larger blocks load no faster.
+_BLOCK_ROWS = 1 << 9
+
+_REQUIRED = ("delta_E", "lab_beta", "t_c")
 
 
 @dataclass(frozen=True)
@@ -51,6 +61,29 @@ class CollapseSample:
             raise ValueError("|beta| must be < 1")
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be positive and finite when given")
+
+
+class SampleColumns:
+    """Collapse samples as float64 columns, as :func:`load_samples` returns them.
+
+    ``sigma`` is NaN where the file left it blank.  ``len`` counts the rows
+    and indexing builds one row as a :class:`CollapseSample` (``sigma=None``
+    for a blank), so the columns read like a list of samples.  The loader
+    checks the values; the constructor does not.
+    """
+
+    __slots__ = ("delta_E", "beta", "t_c", "sigma")
+
+    def __init__(self, delta_E, beta, t_c, sigma):
+        self.delta_E, self.beta, self.t_c, self.sigma = delta_E, beta, t_c, sigma
+
+    def __len__(self) -> int:
+        return len(self.beta)
+
+    def __getitem__(self, i) -> CollapseSample:
+        sigma = float(self.sigma[i])
+        return CollapseSample(float(self.delta_E[i]), float(self.beta[i]), float(self.t_c[i]),
+                              None if math.isnan(sigma) else sigma)
 
 
 def collapse_time(delta_E: float, beta: float) -> float:
@@ -125,21 +158,27 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     """
     import numpy as np  # deferred so that importing the package does not load numpy
 
-    samples = list(samples)
     grid = np.asarray(list(beta_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("beta_grid must be non-empty")
     if not np.all(np.abs(grid) < 1.0):  # also rejects NaN
         raise ValueError("beta_grid values must satisfy |beta| < 1")
 
-    u = np.array([s.beta for s in samples], dtype=float)
-    # An overflowing square is inf (** would raise) and fails the residual check below.
-    y = np.array([s.t_c * (s.delta_E * s.delta_E) for s in samples], dtype=float)
+    # Lab velocities u and normalized times y.  An overflowing square is inf
+    # (** would raise) and fails the residual check below.
+    if isinstance(samples, SampleColumns):
+        u = samples.beta
+        with np.errstate(over="ignore"):
+            y = samples.t_c * (samples.delta_E * samples.delta_E)
+    else:
+        samples = list(samples)
+        u = np.array([s.beta for s in samples], dtype=float)
+        y = np.array([s.t_c * (s.delta_E * s.delta_E) for s in samples], dtype=float)
     distinct = np.unique(u).size
     if distinct < 3:
         raise IllConditioned(
             f"need at least 3 samples at 3 distinct velocities, "
-            f"got {len(samples)} samples at {distinct}"
+            f"got {u.size} samples at {distinct}"
         )
 
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual
@@ -178,39 +217,102 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         scale=float((c1 * d1 + c2 * d2) / (d1 * d1 + d2 * d2)) * math.sqrt((1.0 - b) * (1.0 + b)),
         beta_grid=tuple(grid.tolist()),
         residuals=tuple(residuals.tolist()),
-        n_samples=len(samples),
+        n_samples=u.size,
         distinct_velocities=int(distinct),
     )
     return report.beta_hat, report
 
 
-def load_samples(path) -> list[CollapseSample]:
-    """Read samples from CSV with columns delta_E, lab_beta, t_c, sigma.
+def load_samples(path) -> SampleColumns:
+    """Read samples from CSV with columns delta_E, lab_beta, t_c and, optionally, sigma.
 
-    The sigma column may be empty.  Raises :class:`FileInvalid` if the file
-    is not readable UTF-8 CSV, ValueError on malformed rows.
+    Returns :class:`SampleColumns`, whose rows are :class:`CollapseSample` records.
+    Columns may come in any order; a name the header repeats means its last
+    column, and other columns are ignored.  Blank lines are skipped, a row may
+    omit trailing fields that no required column needs, and a blank or missing
+    sigma reads as none.  The file is read once with ``csv.reader``, and each
+    block of rows is turned into float columns and checked column by column;
+    only a file that fails is read again, row by row, to name its first bad
+    line.  Raises :class:`FileInvalid` if the file is not readable UTF-8 CSV,
+    ValueError on malformed rows and, as soon as the row after the cap is
+    read, on more than :data:`MAX_SAMPLE_ROWS` rows.
     """
-    required = ("delta_E", "lab_beta", "t_c")
-    samples = []
+    import numpy as np  # deferred so that importing the package does not load numpy
+
+    blocks, n = [], 0
+    try:
+        with open(Path(path), newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if any(c not in header for c in _REQUIRED):
+                raise ValueError(f"sample file must have columns {', '.join(_REQUIRED)}")
+            rows = filter(None, reader)  # a blank line reads as [], which DictReader skips too
+            while block := list(islice(rows, min(_BLOCK_ROWS, MAX_SAMPLE_ROWS + 1 - n))):
+                n += len(block)
+                if n > MAX_SAMPLE_ROWS:
+                    raise ValueError(f"sample file has more than {MAX_SAMPLE_ROWS} rows")
+                try:
+                    blocks.append(_columns(header, block, np))
+                except ValueError:
+                    _raise_first_bad_row(path)  # a valid file never gets here
+                    raise
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        _raise_first_bad_row(path)  # a bad row before the unreadable part is reported first
+        raise FileInvalid(type(exc).__name__) from exc
+    if not blocks:
+        raise ValueError("sample file contains no rows")
+    return SampleColumns(*(np.concatenate(column) for column in zip(*blocks)))
+
+
+def _columns(header, rows, np):
+    """delta_E, beta, t_c and sigma (NaN if blank) of ``rows`` as float arrays.
+
+    Raises ValueError, naming no line, if a row breaks a rule.
+    """
+    if max(map(len, rows)) > len(header):
+        raise ValueError("a row has more fields than the header")
+    # One tuple per header column: its name, then its fields.  A row's missing
+    # trailing fields read as blank, which fails float for a required column.
+    columns = list(zip_longest(header, *rows, fillvalue=""))
+    index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
+    n = len(rows)
+    delta_E, beta, t_c = (np.fromiter(map(float, columns[index[c]][1:]), float, n)
+                          for c in _REQUIRED)
+    sigma_text = columns[index["sigma"]][1:] if "sigma" in index else ("",) * n
+    sigma = np.array([float(s) if s.strip() else math.nan for s in sigma_text])
+
+    def positive(x):
+        return np.isfinite(x) & (x > 0.0)
+
+    blank = np.isnan(sigma)
+    if not (positive(delta_E) & positive(t_c) & (np.abs(beta) < 1.0)
+            & (blank | positive(sigma))).all():
+        raise ValueError("a sample is out of range")
+    if any(sigma_text[i].strip() for i in np.flatnonzero(blank)):  # "nan" in the file
+        raise ValueError("a sigma is not a number")
+    return delta_E, beta, t_c, sigma
+
+
+def _raise_first_bad_row(path) -> None:
+    """Read ``path`` again with the per-row rules and raise the first failure met.
+
+    The rules are :class:`CollapseSample`'s checks on ``csv.DictReader``'s
+    rows, and the message names the physical line of the first bad row.
+    """
     try:
         with open(Path(path), newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-                raise ValueError(f"sample file must have columns {', '.join(required)}")
             for row in reader:
                 try:
                     if None in row:  # DictReader files the surplus fields under None
                         raise ValueError("row has more fields than the header")
                     sigma_raw = (row.get("sigma") or "").strip()
-                    samples.append(CollapseSample(
+                    CollapseSample(
                         delta_E=float(row["delta_E"]), beta=float(row["lab_beta"]),
-                        t_c=float(row["t_c"]), sigma=float(sigma_raw) if sigma_raw else None))
+                        t_c=float(row["t_c"]), sigma=float(sigma_raw) if sigma_raw else None)
                 except (TypeError, ValueError) as exc:
-                    short = [c for c in required if row[c] is None]  # DictReader pads with None
+                    short = [c for c in _REQUIRED if row[c] is None]  # DictReader pads with None
                     reason = f"row ends before column {short[0]}" if short else exc
                     raise ValueError(f"bad sample on line {reader.line_num}: {reason}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # file errors only, not row errors
         raise FileInvalid(type(exc).__name__) from exc
-    if not samples:
-        raise ValueError("sample file contains no rows")
-    return samples

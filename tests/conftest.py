@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from decimal import Context, Decimal, localcontext
@@ -218,6 +219,43 @@ def synth_collapse_samples(beta0, velocities, delta_E=1.0, sigma=0.0, rng=None):
         if sigma:
             t_c *= 1.0 + sigma * rng.standard_normal()
         samples.append(CollapseSample(delta_E=delta_E, beta=float(u), t_c=t_c))
+    return samples
+
+
+def oracle_load_samples(text: str) -> list[CollapseSample]:
+    """The sample-file rules applied row by row to CSV text.
+
+    Restated with ``csv.reader`` and explicit indices instead of
+    ``DictReader``: a repeated column name means its last column, blank lines
+    are skipped, a row longer than the header and then a row that stops before
+    a required column are refused first, and the fields then parse with
+    ``float`` and pass :class:`CollapseSample`'s checks.  Each error names the
+    physical line of the first bad row.
+    """
+    required = ("delta_E", "lab_beta", "t_c")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    if not set(required) <= set(header):
+        raise ValueError("sample file must have columns delta_E, lab_beta, t_c")
+    where = {name: i for i, name in enumerate(header)}
+    samples = []
+    for row in reader:
+        if not row:
+            continue
+        bad = f"bad sample on line {reader.line_num}: "
+        if len(row) > len(header):
+            raise ValueError(bad + "row has more fields than the header")
+        missing = [name for name in required if where[name] >= len(row)]
+        if missing:
+            raise ValueError(bad + f"row ends before column {missing[0]}")
+        sigma = row[where["sigma"]].strip() if where.get("sigma", len(row)) < len(row) else ""
+        try:
+            samples.append(CollapseSample(*(float(row[where[name]]) for name in required),
+                                          float(sigma) if sigma else None))
+        except ValueError as exc:
+            raise ValueError(bad + str(exc)) from None
+    if not samples:
+        raise ValueError("sample file contains no rows")
     return samples
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from synchrony_lab import probe
 from synchrony_lab.cli import Formatter
 
 from conftest import run_cli
@@ -450,6 +451,20 @@ class TestProbeCommand:
         assert (code, err) == (0, "")
         assert len(json.loads(out)["residual_curve"]) == 10_001
         assert peak <= 16_000_000, peak
+
+    def test_sample_file_past_the_row_cap_exits_3_while_reading(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", 100)
+        samples = tmp_path / "many.csv"
+        samples.write_text("delta_E,lab_beta,t_c,sigma\n" + "1.0,0.1,8.1e12,\n" * 100_000)
+        run_cli(["probe", "--samples", str(DATA / "collapse_samples_beta03.csv")])  # warm-up
+        tracemalloc.start()
+        try:
+            result = run_cli(["probe", "--samples", str(samples)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (3, "", "invalid_input reason=sample_file_has_more_than_100_rows\n")
+        assert peak <= 1_000_000, peak  # holding the 100 000 rows would take tens of MB
 
     def test_last_grid_point_never_passes_beta_max(self):
         code, out, _ = run_cli(

@@ -8,16 +8,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from synchrony_lab import (
     ABSOLUTE_FRAME,
     CollapseSample,
     FrameSpec,
     IllConditioned,
+    SampleColumns,
     collapse_time,
     estimate_absolute_frame,
     load_samples,
     map_velocity,
+    probe,
 )
 
 from synchrony_lab.probe import FitReport
@@ -27,6 +31,7 @@ from conftest import (
     ORACLE_PLANCK_ENERGY_EV,
     oracle_argmin,
     oracle_collapse_time,
+    oracle_load_samples,
     oracle_residuals,
     synth_collapse_samples,
     velocity_subtract,
@@ -189,6 +194,34 @@ class TestEstimator:
         assert abs(beta_hat - 0.3) <= 0.02
 
 
+# Fields by column: mostly valid ones, so that many drawn files load.
+GOOD_FIELDS = {
+    "delta_E": ["1.0", "2", " 0.5 ", '"1_0"'],
+    "lab_beta": ["0.1", "-0.4", '"0.3"', "0", "0.7"],
+    "t_c": ["8.1e12", "1e13", " 2.3e12", '"9e12"'],
+    "sigma": ["", "0.01", "  ", "1e-3"],
+    "note": ["", "x", "n/a", '"two\nlines"'],
+}
+BAD_FIELDS = ["", " ", "x", "nan", "-1", "0", "inf", "1.5", '"a,b"']
+
+
+@st.composite
+def sample_files(draw):
+    """CSV text: a shuffled header with optional and repeated columns, then rows
+    of mostly valid fields, some short, some long and some blank."""
+    extra = draw(st.lists(st.sampled_from(["sigma", "note", "t_c", "delta_E"]), max_size=2))
+    header = draw(st.permutations(["delta_E", "lab_beta", "t_c", "sigma"][:draw(st.integers(3, 4))]
+                                  + extra))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        width = len(header) + draw(st.sampled_from([0, 0, 0, 0, -1, -2, 1, -len(header)]))
+        lines.append(",".join(
+            draw(st.sampled_from(GOOD_FIELDS[header[j]] if j < len(header) else GOOD_FIELDS["note"]))
+            if draw(st.integers(0, 19)) else draw(st.sampled_from(BAD_FIELDS))
+            for j in range(width)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
 class TestSampleIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -239,6 +272,136 @@ class TestSampleIO:
         path.write_text("delta_E,lab_beta,t_c,sigma\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_samples(path)
+
+    @pytest.mark.parametrize("text, want", [
+        ("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12\n", [CollapseSample(1.0, 0.1, 8.1e12)]),
+        ("delta_E,lab_beta,t_c,sigma,note\n1.0,0.1,8.1e12\n2.0,-0.4,2.3e12,0.01\n"
+         "1.0,0.2,8.2e12,,last\n",
+         [CollapseSample(1.0, 0.1, 8.1e12), CollapseSample(2.0, -0.4, 2.3e12, 0.01),
+          CollapseSample(1.0, 0.2, 8.2e12)]),
+        ("\n".join(["delta_E,lab_beta,t_c,sigma", "", "1.0,0.1,8.1e12,", "", "",
+                    "2.0,-0.4,2.3e12,0.01", "", ""]),
+         [CollapseSample(1.0, 0.1, 8.1e12), CollapseSample(2.0, -0.4, 2.3e12, 0.01)]),
+        ("delta_E,lab_beta,t_c,sigma,note\n1.0,0.1,8.1e12,,first run\n2.0,-0.4,2.3e12,0.01,n/a\n",
+         [CollapseSample(1.0, 0.1, 8.1e12), CollapseSample(2.0, -0.4, 2.3e12, 0.01)]),
+        ("sigma,t_c,note,lab_beta,delta_E\n0.01,2.3e12,x,-0.4,2.0\n",
+         [CollapseSample(2.0, -0.4, 2.3e12, 0.01)]),
+        ("delta_E,lab_beta,t_c\n1.0,0.1,8.1e12\n", [CollapseSample(1.0, 0.1, 8.1e12)]),
+        ("delta_E,lab_beta,t_c,t_c\n1.0,0.1,1e12,8.1e12\n", [CollapseSample(1.0, 0.1, 8.1e12)]),
+        ('delta_E,lab_beta,t_c,sigma\n"1.0", 0.1 ," 8.1e12 "," 0.01 "\n',
+         [CollapseSample(1.0, 0.1, 8.1e12, 0.01)]),
+        ("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,  \n", [CollapseSample(1.0, 0.1, 8.1e12)]),
+        ("delta_E,lab_beta,t_c,sigma\n1_0,0.1,8.1e12,\n", [CollapseSample(10.0, 0.1, 8.1e12)]),
+        ("delta_E,lab_beta,t_c,sigma\r\n1.0,0.1,8.1e12,\r\n", [CollapseSample(1.0, 0.1, 8.1e12)]),
+    ], ids=["lacks-trailing-sigma", "mixed-row-lengths", "blank-lines-skipped", "note-column",
+            "any-column-order", "no-sigma-column", "repeated-column-uses-the-last",
+            "quoted-and-padded", "whitespace-sigma-is-blank", "underscore-digits", "crlf"])
+    def test_accepted_files(self, tmp_path, text, want):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert list(load_samples(path)) == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,\n\n\n1.0,0.2,x,\n",
+         "bad sample on line 5: could not convert string to float: 'x'"),
+        ('delta_E,lab_beta,t_c,sigma,note\n1.0,0.1,8.1e12,,"two\nlines"\n1.0,0.2,x,\n',
+         "bad sample on line 4: could not convert string to float: 'x'"),
+        ("delta_E,lab_beta,t_c,sigma\n\n\n", "sample file contains no rows"),
+        ("", "sample file must have columns delta_E, lab_beta, t_c"),
+        ("\ndelta_E,lab_beta,t_c\n1.0,0.1,8.1e12\n",
+         "sample file must have columns delta_E, lab_beta, t_c"),
+        ("t_c,lab_beta,delta_E\n8.1e12\n", "bad sample on line 2: row ends before column delta_E"),
+        ("delta_E,lab_beta,t_c,t_c\n1.0,0.1,1e12\n",
+         "bad sample on line 2: row ends before column t_c"),
+        ("delta_E,lab_beta,t_c\nx,0.1\n", "bad sample on line 2: row ends before column t_c"),
+        ("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,\n  \n",
+         "bad sample on line 3: row ends before column lab_beta"),
+        ('delta_E,lab_beta,t_c,sigma\n""\n', "bad sample on line 2: row ends before column lab_beta"),
+        ("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,nan\n",
+         "bad sample on line 2: sigma must be positive and finite when given"),
+        ("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,abc\n",
+         "bad sample on line 2: could not convert string to float: 'abc'"),
+        ("delta_E,lab_beta,t_c\n0,2,-1\n", "bad sample on line 2: delta_E must be positive"),
+        ("delta_E,lab_beta,t_c\n1,2,-1\n", "bad sample on line 2: t_c must be positive"),
+        ("delta_E,lab_beta,t_c\n1,2,1\n", "bad sample on line 2: |beta| must be < 1"),
+        ("delta_E,lab_beta,t_c\n1,-inf,1\n", "bad sample on line 2: |beta| must be < 1"),
+        ("delta_E,lab_beta,t_c\n1,0.1,1\n1,0.2,inf\n1,1,1\n",
+         "bad sample on line 3: t_c must be positive"),
+        ("delta_E,lab_beta,t_c\n1,0.1,1\n1,0.2,1,\n1,0.3,x\n",
+         "bad sample on line 3: row has more fields than the header"),
+    ], ids=["blank-lines-counted", "multi-line-field-counted", "only-blank-rows", "empty-file",
+            "blank-header", "first-required-column-named", "repeated-column-short",
+            "short-row-beats-bad-value", "whitespace-row", "quoted-empty-row", "nan-sigma",
+            "text-sigma", "delta-E-checked-first", "t-c-checked-before-beta", "beta-out-of-range",
+            "infinite-beta", "first-bad-row-reported", "long-row-before-bad-value"])
+    def test_rejected_files_name_the_first_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ValueError) as info:
+            load_samples(path)
+        assert str(info.value) == message
+
+
+    def test_columns_are_float_arrays_with_nan_for_a_blank_sigma(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,\n2.0,-0.4,2.3e12,0.01\n",
+                        encoding="utf-8")
+        columns = load_samples(path)
+        assert isinstance(columns, SampleColumns)
+        for name, want in (("delta_E", [1.0, 2.0]), ("beta", [0.1, -0.4]),
+                           ("t_c", [8.1e12, 2.3e12])):
+            got = getattr(columns, name)
+            assert got.dtype == np.float64 and got.tolist() == want, name
+        assert math.isnan(columns.sigma[0]) and columns.sigma[1] == 0.01
+        assert columns[-1] == CollapseSample(2.0, -0.4, 2.3e12, 0.01)
+        with pytest.raises(IndexError):
+            columns[2]
+
+    @pytest.mark.parametrize("block_rows", [16, probe._BLOCK_ROWS])
+    @pytest.mark.parametrize("rows, loads", [(50, True), (51, False)])
+    def test_row_cap_is_exact(self, tmp_path, monkeypatch, rows, loads, block_rows):
+        monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", 50)
+        monkeypatch.setattr(probe, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "samples.csv"
+        path.write_text("delta_E,lab_beta,t_c,sigma\n" + "1.0,0.1,8.1e12,\n\n" * rows,
+                        encoding="utf-8")
+        if loads:
+            assert len(load_samples(path)) == rows
+        else:
+            with pytest.raises(ValueError, match=r"^sample file has more than 50 rows$"):
+                load_samples(path)
+
+    def test_row_cap_stops_reading_before_the_rows_are_held(self, tmp_path, monkeypatch):
+        # Held as csv rows, the 100 000 rows would take tens of megabytes.
+        monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", 100)
+        monkeypatch.setattr(probe, "_BLOCK_ROWS", 1 << 16)
+        path = tmp_path / "samples.csv"
+        path.write_text("delta_E,lab_beta,t_c,sigma\n" + "1.0,0.1,8.1e12,\n" * 100_000,
+                        encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^sample file has more than 100 rows$"):
+                load_samples(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000, peak
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=sample_files(), block_rows=st.sampled_from([1, 2, 3, probe._BLOCK_ROWS]))
+    def test_agrees_with_the_row_by_row_oracle(self, tmp_path, monkeypatch, text, block_rows):
+        monkeypatch.setattr(probe, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "samples.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = oracle_load_samples(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                load_samples(path)
+            assert str(info.value) == str(exc)
+        else:
+            assert list(load_samples(path)) == want
 
 
 def unchunked_fit(samples, beta_grid) -> FitReport:
@@ -315,6 +478,19 @@ class TestFitKernel:
         assert got.beta_grid == want.beta_grid
         tolerance = 1e-9 * max(want.residuals)
         assert all(abs(a - b) <= tolerance for a, b in zip(got.residuals, want.residuals))
+
+    @pytest.mark.parametrize("path", [DATA / "collapse_samples_beta03.csv", "large"])
+    def test_columns_fit_bit_for_bit_as_their_rows(self, tmp_path, path):
+        if path == "large":
+            path = tmp_path / "large.csv"
+            spreads = np.random.default_rng(7).uniform(0.5, 2.0, 2000)
+            path.write_text("delta_E,lab_beta,t_c,sigma\n" + "".join(
+                f"{d!r},{s.beta!r},{s.t_c / (d * d)!r},{0.01 * s.t_c!r}\n"
+                for d, s in zip(spreads.tolist(), noisy_samples(-0.2, 2000, 2000))),
+                encoding="utf-8")
+        columns = load_samples(path)
+        assert estimate_absolute_frame(columns, GRID_0001) == estimate_absolute_frame(
+            list(columns), GRID_0001)
 
     @pytest.mark.parametrize("case", FIT_CASES)
     def test_fit_matches_the_50_digit_oracle(self, case):
