@@ -30,6 +30,7 @@ COPIED = ("src", "tests", "scripts")
 KINEMATICS = "src/synchrony_lab/kinematics.py"
 SYNCSIM = "src/synchrony_lab/syncsim.py"
 PROBE = "src/synchrony_lab/probe.py"
+CLI = "src/synchrony_lab/cli.py"
 
 FIT_ORACLE = "tests/test_probe.py::TestFitKernel::test_fit_matches_the_50_digit_oracle"
 EDGE_DIGITS = ("tests/test_syncsim.py::TestDigitsNearTheSpeedOfLight::"
@@ -123,6 +124,24 @@ CATALOGUE = (
     ("column fit drops the square of delta_E", PROBE,
      "samples.t_c * (samples.delta_E * samples.delta_E)", "samples.t_c * samples.delta_E",
      ["tests/test_probe.py::TestFitKernel::test_columns_fit_bit_for_bit_as_their_rows"]),
+    ("event constructor skips the finiteness check", KINEMATICS,
+     "        if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(z)):\n"
+     "            for name, value in zip(\"txyz\", (t, x, y, z)):\n"
+     "                if not isfinite(value):\n"
+     "                    raise ValueError(f\"event component {name} must be finite\")\n", "",
+     ["tests/test_records.py::test_each_bad_field_raises_its_message_in_check_order"]),
+    ("event _replace skips the checks", KINEMATICS,
+     "        return tuple.__new__(cls, (t, x, y, z, chart))\n\n"
+     "    @classmethod\n    def _make(cls, iterable):\n        return cls(*iterable)\n",
+     "        return tuple.__new__(cls, (t, x, y, z, chart))\n",
+     ["tests/test_records.py::test_make_and_replace_run_the_checks"]),
+    ("probe reads the samples before it checks the grid", CLI,
+     "    grid = _grid(args.beta_min, args.beta_max, args.step)  # before the file: it is cheap\n"
+     "    samples = probe.load_samples(args.samples)\n",
+     "    samples = probe.load_samples(args.samples)\n"
+     "    grid = _grid(args.beta_min, args.beta_max, args.step)\n",
+     ["tests/test_cli.py::TestProbeCommand::"
+      "test_bad_grid_exits_3_before_the_sample_file_is_read"]),
     ("minimizer always used", PROBE,
      "refined = bool(grid.min() <= b_star <= grid.max())", "refined = True",
      ["tests/test_probe.py::TestFitKernel::test_clustered_fit_falls_back_to_the_grid_argmin"]),

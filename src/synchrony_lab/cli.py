@@ -26,9 +26,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
 
-from . import kinematics, probe, syncsim
+from . import kinematics, syncsim
 from .errors import DegenerateConvention, FileInvalid, IllConditioned, SynchronyError
 
 PRESETS = ("lorentz", "superluminal")
@@ -136,9 +135,9 @@ def cmd_transform(args):
     document = {
         "command": "transform",
         "parameters": {"beta": args.beta, "k": k, "k_prime": k_prime},
-        "source": asdict(source),
-        "image": asdict(image),
-        "coefficients": asdict(coeffs),
+        "source": source._asdict(),
+        "image": image._asdict(),
+        "coefficients": coeffs._asdict(),
     }
     row = {f"{name}_{axis}": document[name][axis]
            for name in ("source", "image") for axis in "txyz"}
@@ -224,8 +223,10 @@ def cmd_scan(args):
 
 
 def cmd_probe(args):
+    from . import probe  # here, so that the other commands never load it
+
+    grid = _grid(args.beta_min, args.beta_max, args.step)  # before the file: it is cheap
     samples = probe.load_samples(args.samples)
-    grid = _grid(args.beta_min, args.beta_max, args.step)
     _, report = probe.estimate_absolute_frame(samples, grid)
     return {"command": "probe", **report.to_dict()}, [], []
 

@@ -34,7 +34,7 @@ validated inputs, are not API and hold the only copy of each formula.  Only a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConventionOutOfRange, DegenerateConvention
 
@@ -60,28 +60,41 @@ def _check_k(k: float, name: str = "k") -> None:
         raise ValueError(f"synchrony parameter {name} must lie in [-1, 1], got {k!r}")
 
 
-@dataclass(frozen=True)
-class Event:
-    """A spacetime point (t, x, y, z) in a named coordinate chart."""
-
+class _EventFields(NamedTuple):
     t: float
     x: float
     y: float = 0.0
     z: float = 0.0
     chart: str = "S"
 
-    def __post_init__(self):
+
+class Event(_EventFields):
+    """A spacetime point (t, x, y, z) in a named coordinate chart."""
+
+    __slots__ = ()
+
+    def __new__(cls, t, x, y=0.0, z=0.0, chart="S"):
         isfinite = math.isfinite
-        if not (isfinite(self.t) and isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
-            for name in ("t", "x", "y", "z"):
-                if not isfinite(getattr(self, name)):
+        if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(z)):
+            for name, value in zip("txyz", (t, x, y, z)):
+                if not isfinite(value):
                     raise ValueError(f"event component {name} must be finite")
-        if not self.chart:
+        if not chart:
             raise ValueError("event chart must be a non-empty identifier")
+        return tuple.__new__(cls, (t, x, y, z, chart))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class FrameSpec:
+class _FrameSpecFields(NamedTuple):
+    beta: float
+    k: float = 0.0
+    label: str = "S'"
+
+
+class FrameSpec(_FrameSpecFields):
     """A frame's velocity relative to the isotropy chart plus its synchrony k.
 
     ``beta`` is the coordinate velocity of the frame measured in the
@@ -89,58 +102,65 @@ class FrameSpec:
     realize.  The isotropy chart itself is ``FrameSpec(0.0, 0.0, "S")``.
     """
 
-    beta: float
-    k: float = 0.0
-    label: str = "S'"
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_beta(self.beta)
-        _check_k(self.k)
-        if not self.label:
+    def __new__(cls, beta, k=0.0, label="S'"):
+        _check_beta(beta)
+        _check_k(k)
+        if not label:
             raise ValueError("frame label must be non-empty")
+        return tuple.__new__(cls, (beta, k, label))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 #: The preferred chart: at rest, isotropic convention.
 ABSOLUTE_FRAME = FrameSpec(beta=0.0, k=0.0, label="S")
 
 
-@dataclass(frozen=True)
-class TransformCoeffs:
-    """Linear normal form of a chart map: (t, x) block plus y, z pass-through.
-
-    Applies as ``t' = a_tt*t + a_tx*x`` and ``x' = a_xt*t + a_xx*x``.  Every
-    named map has a ``*_coeffs`` constructor for one of these, built by the
-    kernels its transform runs, so composition and inversion are 2x2 algebra.
-    """
-
+class _TransformCoeffsFields(NamedTuple):
     a_tt: float
     a_tx: float
     a_xt: float
     a_xx: float
 
-    def __post_init__(self):
-        _nonsingular(_entries(self))
+
+class TransformCoeffs(_TransformCoeffsFields):
+    """Linear normal form of a chart map: (t, x) block plus y, z pass-through.
+
+    Applies as ``t' = a_tt*t + a_tx*x`` and ``x' = a_xt*t + a_xx*x``.  Every
+    named map has a ``*_coeffs`` constructor for one of these, built by the
+    kernels its transform runs, so composition and inversion are 2x2 algebra.
+    An instance is the ``(a_tt, a_tx, a_xt, a_xx)`` tuple the kernels take.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a_tt, a_tx, a_xt, a_xx):
+        return tuple.__new__(cls, _nonsingular((a_tt, a_tx, a_xt, a_xx)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def determinant(self) -> float:
-        return _det(_entries(self))
+        return _det(self)
 
     def apply(self, e: Event, chart: str | None = None) -> Event:
-        return _image(_entries(self), e, chart if chart is not None else e.chart)
+        return _image(self, e, chart if chart is not None else e.chart)
 
     def __matmul__(self, inner: "TransformCoeffs") -> "TransformCoeffs":
         """Composition ``self after inner`` (matrix product)."""
-        (o_tt, o_tx, o_xt, o_xx), (i_tt, i_tx, i_xt, i_xx) = _entries(self), _entries(inner)
+        (o_tt, o_tx, o_xt, o_xx), (i_tt, i_tx, i_xt, i_xx) = self, inner
         return TransformCoeffs(o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
                                o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx)
 
     def inverse(self) -> "TransformCoeffs":
         d = self.determinant
         return TransformCoeffs(self.a_xx / d, -self.a_tx / d, -self.a_xt / d, self.a_tt / d)
-
-
-def _entries(c: TransformCoeffs) -> tuple:
-    return c.a_tt, c.a_tx, c.a_xt, c.a_xx
 
 
 def _det(m: tuple) -> float:
@@ -190,9 +210,7 @@ def _image(m: tuple, e: Event, chart: str) -> Event:
     x = a_xt * e.t + a_xx * e.x
     if not (math.isfinite(t) and math.isfinite(x) and chart):
         Event(t, x, e.y, e.z, chart)  # raises, naming the first bad field
-    image = object.__new__(Event)
-    image.__dict__.update(t=t, x=x, y=e.y, z=e.z, chart=chart)
-    return image
+    return tuple.__new__(Event, (t, x, e.y, e.z, chart))
 
 
 def _velocity_through(m: tuple, u: float) -> float:
@@ -313,7 +331,7 @@ def resynchronize(e: Event, k_from: float, k_to: float) -> Event:
 
 def resync_velocity(u: float, k_from: float, k_to: float) -> float:
     """How a coordinate velocity reads after a clock re-setting."""
-    return _velocity_through(_entries(resync_coeffs(k_from, k_to)), u)
+    return _velocity_through(resync_coeffs(k_from, k_to), u)
 
 
 def between_coeffs(frame_from: FrameSpec, frame_to: FrameSpec) -> TransformCoeffs:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import islice, zip_longest
 from pathlib import Path
 from typing import NamedTuple
@@ -43,24 +42,32 @@ _BLOCK_ROWS = 1 << 9
 _REQUIRED = ("delta_E", "lab_beta", "t_c")
 
 
-@dataclass(frozen=True)
-class CollapseSample:
-    """One observed collapse time at a known laboratory velocity."""
-
+class _CollapseSampleFields(NamedTuple):
     delta_E: float
     beta: float
     t_c: float
     sigma: float | None = None
 
-    def __post_init__(self):
-        if not (math.isfinite(self.delta_E) and self.delta_E > 0.0):
+
+class CollapseSample(_CollapseSampleFields):
+    """One observed collapse time at a known laboratory velocity."""
+
+    __slots__ = ()
+
+    def __new__(cls, delta_E, beta, t_c, sigma=None):
+        if not (math.isfinite(delta_E) and delta_E > 0.0):
             raise ValueError("delta_E must be positive")
-        if not (math.isfinite(self.t_c) and self.t_c > 0.0):
+        if not (math.isfinite(t_c) and t_c > 0.0):
             raise ValueError("t_c must be positive")
-        if not (math.isfinite(self.beta) and abs(self.beta) < 1.0):
+        if not (math.isfinite(beta) and abs(beta) < 1.0):
             raise ValueError("|beta| must be < 1")
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0.0):
+        if sigma is not None and not (math.isfinite(sigma) and sigma > 0.0):
             raise ValueError("sigma must be positive and finite when given")
+        return tuple.__new__(cls, (delta_E, beta, t_c, sigma))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class SampleColumns:

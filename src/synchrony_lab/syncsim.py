@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -88,7 +87,6 @@ class SpeedMeasurement(NamedTuple):
     speed: float
 
 
-@dataclass
 class ClockLattice:
     """Simulator ground truth: the hardware's frame, its clocks, and a signal log.
 
@@ -103,21 +101,17 @@ class ClockLattice:
     are zero; only :func:`run_protocol` sets them.
     """
 
-    frame: FrameSpec
-    positions: tuple[float, ...]
-    offsets: list[float] = field(init=False)
-    log: list = field(init=False, default_factory=list)
-    protocol: str | None = field(init=False, default=None)
-
-    def __post_init__(self):
-        p = self.positions
-        if len(p) < 2:
+    def __init__(self, frame: FrameSpec, positions: tuple[float, ...]):
+        if len(positions) < 2:
             raise ValueError("lattice needs at least two nodes")
-        if not all(math.isfinite(x) for x in p):
+        if not all(math.isfinite(x) for x in positions):
             raise ValueError("node positions must be finite")
-        if any(b <= a for a, b in zip(p, p[1:])):
+        if any(b <= a for a, b in zip(positions, positions[1:])):
             raise ValueError("node positions must be strictly increasing")
-        self.offsets = [0.0] * len(p)
+        self.frame, self.positions = frame, positions
+        self.offsets: list[float] = [0.0] * len(positions)
+        self.log: list = []
+        self.protocol: str | None = None
 
     @classmethod
     def build(cls, drift: float, positions) -> "ClockLattice":
@@ -165,7 +159,9 @@ def propagate(
     u, t_emit = lattice.frame.beta * C, float(t_emit)
     _signal(lattice.log, kind, u, magnitude, x_from, x_to, t_emit, to_id)
     kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs = lattice.log[-1]
-    return SignalRecord(kind, Event(emit_t, emit_x), Event(absorb_t, absorb_x), speed_abs)
+    # _signal has checked all four coordinates finite: build the Events unchecked.
+    return SignalRecord(kind, tuple.__new__(Event, (emit_t, emit_x, 0.0, 0.0, "S")),
+                        tuple.__new__(Event, (absorb_t, absorb_x, 0.0, 0.0, "S")), speed_abs)
 
 
 def _check_signal(lattice, from_id, to_id, kind, speed) -> tuple:

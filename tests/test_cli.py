@@ -466,6 +466,16 @@ class TestProbeCommand:
         assert result == (3, "", "invalid_input reason=sample_file_has_more_than_100_rows\n")
         assert peak <= 1_000_000, peak  # holding the 100 000 rows would take tens of MB
 
+    def test_bad_grid_exits_3_before_the_sample_file_is_read(self, tmp_path, monkeypatch):
+        samples = tmp_path / "many.csv"
+        samples.write_text("delta_E,lab_beta,t_c,sigma\n" + "1.0,0.1,8.1e12,\n" * 200_000)
+        loads = []
+        monkeypatch.setattr(probe, "load_samples", loads.append)
+        for path in (samples, tmp_path / "missing.csv"):
+            assert run_cli(["probe", "--samples", str(path), "--step", "0"]) == (
+                3, "", "invalid_input reason=step_must_be_positive\n")
+        assert loads == []
+
     def test_last_grid_point_never_passes_beta_max(self):
         code, out, _ = run_cli(
             ["probe", "--samples", str(DATA / "collapse_samples_beta03.csv"),

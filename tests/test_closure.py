@@ -10,13 +10,12 @@ scan, the collapse-time fit and the realized synchrony all point at ``B``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from synchrony_lab import (
     ClockLattice,
     CollapseSample,
+    FrameSpec,
     collapse_time,
     estimate_absolute_frame,
     isotropy_scan,
@@ -46,7 +45,7 @@ def closure(flip=None):
             drift = -drift
         lattice = ClockLattice.build(drift, (0.0, 1.0))
         if flip == "frame":
-            lattice.frame = replace(lattice.frame, beta=-lattice.frame.beta)
+            lattice.frame = FrameSpec(-lattice.frame.beta, lattice.frame.k, lattice.frame.label)
         run_protocol(lattice, SUPERLUMINAL)
         k_ok = k_ok and lattice.frame.k == drift
         delta_E = (0.5, 1.0, 2.0)[i % 3]
