@@ -35,6 +35,7 @@ CLI = "src/synchrony_lab/cli.py"
 FIT_ORACLE = "tests/test_probe.py::TestFitKernel::test_fit_matches_the_50_digit_oracle"
 EDGE_DIGITS = ("tests/test_syncsim.py::TestDigitsNearTheSpeedOfLight::"
                "test_within_a_few_ulps_of_the_oracles[edge]")
+REJECTED = "tests/test_probe.py::TestSampleIO::test_rejected_files_name_the_first_bad_line"
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
               "tests/test_kinematics.py::TestFrameMapsMatchTheDecimalOracle"]
 
@@ -96,10 +97,23 @@ CATALOGUE = (
      "(c2 * p12 - c1 * n2)", "(-c1 * n2)",
      [f"{FIT_ORACLE}[one-sided-181x60]"]),
     ("sample rows longer than the header accepted", PROBE,
-     "                    if None in row:  # DictReader files the surplus fields under None\n"
+     "                    if len(row) > len(header):\n"
      "                        raise ValueError(\"row has more fields than the header\")\n", "",
      ["tests/test_probe.py::TestSampleIO::test_row_longer_than_the_header_is_rejected",
       "tests/test_cli.py::TestProbeCommand::test_row_longer_than_the_header_exits_3"]),
+    ("row rule skips the short-row check", PROBE,
+     "                    if short := [c for c in _REQUIRED if index[c] >= len(row)]:\n"
+     "                        raise ValueError(f\"row ends before column {short[0]}\")\n", "",
+     [f"{REJECTED}[first-required-column-named]",
+      "tests/test_cli.py::TestProbeCommand::test_bad_sample_names_its_physical_line[short-row]"]),
+    ("header index keeps the first repeated column", PROBE,
+     "{name: i for i, name in enumerate(header)}",
+     "{name: i for i, name in reversed(list(enumerate(header)))}",
+     ["tests/test_probe.py::TestSampleIO::test_accepted_files[repeated-column-uses-the-last]",
+      f"{REJECTED}[repeated-column-short]"]),
+    ("list path swaps delta_E and beta", PROBE,
+     "for f in fields))", "for f in (fields[1], fields[0], *fields[2:])))",
+     ["tests/test_probe.py::TestFitKernel::test_columns_fit_bit_for_bit_as_their_rows"]),
     ("column loader accepts rows longer than the header", PROBE,
      "    if max(map(len, rows)) > len(header):\n"
      "        raise ValueError(\"a row has more fields than the header\")\n", "",
@@ -118,12 +132,18 @@ CATALOGUE = (
     ("row cap checked only per block", PROBE,
      "min(_BLOCK_ROWS, MAX_SAMPLE_ROWS + 1 - n)", "_BLOCK_ROWS",
      ["tests/test_probe.py::TestSampleIO::test_row_cap_stops_reading_before_the_rows_are_held"]),
+    ("row cap reads a block past it", PROBE,
+     "MAX_SAMPLE_ROWS + 1 - n", "MAX_SAMPLE_ROWS + 1 + n",
+     ["tests/test_probe.py::TestSampleIO::test_row_cap_reads_at_most_one_row_past_it"]),
     ("row cap one row early", PROBE,
      "if n > MAX_SAMPLE_ROWS:", "if n >= MAX_SAMPLE_ROWS:",
      ["tests/test_probe.py::TestSampleIO::test_row_cap_is_exact"]),
     ("column fit drops the square of delta_E", PROBE,
      "samples.t_c * (samples.delta_E * samples.delta_E)", "samples.t_c * samples.delta_E",
-     ["tests/test_probe.py::TestFitKernel::test_columns_fit_bit_for_bit_as_their_rows"]),
+     ["tests/test_probe.py::TestEstimator::test_mixed_energy_spreads_are_normalized"]),
+    ("checked values allow tuple repetition", KINEMATICS,
+     "__add__ = __radd__ = __mul__ = __rmul__ = _refuse", "__add__ = __radd__ = __rmul__ = _refuse",
+     ["tests/test_records.py::test_checked_records_refuse_tuple_algebra"]),
     ("event constructor skips the finiteness check", KINEMATICS,
      "        if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(z)):\n"
      "            for name, value in zip(\"txyz\", (t, x, y, z)):\n"

@@ -60,6 +60,22 @@ def _check_k(k: float, name: str = "k") -> None:
         raise ValueError(f"synchrony parameter {name} must lie in [-1, 1], got {k!r}")
 
 
+class _Value:
+    """Base of the checked value types: a tuple's ``+``, ``*`` and ordering raise TypeError.
+
+    It must precede the NamedTuple fields base, or ``tuple``'s methods win.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, other):
+        raise TypeError(f"{type(self).__name__} supports no tuple concatenation, "
+                        "repetition or ordering")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
 class _EventFields(NamedTuple):
     t: float
     x: float
@@ -68,7 +84,7 @@ class _EventFields(NamedTuple):
     chart: str = "S"
 
 
-class Event(_EventFields):
+class Event(_Value, _EventFields):
     """A spacetime point (t, x, y, z) in a named coordinate chart."""
 
     __slots__ = ()
@@ -94,7 +110,7 @@ class _FrameSpecFields(NamedTuple):
     label: str = "S'"
 
 
-class FrameSpec(_FrameSpecFields):
+class FrameSpec(_Value, _FrameSpecFields):
     """A frame's velocity relative to the isotropy chart plus its synchrony k.
 
     ``beta`` is the coordinate velocity of the frame measured in the
@@ -127,7 +143,7 @@ class _TransformCoeffsFields(NamedTuple):
     a_xx: float
 
 
-class TransformCoeffs(_TransformCoeffsFields):
+class TransformCoeffs(_Value, _TransformCoeffsFields):
     """Linear normal form of a chart map: (t, x) block plus y, z pass-through.
 
     Applies as ``t' = a_tt*t + a_tx*x`` and ``x' = a_xt*t + a_xx*x``.  Every

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FileInvalid, IllConditioned
+from .kinematics import _Value
 
 #: Reduced Planck constant in eV*s (CODATA).
 HBAR_EV_S = 6.582119569e-16
@@ -49,7 +50,7 @@ class _CollapseSampleFields(NamedTuple):
     sigma: float | None = None
 
 
-class CollapseSample(_CollapseSampleFields):
+class CollapseSample(_Value, _CollapseSampleFields):
     """One observed collapse time at a known laboratory velocity."""
 
     __slots__ = ()
@@ -147,6 +148,10 @@ class FitReport(NamedTuple):
 def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     """Locate the preferred-frame velocity from collapse-time samples.
 
+    ``samples`` is a :class:`SampleColumns` or rows in :class:`CollapseSample`'s
+    field order, such as a list of samples, which become columns once; a row
+    of another width raises.
+
     Each grid point ``b`` composes the lab velocities u with it (u ominus b
     = (u - b)/(1 - u*b)), scales the gamma curve to the delta_E^2-normalized
     times y by least squares and records the squared residual.  As gamma(u
@@ -171,16 +176,10 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     if not np.all(np.abs(grid) < 1.0):  # also rejects NaN
         raise ValueError("beta_grid values must satisfy |beta| < 1")
 
-    # Lab velocities u and normalized times y.  An overflowing square is inf
-    # (** would raise) and fails the residual check below.
-    if isinstance(samples, SampleColumns):
-        u = samples.beta
-        with np.errstate(over="ignore"):
-            y = samples.t_c * (samples.delta_E * samples.delta_E)
-    else:
-        samples = list(samples)
-        u = np.array([s.beta for s in samples], dtype=float)
-        y = np.array([s.t_c * (s.delta_E * s.delta_E) for s in samples], dtype=float)
+    if not isinstance(samples, SampleColumns):  # rows in CollapseSample's field order
+        fields = list(zip(*samples, strict=True)) or [()] * 4  # no rows: four empty columns
+        samples = SampleColumns(*(np.array(f, dtype=float) for f in fields))
+    u = samples.beta  # lab velocities
     distinct = np.unique(u).size
     if distinct < 3:
         raise IllConditioned(
@@ -189,6 +188,8 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         )
 
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual
+        # Normalized times y; an overflowing square is inf (** would raise).
+        y = samples.t_c * (samples.delta_E * samples.delta_E)
         yy = float(y @ y)
         if not (np.all(y > 0.0) and yy >= np.finfo(float).tiny):  # all residuals would be 0
             raise IllConditioned("normalized collapse times underflow")
@@ -239,10 +240,11 @@ def load_samples(path) -> SampleColumns:
     omit trailing fields that no required column needs, and a blank or missing
     sigma reads as none.  The file is read once with ``csv.reader``, and each
     block of rows is turned into float columns and checked column by column;
-    only a file that fails is read again, row by row, to name its first bad
-    line.  Raises :class:`FileInvalid` if the file is not readable UTF-8 CSV,
-    ValueError on malformed rows and, as soon as the row after the cap is
-    read, on more than :data:`MAX_SAMPLE_ROWS` rows.
+    only a file that fails is read again, from the top with the one row rule
+    of :func:`_raise_first_bad_row`, to name its first bad line.  Raises
+    :class:`FileInvalid` if the file is not readable UTF-8 CSV, ValueError on
+    malformed rows and, as soon as the row after the cap is read, on more
+    than :data:`MAX_SAMPLE_ROWS` rows.
     """
     import numpy as np  # deferred so that importing the package does not load numpy
 
@@ -250,16 +252,13 @@ def load_samples(path) -> SampleColumns:
     try:
         with open(Path(path), newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, [])
-            if any(c not in header for c in _REQUIRED):
-                raise ValueError(f"sample file must have columns {', '.join(_REQUIRED)}")
-            rows = filter(None, reader)  # a blank line reads as [], which DictReader skips too
+            header, index, rows = _read_header(reader)
             while block := list(islice(rows, min(_BLOCK_ROWS, MAX_SAMPLE_ROWS + 1 - n))):
                 n += len(block)
                 if n > MAX_SAMPLE_ROWS:
                     raise ValueError(f"sample file has more than {MAX_SAMPLE_ROWS} rows")
                 try:
-                    blocks.append(_columns(header, block, np))
+                    blocks.append(_columns(header, index, block, np))
                 except ValueError:
                     _raise_first_bad_row(path)  # a valid file never gets here
                     raise
@@ -271,7 +270,15 @@ def load_samples(path) -> SampleColumns:
     return SampleColumns(*(np.concatenate(column) for column in zip(*blocks)))
 
 
-def _columns(header, rows, np):
+def _read_header(reader):
+    """The header, its {name: column} (a repeated name keeps its last) and the non-blank rows."""
+    header = next(reader, [])
+    if any(c not in header for c in _REQUIRED):
+        raise ValueError(f"sample file must have columns {', '.join(_REQUIRED)}")
+    return header, {name: i for i, name in enumerate(header)}, filter(None, reader)
+
+
+def _columns(header, index, rows, np):
     """delta_E, beta, t_c and sigma (NaN if blank) of ``rows`` as float arrays.
 
     Raises ValueError, naming no line, if a row breaks a rule.
@@ -281,7 +288,6 @@ def _columns(header, rows, np):
     # One tuple per header column: its name, then its fields.  A row's missing
     # trailing fields read as blank, which fails float for a required column.
     columns = list(zip_longest(header, *rows, fillvalue=""))
-    index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
     n = len(rows)
     delta_E, beta, t_c = (np.fromiter(map(float, columns[index[c]][1:]), float, n)
                           for c in _REQUIRED)
@@ -301,25 +307,25 @@ def _columns(header, rows, np):
 
 
 def _raise_first_bad_row(path) -> None:
-    """Read ``path`` again with the per-row rules and raise the first failure met.
+    """Read a failed sample file again, row by row, and raise its first bad row.
 
-    The rules are :class:`CollapseSample`'s checks on ``csv.DictReader``'s
-    rows, and the message names the physical line of the first bad row.
+    The one row rule, in order: a non-blank row is no longer than the header,
+    reaches every required column and parses into a :class:`CollapseSample`.
     """
     try:
         with open(Path(path), newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
+            reader = csv.reader(fh)
+            header, index, rows = _read_header(reader)
+            for row in rows:
                 try:
-                    if None in row:  # DictReader files the surplus fields under None
+                    if len(row) > len(header):
                         raise ValueError("row has more fields than the header")
-                    sigma_raw = (row.get("sigma") or "").strip()
-                    CollapseSample(
-                        delta_E=float(row["delta_E"]), beta=float(row["lab_beta"]),
-                        t_c=float(row["t_c"]), sigma=float(sigma_raw) if sigma_raw else None)
-                except (TypeError, ValueError) as exc:
-                    short = [c for c in _REQUIRED if row[c] is None]  # DictReader pads with None
-                    reason = f"row ends before column {short[0]}" if short else exc
-                    raise ValueError(f"bad sample on line {reader.line_num}: {reason}") from None
+                    if short := [c for c in _REQUIRED if index[c] >= len(row)]:
+                        raise ValueError(f"row ends before column {short[0]}")
+                    sigma = row[index["sigma"]] if index.get("sigma", len(row)) < len(row) else ""
+                    CollapseSample(*(float(row[index[c]]) for c in _REQUIRED),
+                                   float(sigma) if sigma.strip() else None)
+                except ValueError as exc:
+                    raise ValueError(f"bad sample on line {reader.line_num}: {exc}") from None
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # file errors only, not row errors
         raise FileInvalid(type(exc).__name__) from exc

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -137,6 +138,19 @@ class TestEstimator:
         samples = synth_collapse_samples(0.0, [0.2, -0.2, 0.2, -0.2])
         with pytest.raises(IllConditioned):
             estimate_absolute_frame(samples, GRID_001)
+
+    @pytest.mark.parametrize("at", [0, 5, -1])
+    def test_a_row_of_another_width_is_refused_not_fitted(self, at):
+        samples = synth_collapse_samples(0.3, self.velocities)
+        samples[at] = tuple(samples[at])[:3]
+        with pytest.raises(ValueError, match="^zip"):
+            estimate_absolute_frame(samples, GRID_001)
+
+    def test_no_samples_are_ill_conditioned(self):
+        with pytest.raises(IllConditioned) as info:
+            estimate_absolute_frame([], GRID_001)
+        assert str(info.value) == ("need at least 3 samples at 3 distinct velocities, "
+                                   "got 0 samples at 0")
 
     def test_report_is_stamped_with_constants(self):
         samples = synth_collapse_samples(0.0, self.velocities)
@@ -370,6 +384,24 @@ class TestSampleIO:
         else:
             with pytest.raises(ValueError, match=r"^sample file has more than 50 rows$"):
                 load_samples(path)
+
+    @pytest.mark.parametrize("block_rows", [7, 16])
+    def test_row_cap_reads_at_most_one_row_past_it(self, tmp_path, monkeypatch, block_rows):
+        asked = []
+
+        def islice(rows, stop):
+            asked.append(stop)
+            return itertools.islice(rows, stop)
+
+        monkeypatch.setattr(probe, "islice", islice)
+        monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", 50)
+        monkeypatch.setattr(probe, "_BLOCK_ROWS", block_rows)
+        path = tmp_path / "samples.csv"
+        path.write_text("delta_E,lab_beta,t_c,sigma\n" + "1.0,0.1,8.1e12,\n" * 200,
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^sample file has more than 50 rows$"):
+            load_samples(path)
+        assert len(asked) > 2 and sum(asked) <= 51, asked
 
     def test_row_cap_stops_reading_before_the_rows_are_held(self, tmp_path, monkeypatch):
         # Held as csv rows, the 100 000 rows would take tens of megabytes.

@@ -2,12 +2,14 @@
 
 The checked value types (``Event``, ``FrameSpec``, ``TransformCoeffs`` and
 ``CollapseSample``) are such records too, and every way of building one from
-values (the constructor, ``_make`` and ``_replace``) runs the same checks.
+values (the constructor, ``_make`` and ``_replace``) runs the same checks.  They
+read like tuples but refuse a tuple's ``+``, ``*`` and ordering.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from pathlib import Path
 
 import pytest
@@ -142,6 +144,8 @@ def test_a_checked_record_is_the_tuple_of_its_fields(name):
     record = make()
     values = tuple(getattr(record, field) for field in fields)
     assert record == values and hash(record) == hash(values)
+    assert values == record and not record != values and (*record,) == values
+    assert type(cls._make(values)) is cls and cls._make(values) == record
     required = values[:len(fields) - len(cls._field_defaults)]
     assert cls(*required) == (*required, *cls._field_defaults.values())
     assert record._asdict() == dict(zip(fields, values))
@@ -173,3 +177,33 @@ def test_events_built_unchecked_equal_checked_ones():
     for event in (image, signal.emit, signal.absorb):
         assert type(event) is Event
         assert repr(event) == repr(Event(*event))
+
+
+#: Each tuple operator a checked type refuses, on a record ``r`` and a plain tuple ``t``;
+#: a plain tuple on the left reaches the record's reflected method first.
+TUPLE_ALGEBRA = {
+    "r + t": lambda r, t: r + t,
+    "t + r": lambda r, t: t + r,
+    "r + r": lambda r, t: r + r,
+    "r += t": lambda r, t: operator.iadd(r, t),
+    "r * 2": lambda r, t: r * 2,
+    "2 * r": lambda r, t: 2 * r,
+    "r < t": lambda r, t: r < t,
+    "r <= t": lambda r, t: r <= t,
+    "r > t": lambda r, t: r > t,
+    "r >= t": lambda r, t: r >= t,
+    "t < r": lambda r, t: t < r,
+    "t >= r": lambda r, t: t >= r,
+    "sorted": lambda r, t: sorted([r, r]),
+    "max": lambda r, t: max(r, r),
+}
+
+
+@pytest.mark.parametrize("op", TUPLE_ALGEBRA)
+@pytest.mark.parametrize("name", BAD_VALUES)
+def test_checked_records_refuse_tuple_algebra(name, op):
+    record = RECORDS[name][1]()
+    with pytest.raises(TypeError, match=f"^{name} supports no tuple concatenation, "
+                                        "repetition or ordering$"):
+        TUPLE_ALGEBRA[op](record, tuple(record))
+
