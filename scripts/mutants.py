@@ -49,8 +49,14 @@ CATALOGUE = (
      "    x_emit = x_from + u * t_emit\n", "    u = -u\n    x_emit = x_from + u * t_emit\n",
      ["tests/test_syncsim.py::TestPropagate::test_drift_shortens_downwind_flight"]),
     ("rest length divides by the rate", SYNCSIM,
-     "distance = _eta(b, 0.0) * abs(x_to - x_from)", "distance = abs(x_to - x_from) / rate",
+     "distance = (1.0 / rate) * abs(x_to - x_from)", "distance = abs(x_to - x_from) / rate",
      ["tests/test_sync_digest.py"]),
+    ("finiteness fallback raises for finite components", SYNCSIM,
+     "        Event(t_emit, x_emit)  # raises, naming the first non-finite component\n"
+     "        Event(t_abs, x_abs)\n",
+     "        raise ValueError(\"event coordinates overflow\")\n",
+     ["tests/test_syncsim.py::TestSignalLog::"
+      "test_finite_coordinates_whose_sum_overflows_are_logged"]),
     ("realized k set before the exchange", SYNCSIM,
      "    lattice.frame = FrameSpec(b, 0.0, label)\n",
      "    lattice.frame = FrameSpec(b, 0.0 if protocol == EINSTEIN"
@@ -114,6 +120,9 @@ CATALOGUE = (
     ("list path swaps delta_E and beta", PROBE,
      "for f in fields))", "for f in (fields[1], fields[0], *fields[2:])))",
      ["tests/test_probe.py::TestFitKernel::test_columns_fit_bit_for_bit_as_their_rows"]),
+    ("list path lets rows of one other width through", PROBE,
+     "        if len(fields) != 4:", "        if False:",
+     ["tests/test_probe.py::TestEstimator::test_rows_of_one_other_width_name_the_four_fields"]),
     ("column loader accepts rows longer than the header", PROBE,
      "    if max(map(len, rows)) > len(header):\n"
      "        raise ValueError(\"a row has more fields than the header\")\n", "",
@@ -141,6 +150,9 @@ CATALOGUE = (
     ("column fit drops the square of delta_E", PROBE,
      "samples.t_c * (samples.delta_E * samples.delta_E)", "samples.t_c * samples.delta_E",
      ["tests/test_probe.py::TestEstimator::test_mixed_energy_spreads_are_normalized"]),
+    ("fit oracle case drops the square of delta_E", PROBE,
+     "samples.t_c * (samples.delta_E * samples.delta_E)", "samples.t_c * samples.delta_E",
+     [f"{FIT_ORACLE}[mixed-energy-181x100]"]),
     ("checked values allow tuple repetition", KINEMATICS,
      "__add__ = __radd__ = __mul__ = __rmul__ = _refuse", "__add__ = __radd__ = __rmul__ = _refuse",
      ["tests/test_records.py::test_checked_records_refuse_tuple_algebra"]),

@@ -149,8 +149,8 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     """Locate the preferred-frame velocity from collapse-time samples.
 
     ``samples`` is a :class:`SampleColumns` or rows in :class:`CollapseSample`'s
-    field order, such as a list of samples, which become columns once; a row
-    of another width raises.
+    field order, such as a list of samples, which become columns once; rows
+    of another width raise ``ValueError``.
 
     Each grid point ``b`` composes the lab velocities u with it (u ominus b
     = (u - b)/(1 - u*b)), scales the gamma curve to the delta_E^2-normalized
@@ -178,6 +178,9 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
 
     if not isinstance(samples, SampleColumns):  # rows in CollapseSample's field order
         fields = list(zip(*samples, strict=True)) or [()] * 4  # no rows: four empty columns
+        if len(fields) != 4:  # rows of one other width; mixed widths fail in zip
+            raise ValueError(f"sample rows need 4 fields ({', '.join(CollapseSample._fields)}), "
+                             f"got {len(fields)}")
         samples = SampleColumns(*(np.array(f, dtype=float) for f in fields))
     u = samples.beta  # lab velocities
     distinct = np.unique(u).size

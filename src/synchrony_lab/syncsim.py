@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FileInvalid, NotSynchronized, UnresolvableChase
 from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
-                         _eta, induced_synchrony)
+                         induced_synchrony)
 
 LIGHT = "light"
 SUPERLUMINAL_FINITE = "superluminal-finite"
@@ -104,9 +105,9 @@ class ClockLattice:
     def __init__(self, frame: FrameSpec, positions: tuple[float, ...]):
         if len(positions) < 2:
             raise ValueError("lattice needs at least two nodes")
-        if not all(math.isfinite(x) for x in positions):
+        if not all(map(math.isfinite, positions)):
             raise ValueError("node positions must be finite")
-        if any(b <= a for a, b in zip(positions, positions[1:])):
+        if any(map(operator.le, positions[1:], positions)):
             raise ValueError("node positions must be strictly increasing")
         self.frame, self.positions = frame, positions
         self.offsets: list[float] = [0.0] * len(positions)
@@ -116,7 +117,7 @@ class ClockLattice:
     @classmethod
     def build(cls, drift: float, positions) -> "ClockLattice":
         """Comoving lattice at ``drift`` with clocks at the given absolute positions."""
-        return cls(FrameSpec(-drift, 0.0, "lab"), tuple(float(x) for x in positions))
+        return cls(FrameSpec(-drift, 0.0, "lab"), tuple(map(float, positions)))
 
     @property
     def rate(self) -> float:
@@ -184,30 +185,31 @@ def _signal(rows, kind, u, magnitude, x_from, x_to, t_emit, to_id) -> float:
     The caller owns :func:`_check_signal`'s checks (known kind, two distinct
     valid nodes at ``x_from`` and ``x_to``, ``magnitude`` C or a checked
     speed); ``u`` is ``frame.beta*C``.  Returns the absorb time.
+
+    One test covers all four coordinates: their sum is finite only if each
+    of them is.  A finite sum can still overflow, so when it is not finite
+    each component is checked on its own, and only a non-finite one raises.
     """
     x_emit = x_from + u * t_emit
-    gap = x_to - x_from  # constant in time: clocks are comoving
-    sign = 1.0 if gap > 0 else -1.0
+    gap = x_to - x_from  # constant in time, never zero: clocks are comoving and distinct
 
     if kind == INSTANTANEOUS:
         t_abs = t_emit
         x_abs = x_to + u * t_emit
-        w = math.copysign(INFINITE_SPEED, gap)
+        w = INFINITE_SPEED if gap > 0 else -INFINITE_SPEED
     else:
-        w = sign * magnitude
+        w = magnitude if gap > 0 else -magnitude
         denom = w - u
-        if denom == 0.0 or gap / denom <= 0.0:
+        if denom == 0.0 or (dt := gap / denom) <= 0.0:
             raise UnresolvableChase(
                 f"signal at speed {w!r} cannot reach node {to_id} "
                 f"receding at {u!r}"
             )
-        dt = gap / denom
         t_abs = t_emit + dt
         x_abs = x_emit + w * dt
 
-    isfinite = math.isfinite
-    if not (isfinite(t_emit) and isfinite(x_emit) and isfinite(t_abs) and isfinite(x_abs)):
-        Event(t_emit, x_emit)  # raises, naming the first bad component
+    if not math.isfinite(t_emit + x_emit + t_abs + x_abs):
+        Event(t_emit, x_emit)  # raises, naming the first non-finite component
         Event(t_abs, x_abs)
     rows.append((kind, t_emit, x_emit, t_abs, x_abs, w))
     return t_abs
@@ -248,15 +250,16 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     lattice.offsets, lattice.log, lattice.protocol = [0.0] * len(p), rows, None
     lattice.frame = FrameSpec(b, 0.0, label)
     rate, u, t0 = _rate(b), b * C, 0.0
+    x_m, read0 = p[m], rate * t0  # the master's position and its reading at t0
     slaves = [i for i in range(len(p)) if i != m]
     if protocol == EINSTEIN:
         for i in slaves:
-            t_reflect = _signal(rows, LIGHT, u, C, p[m], p[i], t0, i)
-            t_return = _signal(rows, LIGHT, u, C, p[i], p[m], t_reflect, m)
-            offsets[i] = 0.5 * (rate * t0 + rate * t_return) - rate * t_reflect
+            t_reflect = _signal(rows, LIGHT, u, C, x_m, p[i], t0, i)
+            t_return = _signal(rows, LIGHT, u, C, p[i], x_m, t_reflect, m)
+            offsets[i] = 0.5 * (read0 + rate * t_return) - rate * t_reflect
     elif protocol == SUPERLUMINAL:
         for i in slaves:
-            offsets[i] = rate * t0 - rate * _signal(rows, INSTANTANEOUS, u, C, p[m], p[i], t0, i)
+            offsets[i] = read0 - rate * _signal(rows, INSTANTANEOUS, u, C, x_m, p[i], t0, i)
     # EXTERNAL_REGULATION: at absolute time 0 the reference reads the master's 0.
 
     lattice.offsets, lattice.protocol = offsets, protocol
@@ -318,7 +321,9 @@ def _timed(rows, kind, b, rate, magnitude, x_from, x_to, from_id, to_id, offsets
         t = _signal(rows, kind, u, magnitude, x_to, x_from, t, from_id)
     end = from_id if two_way else to_id
     elapsed = (rate * t + offsets[end]) - (rate * t0 + offsets[from_id])
-    distance = _eta(b, 0.0) * abs(x_to - x_from)  # rest length
+    # Rest length: 1/rate is _eta(b, 0.0) bit for bit, since 1 + b*0 is 1 and
+    # both take the square root of (1 - b)(1 + b).
+    distance = (1.0 / rate) * abs(x_to - x_from)
     if two_way:
         distance = 2.0 * distance
     return distance, elapsed, INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
@@ -349,7 +354,8 @@ def isotropy_scan(betas) -> list[ScanPoint]:
         rate = _rate(b)
         c_plus = _timed(rows, LIGHT, b, rate, C, 0.0, 1.0, 0, 1, offsets, False)[2]
         c_minus = _timed(rows, LIGHT, b, rate, C, 1.0, 0.0, 1, 0, offsets, False)[2]
-        points.append(ScanPoint(beta, c_plus, c_minus, c_plus - c_minus))
+        # ScanPoint checks nothing: build it without the generated __new__.
+        points.append(tuple.__new__(ScanPoint, (beta, c_plus, c_minus, c_plus - c_minus)))
     return points
 
 

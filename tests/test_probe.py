@@ -146,6 +146,14 @@ class TestEstimator:
         with pytest.raises(ValueError, match="^zip"):
             estimate_absolute_frame(samples, GRID_001)
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_rows_of_one_other_width_name_the_four_fields(self, width):
+        rows = [(*s, 0.0)[:width] for s in synth_collapse_samples(0.3, self.velocities)]
+        with pytest.raises(ValueError) as info:
+            estimate_absolute_frame(rows, GRID_001)
+        assert str(info.value) == (
+            f"sample rows need 4 fields (delta_E, beta, t_c, sigma), got {width}")
+
     def test_no_samples_are_ill_conditioned(self):
         with pytest.raises(IllConditioned) as info:
             estimate_absolute_frame([], GRID_001)
@@ -477,9 +485,19 @@ def noisy_samples(beta0, n, seed, velocities=None):
     return synth_collapse_samples(beta0, velocities, sigma=0.01, rng=rng)
 
 
+def mixed_energy_samples(beta0, n, seed):
+    """As :func:`noisy_samples`, but each sample's delta_E is drawn from 0.5 to 2.0."""
+    rng = np.random.default_rng(seed)
+    spreads = rng.uniform(0.5, 2.0, n).tolist()
+    return [sample for u, delta_E in zip(np.linspace(-0.8, 0.8, n), spreads)
+            for sample in synth_collapse_samples(beta0, [u], delta_E, sigma=0.01, rng=rng)]
+
+
 FIT_CASES = {
     "golden-181x17": lambda: (load_samples(DATA / "collapse_samples_beta03.csv"), GRID_001),
     "181x100": lambda: (noisy_samples(0.3, 100, 42), GRID_001),  # criterion 9's size
+    # Each sample's delta_E differs, so the delta_E^2 normalization shows in every residual.
+    "mixed-energy-181x100": lambda: (mixed_energy_samples(0.3, 100, 100), GRID_001),
     "1801x2000": lambda: (noisy_samples(-0.2, 2000, 2000), GRID_0001),
     "7x70000": lambda: (noisy_samples(0.1, 70_000, 70_000), [-0.9 + 0.3 * i for i in range(7)]),
     # Velocities on one side of 0: gamma(u) and u*gamma(u) are far from

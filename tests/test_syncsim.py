@@ -7,6 +7,8 @@ import re
 from decimal import Context, Decimal, localcontext
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from conftest import lattice_scan, oracle_gamma, oracle_scan_speeds
 
 from synchrony_lab import (
@@ -25,7 +27,7 @@ from synchrony_lab import (
     superluminal_transform,
     syncsim,
 )
-from synchrony_lab.kinematics import frame_coeffs
+from synchrony_lab.kinematics import _eta, frame_coeffs
 from synchrony_lab.syncsim import (
     EINSTEIN,
     EXTERNAL_REGULATION,
@@ -36,6 +38,7 @@ from synchrony_lab.syncsim import (
     Scenario,
     ScenarioError,
     SignalSpec,
+    _rate,
     parse_scenario,
     run_scenario,
 )
@@ -200,6 +203,18 @@ class TestSignalLog:
         rec = propagate(lat, 0, 1, INSTANTANEOUS, t_emit=t_emit)
         assert type(lat.log[-1][1]) is float and type(rec.emit.t) is float
         assert lat.log[-1][1] == t_emit
+
+    # At drift 0 every coordinate is finite, but t_emit + x_emit + t_abs +
+    # x_abs is 2**1024, past the largest float: the signal is still logged.
+    @pytest.mark.parametrize("from_id, to_id, kind, row", [
+        (0, 1, LIGHT, (LIGHT, 2.0**1023, 0.0, 2.0**1023, 1.0, 1.0)),
+        (1, 0, INSTANTANEOUS, (INSTANTANEOUS, 2.0**1023, 1.0, 2.0**1023, 0.0, -math.inf)),
+    ])
+    def test_finite_coordinates_whose_sum_overflows_are_logged(self, from_id, to_id, kind, row):
+        lat = lattice(beta=0.0)
+        rec = propagate(lat, from_id, to_id, kind, t_emit=2**1023)
+        assert lat.log == [row]
+        assert (rec.emit, rec.absorb) == (Event(*row[1:3]), Event(*row[3:5]))
 
     @pytest.mark.parametrize("protocol, rows", [
         (EINSTEIN, 2 * 4), (SUPERLUMINAL, 4), (EXTERNAL_REGULATION, 0),
@@ -585,6 +600,18 @@ class TestDigitsNearTheSpeedOfLight:
                 for got, want in pairs:
                     error = abs(Decimal(got) - want)
                     assert error <= self.ULPS * Decimal(math.ulp(float(want))), (beta, got, want)
+
+    # Rest lengths scale by 1/rate in place of _eta(b, 0): the two must agree
+    # to the bit for every |b| < 1.
+    @given(st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(math.nextafter(1.0, 0.0))
+    @example(math.nextafter(-1.0, 0.0))
+    def test_inverse_rate_is_eta_at_k_zero(self, b):
+        assert (1.0 / _rate(b)).hex() == _eta(b, 0.0).hex()
 
 
 class TestScenario:
