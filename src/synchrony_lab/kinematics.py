@@ -27,8 +27,10 @@ speed-valued functions return the module constant :data:`INFINITE_SPEED`
 
 Public functions and constructors validate their arguments once.  The
 ``_``-prefixed kernels behind them take plain floats and 2x2 tuples, assume
-validated inputs, are not API and hold the only copy of each formula.  Only a
-:class:`TransformCoeffs` instance (and ``_edwards``) checks its determinant.
+validated inputs, are not API and hold the only copy of each formula.  Only
+entries a caller gives :class:`TransformCoeffs` (or its ``_make``/``_replace``)
+and the determinant ``inverse()`` divides by are checked; the library's own maps
+have determinant 1 by construction, so rounding never calls a valid chart singular.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ INFINITE_SPEED = math.inf
 PLUS_X = "+x"
 MINUS_X = "-x"
 
+_SINGULAR = "transform is singular (zero determinant)"
+
 
 def _check_beta(beta: float) -> None:
     if not (math.isfinite(beta) and abs(beta) < 1.0):
@@ -63,7 +67,8 @@ def _check_k(k: float, name: str = "k") -> None:
 class _Value:
     """Base of the checked value types: a tuple's ``+``, ``*`` and ordering raise TypeError.
 
-    It must precede the NamedTuple fields base, or ``tuple``'s methods win.
+    ``_make``, and so the NamedTuple ``_replace``, builds through the type's
+    checks.  It must precede the NamedTuple fields base, or their methods win.
     """
 
     __slots__ = ()
@@ -74,6 +79,10 @@ class _Value:
 
     __add__ = __radd__ = __mul__ = __rmul__ = _refuse
     __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class _EventFields(NamedTuple):
@@ -99,10 +108,6 @@ class Event(_Value, _EventFields):
             raise ValueError("event chart must be a non-empty identifier")
         return tuple.__new__(cls, (t, x, y, z, chart))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 class _FrameSpecFields(NamedTuple):
     beta: float
@@ -127,10 +132,6 @@ class FrameSpec(_Value, _FrameSpecFields):
             raise ValueError("frame label must be non-empty")
         return tuple.__new__(cls, (beta, k, label))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 #: The preferred chart: at rest, isotropic convention.
 ABSOLUTE_FRAME = FrameSpec(beta=0.0, k=0.0, label="S")
@@ -149,21 +150,22 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
     Applies as ``t' = a_tt*t + a_tx*x`` and ``x' = a_xt*t + a_xx*x``.  Every
     named map has a ``*_coeffs`` constructor for one of these, built by the
     kernels its transform runs, so composition and inversion are 2x2 algebra.
-    An instance is the ``(a_tt, a_tx, a_xt, a_xx)`` tuple the kernels take.
+    An instance is the ``(a_tt, a_tx, a_xt, a_xx)`` tuple the kernels take.  Given
+    entries need a nonzero determinant, ``inverse()`` refuses a zero one, and
+    the ``*_coeffs`` maps are built unchecked.
     """
 
     __slots__ = ()
 
     def __new__(cls, a_tt, a_tx, a_xt, a_xx):
-        return tuple.__new__(cls, _nonsingular((a_tt, a_tx, a_xt, a_xx)))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+        m = tuple.__new__(cls, (a_tt, a_tx, a_xt, a_xx))
+        if m.determinant == 0.0:
+            raise ValueError(_SINGULAR)
+        return m
 
     @property
     def determinant(self) -> float:
-        return _det(self)
+        return self.a_tt * self.a_xx - self.a_tx * self.a_xt
 
     def apply(self, e: Event, chart: str | None = None) -> Event:
         return _image(self, e, chart if chart is not None else e.chart)
@@ -176,18 +178,9 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
 
     def inverse(self) -> "TransformCoeffs":
         d = self.determinant
+        if d == 0.0:
+            raise ValueError(_SINGULAR)
         return TransformCoeffs(self.a_xx / d, -self.a_tx / d, -self.a_xt / d, self.a_tt / d)
-
-
-def _det(m: tuple) -> float:
-    a_tt, a_tx, a_xt, a_xx = m
-    return a_tt * a_xx - a_tx * a_xt
-
-
-def _nonsingular(m: tuple) -> tuple:
-    if _det(m) == 0.0:
-        raise ValueError("transform is singular (zero determinant)")
-    return m
 
 
 def _eta(beta: float, k: float) -> float:
@@ -198,10 +191,15 @@ def _eta(beta: float, k: float) -> float:
     return 1.0 / math.sqrt(disc)
 
 
+def _rate(b: float) -> float:
+    """Tick rate of a clock moving at ``b*C``; ``1 / _rate(b)`` is ``_eta(b, 0.0)`` bit for bit."""
+    return math.sqrt((1.0 - b) * (1.0 + b))
+
+
 def _edwards(beta: float, k: float, k_prime: float) -> tuple:
     h = _eta(beta, k)
-    return _nonsingular((h * (1.0 + beta * (k + k_prime)),
-                         h * (beta * (k * k - 1.0) + k - k_prime) / C, -h * beta * C, h))
+    return (h * (1.0 + beta * (k + k_prime)),
+            h * (beta * (k * k - 1.0) + k - k_prime) / C, -h * beta * C, h)
 
 
 def _induced(k: float, beta: float) -> float:
@@ -269,19 +267,19 @@ def eta(beta: float, k: float) -> float:
 
 def edwards_coeffs(beta: float, k: float, k_prime: float) -> TransformCoeffs:
     """Coefficients of the general two-convention boost (k-chart to k'-chart)."""
-    return TransformCoeffs(*_checked_edwards(beta, k, k_prime))
+    return tuple.__new__(TransformCoeffs, _checked_edwards(beta, k, k_prime))
 
 
 def resync_coeffs(k_from: float, k_to: float) -> TransformCoeffs:
     """Pure clock re-setting within one frame: t -> t + (k_from - k_to)*x/C."""
     _check_k(k_from, "k_from")
     _check_k(k_to, "k_to")
-    return TransformCoeffs(1.0, (k_from - k_to) / C, 0.0, 1.0)
+    return tuple.__new__(TransformCoeffs, (1.0, (k_from - k_to) / C, 0.0, 1.0))
 
 
 def frame_coeffs(frame: FrameSpec) -> TransformCoeffs:
     """Map from the isotropy chart into ``frame``'s chart."""
-    return TransformCoeffs(*_edwards(frame.beta, 0.0, frame.k))
+    return tuple.__new__(TransformCoeffs, _edwards(frame.beta, 0.0, frame.k))
 
 
 def edwards_transform(e: Event, beta: float, k: float, k_prime: float) -> Event:
@@ -353,10 +351,9 @@ def resync_velocity(u: float, k_from: float, k_to: float) -> float:
 def between_coeffs(frame_from: FrameSpec, frame_to: FrameSpec) -> TransformCoeffs:
     """Chart map between frames: resync(0 -> k_to) . L(beta_rel) . resync(k_from -> 0).
 
-    Closed form in m = (1 - b_to)(1 + b_from) and p = (1 + b_to)(1 - b_from); raises
-    "transform is singular" only if its determinant, exactly 1, rounds to 0 (gamma_rel > 3e7).
+    Closed form in m = (1 - b_to)(1 + b_from) and p = (1 + b_to)(1 - b_from).
     """
-    return TransformCoeffs(*_between(frame_from, frame_to))
+    return tuple.__new__(TransformCoeffs, _between(frame_from, frame_to))
 
 
 def transform_between(e: Event, frame_from: FrameSpec, frame_to: FrameSpec) -> Event:

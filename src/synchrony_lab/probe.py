@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FileInvalid, IllConditioned
-from .kinematics import _Value
+from .kinematics import _Value, _rate
 
 #: Reduced Planck constant in eV*s (CODATA).
 HBAR_EV_S = 6.582119569e-16
@@ -66,10 +66,6 @@ class CollapseSample(_Value, _CollapseSampleFields):
             raise ValueError("sigma must be positive and finite when given")
         return tuple.__new__(cls, (delta_E, beta, t_c, sigma))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 class SampleColumns:
     """Collapse samples as float64 columns, as :func:`load_samples` returns them.
@@ -104,7 +100,7 @@ def collapse_time(delta_E: float, beta: float) -> float:
         raise ValueError(f"delta_E must be positive, got {delta_E!r}")
     if not (math.isfinite(beta) and abs(beta) < 1.0):
         raise ValueError(f"|beta| must be < 1, got {beta!r}")
-    gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
+    gamma = 1.0 / _rate(beta)
     square = delta_E * delta_E  # 0.0 once delta_E is below about 1e-162
     if square == 0.0 or math.isinf(t_c := gamma * HBAR_EV_S * PLANCK_ENERGY_EV / square):
         raise ValueError(f"collapse time overflows a float for delta_E={delta_E!r}")
@@ -177,10 +173,15 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         raise ValueError("beta_grid values must satisfy |beta| < 1")
 
     if not isinstance(samples, SampleColumns):  # rows in CollapseSample's field order
-        fields = list(zip(*samples, strict=True)) or [()] * 4  # no rows: four empty columns
-        if len(fields) != 4:  # rows of one other width; mixed widths fail in zip
+        rows = list(samples)
+        try:  # no rows: four empty columns
+            fields = list(zip(*rows, strict=True)) if rows else [()] * 4
+            width = len(fields)
+        except ValueError:  # zip met rows of mixed widths
+            width = "mixed widths"
+        if width != 4:
             raise ValueError(f"sample rows need 4 fields ({', '.join(CollapseSample._fields)}), "
-                             f"got {len(fields)}")
+                             f"got {width}")
         samples = SampleColumns(*(np.array(f, dtype=float) for f in fields))
     u = samples.beta  # lab velocities
     distinct = np.unique(u).size
@@ -225,7 +226,7 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         beta_hat=b,
         grid_beta_hat=grid_b,
         refined=refined,
-        scale=float((c1 * d1 + c2 * d2) / (d1 * d1 + d2 * d2)) * math.sqrt((1.0 - b) * (1.0 + b)),
+        scale=float((c1 * d1 + c2 * d2) / (d1 * d1 + d2 * d2)) * _rate(b),
         beta_grid=tuple(grid.tolist()),
         residuals=tuple(residuals.tolist()),
         n_samples=u.size,

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .errors import FileInvalid, NotSynchronized, UnresolvableChase
 from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
-                         induced_synchrony)
+                         _rate, induced_synchrony)
 
 LIGHT = "light"
 SUPERLUMINAL_FINITE = "superluminal-finite"
@@ -215,11 +215,6 @@ def _signal(rows, kind, u, magnitude, x_from, x_to, t_emit, to_id) -> float:
     return t_abs
 
 
-def _rate(b: float) -> float:
-    """Tick rate per absolute time unit of a clock moving at ``b*C``."""
-    return math.sqrt((1.0 - b) * (1.0 + b))
-
-
 def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> ClockLattice:
     """Reset the lattice to its built state, then synchronize it against ``master``.
 
@@ -321,8 +316,7 @@ def _timed(rows, kind, b, rate, magnitude, x_from, x_to, from_id, to_id, offsets
         t = _signal(rows, kind, u, magnitude, x_to, x_from, t, from_id)
     end = from_id if two_way else to_id
     elapsed = (rate * t + offsets[end]) - (rate * t0 + offsets[from_id])
-    # Rest length: 1/rate is _eta(b, 0.0) bit for bit, since 1 + b*0 is 1 and
-    # both take the square root of (1 - b)(1 + b).
+    # Rest length: 1/rate is _eta(b, 0.0) bit for bit (see kinematics._rate).
     distance = (1.0 / rate) * abs(x_to - x_from)
     if two_way:
         distance = 2.0 * distance

@@ -37,22 +37,24 @@ def absolute_sync_boost(t: float, x: float, beta: float) -> tuple[float, float]:
 
 
 class OracleKinematics:
-    """The kinematics API as one composition of checked coefficient objects.
+    """The kinematics API as one composition of coefficient objects.
 
-    Every call validates all of its arguments, builds a checked 2x2 map
-    (``coeffs``: ``edwards`` -> ``Coeffs`` -> ``apply``, then ``inverse``
-    and ``@``) and applies it, in the argument order and with the messages
-    of the public functions.  Events are ``(t, x, y, z, chart)`` tuples and
-    maps are ``Coeffs``; the library's kernels must agree bit for bit.  The
-    frame-to-frame maps are not here: the library evaluates them in a closed
-    form whose bits differ from this composition, and :func:`oracle_between`
-    holds them to 50 digits instead.
+    Every call validates all of its arguments, builds a 2x2 map (``coeffs``:
+    ``edwards`` -> ``Coeffs`` -> ``apply``, then ``inverse`` and ``@``) and
+    applies it, in the argument order and with the messages of the public
+    functions.  As in the library, a ``Coeffs`` built from given entries (and
+    the result of ``@`` and ``inverse``) checks its determinant, ``inverse``
+    refuses a zero one, and the maps built here are unchecked.  Events are
+    ``(t, x, y, z, chart)`` tuples and maps are ``Coeffs``; the library's
+    kernels must agree bit for bit.  The frame-to-frame maps are not here: the
+    library evaluates them in a closed form whose bits differ from this
+    composition, and :func:`oracle_between` holds them to 50 digits instead.
     """
 
     class Coeffs:
-        def __init__(self, a_tt, a_tx, a_xt, a_xx):
+        def __init__(self, a_tt, a_tx, a_xt, a_xx, checked=True):
             self.entries = (a_tt, a_tx, a_xt, a_xx)
-            if self.determinant == 0.0:
+            if checked and self.determinant == 0.0:
                 raise ValueError("transform is singular (zero determinant)")
 
         @property
@@ -78,6 +80,8 @@ class OracleKinematics:
         def inverse(self):
             a_tt, a_tx, a_xt, a_xx = self.entries
             d = self.determinant
+            if d == 0.0:
+                raise ValueError("transform is singular (zero determinant)")
             return OracleKinematics.Coeffs(a_xx / d, -a_tx / d, -a_xt / d, a_tt / d)
 
     @staticmethod
@@ -113,7 +117,7 @@ class OracleKinematics:
         h = self.eta(beta, k)
         return self.Coeffs(
             h * (1.0 + beta * (k + k_prime)), h * (beta * (k * k - 1.0) + k - k_prime),
-            -h * beta, h,
+            -h * beta, h, checked=False,
         )
 
     def induced_synchrony(self, k, beta):
@@ -127,7 +131,7 @@ class OracleKinematics:
     def resync_coeffs(self, k_from, k_to):
         self.check_k(k_from, "k_from")
         self.check_k(k_to, "k_to")
-        return self.Coeffs(1.0, k_from - k_to, 0.0, 1.0)
+        return self.Coeffs(1.0, k_from - k_to, 0.0, 1.0, checked=False)
 
     def frame_coeffs(self, frame):
         return self.edwards_coeffs(frame.beta, 0.0, frame.k)

@@ -99,6 +99,16 @@ class TestTransformCommand:
         assert out == ""
         assert err.splitlines() == ["degenerate_convention beta=0.8 k=-1.0"]
 
+    def test_determinant_rounding_to_zero_is_not_an_error(self):
+        # The boost's determinant is 1, but its float entries give exactly 0.0 here.
+        code, out, err = run_cli(
+            ["transform", "--beta", "0.6626423856087286", "--k", "-0.509109621898638",
+             "--k-prime", "0.6576740646065664", "--event", "1,0"]
+        )
+        assert (code, err) == (0, "")
+        image = json.loads(out)["image"]
+        assert (image["t"], image["x"]) == (90556292.9829928, -54628527.354372)
+
     def test_bad_event_exits_3(self):
         code, _, err = run_cli(
             ["transform", "--beta", "0.1", "--event", "1,2,3,4,5"]
