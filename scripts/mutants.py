@@ -36,6 +36,8 @@ FIT_ORACLE = "tests/test_probe.py::TestFitKernel::test_fit_matches_the_50_digit_
 EDGE_DIGITS = ("tests/test_syncsim.py::TestDigitsNearTheSpeedOfLight::"
                "test_within_a_few_ulps_of_the_oracles[edge]")
 REJECTED = "tests/test_probe.py::TestSampleIO::test_rejected_files_name_the_first_bad_line"
+NUMPY_REFUSED = ("tests/test_probe.py::TestSampleIO::"
+                 "test_numeric_files_numpy_refuses_end_as_the_csv_reader_ends_them")
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
               "tests/test_kinematics.py::TestFrameMapsMatchTheDecimalOracle"]
 
@@ -136,7 +138,7 @@ CATALOGUE = (
      ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line",
       "tests/test_cli.py::TestProbeCommand::test_bad_sigma_exits_3"]),
     ("column loader reads a sigma of nan as blank", PROBE,
-     "    if any(sigma_text[i].strip() for i in np.flatnonzero(blank)):", "    if False:",
+     "np.array([not s.strip() for s in sigma_text])", "np.isnan(sigma)",
      ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line"]),
     ("row cap read one row short", PROBE,
      "MAX_SAMPLE_ROWS + 1 - n", "MAX_SAMPLE_ROWS - n",
@@ -184,6 +186,38 @@ CATALOGUE = (
      "    grid = _grid(args.beta_min, args.beta_max, args.step)\n",
      ["tests/test_cli.py::TestProbeCommand::"
       "test_bad_grid_exits_3_before_the_sample_file_is_read"]),
+    ("product goes through the checked constructor", KINEMATICS,
+     "        return tuple.__new__(TransformCoeffs, (\n            o_tt * i_tt",
+     "        return TransformCoeffs._make((\n            o_tt * i_tt",
+     ["tests/test_kinematics.py::TestLibraryMapsAreNotCheckedForSingularity::"
+      "test_a_product_is_not_checked_for_singularity"]),
+    ("list path skips the checks of plain rows", PROBE,
+     "        if set(map(type, rows)) - {CollapseSample}:", "        if False:",
+     ["tests/test_probe.py::TestEstimator::test_plain_rows_pass_the_sample_checks"]),
+    ("C reader skips the value checks", PROBE,
+     '        _check(*columns, "sigma" not in index, np)\n', "",
+     [f"{NUMPY_REFUSED}[t-c-negative-on-line-7]", f"{NUMPY_REFUSED}[nan-sigma]"]),
+    ("C reader accepts another width", PROBE,
+     " or table.shape[1] != len(header):", ":",
+     [f"{NUMPY_REFUSED}[every-row-one-field-wider]"]),
+    ("C reader takes columns by position", PROBE,
+     "[table[:, index[c]].copy() for c in _REQUIRED]",
+     "[table[:, i].copy() for i, c in enumerate(_REQUIRED)]",
+     ["tests/test_probe.py::TestSampleIO::test_numpy_reads_numeric_files_bit_for_bit_as_csv"]),
+    ("C reader ignores the cap", PROBE,
+     "max_rows = min(MAX_SAMPLE_ROWS + 1, os.fstat(fh.fileno()).st_size",
+     "max_rows = (os.fstat(fh.fileno()).st_size",
+     ["tests/test_probe.py::TestSampleIO::test_row_cap_is_exact_for_numeric_files"]),
+    ("C reader allocates rows for the whole cap", PROBE,
+     "min(MAX_SAMPLE_ROWS + 1, os.fstat(", "max(MAX_SAMPLE_ROWS + 1, os.fstat(",
+     ["tests/test_probe.py::TestSampleIO::"
+      "test_numpy_reader_holds_no_more_than_the_file_or_the_cap[small-file]"]),
+    ("C reader reads a pipe it cannot read again", PROBE,
+     "            if fh.seekable():  # a pipe could not be read again\n", "            if True:\n",
+     ["tests/test_probe.py::TestSampleIO::test_a_pipe_goes_to_the_csv_reader_alone"]),
+    ("C reader lets its warnings through", PROBE,
+     '            warnings.simplefilter("ignore", UserWarning)\n', "",
+     ["tests/test_cli.py::TestProbeCommand::test_numeric_files_warn_nothing_under_w_error"]),
     ("minimizer always used", PROBE,
      "refined = bool(grid.min() <= b_star <= grid.max())", "refined = True",
      ["tests/test_probe.py::TestFitKernel::test_clustered_fit_falls_back_to_the_grid_argmin"]),

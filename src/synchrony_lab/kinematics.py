@@ -30,7 +30,8 @@ Public functions and constructors validate their arguments once.  The
 validated inputs, are not API and hold the only copy of each formula.  Only
 entries a caller gives :class:`TransformCoeffs` (or its ``_make``/``_replace``)
 and the determinant ``inverse()`` divides by are checked; the library's own maps
-have determinant 1 by construction, so rounding never calls a valid chart singular.
+have determinant 1 by construction, and a product ``@`` the product of its
+factors', so rounding never calls a valid chart or composition singular.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
     kernels its transform runs, so composition and inversion are 2x2 algebra.
     An instance is the ``(a_tt, a_tx, a_xt, a_xx)`` tuple the kernels take.  Given
     entries need a nonzero determinant, ``inverse()`` refuses a zero one, and
-    the ``*_coeffs`` maps are built unchecked.
+    the ``*_coeffs`` maps and products ``@`` are built unchecked.
     """
 
     __slots__ = ()
@@ -173,8 +174,9 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
     def __matmul__(self, inner: "TransformCoeffs") -> "TransformCoeffs":
         """Composition ``self after inner`` (matrix product)."""
         (o_tt, o_tx, o_xt, o_xx), (i_tt, i_tx, i_xt, i_xx) = self, inner
-        return TransformCoeffs(o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
-                               o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx)
+        return tuple.__new__(TransformCoeffs, (
+            o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
+            o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx))
 
     def inverse(self) -> "TransformCoeffs":
         d = self.determinant

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import warnings
 from itertools import islice, zip_longest
 from pathlib import Path
 from typing import NamedTuple
@@ -146,7 +148,9 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
 
     ``samples`` is a :class:`SampleColumns` or rows in :class:`CollapseSample`'s
     field order, such as a list of samples, which become columns once; rows
-    of another width raise ``ValueError``.
+    of another width raise ``ValueError``.  Rows that are not samples, such as
+    plain tuples, then pass :class:`CollapseSample`'s checks, or the first bad
+    one raises its ``ValueError``.
 
     Each grid point ``b`` composes the lab velocities u with it (u ominus b
     = (u - b)/(1 - u*b)), scales the gamma curve to the delta_E^2-normalized
@@ -183,6 +187,14 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
             raise ValueError(f"sample rows need 4 fields ({', '.join(CollapseSample._fields)}), "
                              f"got {width}")
         samples = SampleColumns(*(np.array(f, dtype=float) for f in fields))
+        if set(map(type, rows)) - {CollapseSample}:  # a sample checked itself when it was made
+            try:
+                _check(samples.delta_E, samples.beta, samples.t_c, samples.sigma,
+                       np.array([s is None for s in fields[3]]), np)
+            except ValueError:
+                for row in rows:
+                    CollapseSample(*row)  # raises the first bad row's own error
+                raise
     u = samples.beta  # lab velocities
     distinct = np.unique(u).size
     if distinct < 3:
@@ -242,21 +254,32 @@ def load_samples(path) -> SampleColumns:
     Columns may come in any order; a name the header repeats means its last
     column, and other columns are ignored.  Blank lines are skipped, a row may
     omit trailing fields that no required column needs, and a blank or missing
-    sigma reads as none.  The file is read once with ``csv.reader``, and each
-    block of rows is turned into float columns and checked column by column;
-    only a file that fails is read again, from the top with the one row rule
-    of :func:`_raise_first_bad_row`, to name its first bad line.  Raises
-    :class:`FileInvalid` if the file is not readable UTF-8 CSV, ValueError on
-    malformed rows and, as soon as the row after the cap is read, on more
-    than :data:`MAX_SAMPLE_ROWS` rows.
+    sigma reads as none.
+
+    Two readers share these rules.  numpy's C reader (``np.loadtxt``) takes a
+    file in which every row gives every header column a number it parses (so
+    no blank or missing field, and no ``1_0`` or non-ASCII digits), whose
+    samples pass the checks and whose size the OS reports.  Any other file is
+    read again from the top with ``csv.reader``: each block of rows is turned
+    into float columns and checked column by column, and only a file that
+    fails is read a last time, with the one row rule of
+    :func:`_raise_first_bad_row`, to name its first bad line.  Both readers
+    give the same columns and the same errors.  Raises :class:`FileInvalid`
+    if the file is not readable UTF-8 CSV, ValueError on malformed rows and,
+    as soon as the row after the cap is read, on more than
+    :data:`MAX_SAMPLE_ROWS` rows.
     """
     import numpy as np  # deferred so that importing the package does not load numpy
 
     blocks, n = [], 0
     try:
         with open(Path(path), newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header, index, rows = _read_header(reader)
+            header, index, rows = _read_header(csv.reader(fh))
+            if fh.seekable():  # a pipe could not be read again
+                if (columns := _table(fh, header, index, np)) is not None:
+                    return columns
+                fh.seek(0)
+                header, index, rows = _read_header(csv.reader(fh))
             while block := list(islice(rows, min(_BLOCK_ROWS, MAX_SAMPLE_ROWS + 1 - n))):
                 n += len(block)
                 if n > MAX_SAMPLE_ROWS:
@@ -282,8 +305,37 @@ def _read_header(reader):
     return header, {name: i for i, name in enumerate(header)}, filter(None, reader)
 
 
+def _table(fh, header, index, np) -> SampleColumns | None:
+    """The rest of ``fh`` read by numpy's C reader as checked columns, or None.
+
+    None means that reader does not take the file: a field is blank or not a
+    number as numpy parses it, a row has another width than the header, a
+    sample is out of range, or there are no rows or more than
+    :data:`MAX_SAMPLE_ROWS`.
+    """
+    # loadtxt allocates max_rows rows up front.  Each row it parses takes at
+    # least 2 bytes per column, a character and a delimiter or line end (the
+    # header makes up for a last row without one), so only a file past the
+    # cap, or grown since fstat, reaches the bound.
+    max_rows = min(MAX_SAMPLE_ROWS + 1, os.fstat(fh.fileno()).st_size // (2 * len(header)) + 1)
+    try:
+        with warnings.catch_warnings():  # an empty body or a blank line warns
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
+                               dtype=float, max_rows=max_rows)
+        if not 0 < len(table) < max_rows or table.shape[1] != len(header):
+            return None
+        columns = [table[:, index[c]].copy() for c in _REQUIRED]
+        columns.append(table[:, index["sigma"]].copy() if "sigma" in index
+                       else np.full(len(table), math.nan))
+        _check(*columns, "sigma" not in index, np)
+    except ValueError:  # a field numpy cannot parse, a row of another width, a bad sample
+        return None
+    return SampleColumns(*columns)
+
+
 def _columns(header, index, rows, np):
-    """delta_E, beta, t_c and sigma (NaN if blank) of ``rows`` as float arrays.
+    """delta_E, beta, t_c and sigma (NaN if blank) of ``rows`` as checked float arrays.
 
     Raises ValueError, naming no line, if a row breaks a rule.
     """
@@ -297,17 +349,22 @@ def _columns(header, index, rows, np):
                           for c in _REQUIRED)
     sigma_text = columns[index["sigma"]][1:] if "sigma" in index else ("",) * n
     sigma = np.array([float(s) if s.strip() else math.nan for s in sigma_text])
+    _check(delta_E, beta, t_c, sigma, np.array([not s.strip() for s in sigma_text]), np)
+    return delta_E, beta, t_c, sigma
 
+
+def _check(delta_E, beta, t_c, sigma, blank, np) -> None:
+    """Raise ValueError, naming no sample, if a sample fails :class:`CollapseSample`'s checks.
+
+    The samples are float columns.  ``blank`` (one bool for all, or a bool
+    array) marks those given no sigma, whose sigma is NaN.
+    """
     def positive(x):
         return np.isfinite(x) & (x > 0.0)
 
-    blank = np.isnan(sigma)
     if not (positive(delta_E) & positive(t_c) & (np.abs(beta) < 1.0)
             & (blank | positive(sigma))).all():
         raise ValueError("a sample is out of range")
-    if any(sigma_text[i].strip() for i in np.flatnonzero(blank)):  # "nan" in the file
-        raise ValueError("a sigma is not a number")
-    return delta_E, beta, t_c, sigma
 
 
 def _raise_first_bad_row(path) -> None:

@@ -74,7 +74,7 @@ class OracleKinematics:
             i_tt, i_tx, i_xt, i_xx = inner.entries
             return OracleKinematics.Coeffs(
                 o_tt * i_tt + o_tx * i_xt, o_tt * i_tx + o_tx * i_xx,
-                o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx,
+                o_xt * i_tt + o_xx * i_xt, o_xt * i_tx + o_xx * i_xx, checked=False,
             )
 
         def inverse(self):

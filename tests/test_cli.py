@@ -17,6 +17,7 @@ from synchrony_lab.cli import Formatter
 from conftest import run_cli
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -25,10 +26,10 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_cli_process(argv):
+def run_cli_process(argv, *python_options):
     """Run the CLI as a fresh process (real stderr, warnings included), memory-capped."""
     proc = subprocess.run(
-        [sys.executable, "-m", "synchrony_lab.cli", *argv],
+        [sys.executable, *python_options, "-m", "synchrony_lab.cli", *argv],
         # One BLAS thread: per-thread stacks would otherwise count against the cap.
         env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1",
              "OMP_NUM_THREADS": "1"},
@@ -560,6 +561,21 @@ class TestProbeCommand:
                            "1e200,-0.5,1.0,\n1e200,0.0,1.0,\n1e200,0.5,1.0,\n")
         assert run_cli_process(["probe", "--samples", str(samples)]) == (
             4, "", "ill_conditioned reason=fit_residuals_are_not_finite\n")
+
+
+    @pytest.mark.parametrize("body, code, err", [
+        ("\n\n{}\n\n", 0, ""),
+        ("\n\n", 3, "invalid_input reason=sample_file_contains_no_rows\n"),
+    ], ids=["blank-lines", "no-rows"])
+    def test_numeric_files_warn_nothing_under_w_error(self, tmp_path, body, code, err):
+        # numpy's reader warns of blank lines and of an empty body.
+        header, *rows = (DATA / "collapse_samples_beta03.csv").read_text().splitlines()
+        samples = tmp_path / "numeric.csv"
+        samples.write_text(header + "\n" + body.format("\n\n".join(row + "1e10" for row in rows)))
+        result = run_cli_process(["probe", "--samples", str(samples), "--beta-min", "-0.9",
+                                  "--beta-max", "0.9", "--step", "0.01"], "-W", "error")
+        want = (GOLDEN / "probe_beta03.json").read_text() if code == 0 else ""
+        assert result == (code, want, err)
 
 
 class TestUsageErrors:

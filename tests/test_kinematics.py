@@ -533,7 +533,8 @@ class TestKernelsMatchTheObjectComposition:
                 mismatches.append((name, args, got, want))
         assert not mismatches, mismatches[:5]
         # The draws reach the checks: every call that can fail both fails and succeeds.
-        for name in {name for name, _ in seen} - {"frame_coeffs", "determinant"}:
+        for name in {name for name, _ in seen} - {"frame_coeffs", "determinant", "square",
+                                                   "matmul"}:
             assert seen[name, "ok"] and seen[name, "singular"] + seen[name, "error"], name
 
     def test_frame_maps_never_call_valid_frames_singular(self):
@@ -599,6 +600,13 @@ class TestLibraryMapsAreNotCheckedForSingularity:
                       lambda: m._replace()):
             with pytest.raises(ValueError, match="^transform is singular"):
                 build()
+
+    def test_a_product_is_not_checked_for_singularity(self):
+        m, identity = edwards_coeffs(*self.ZERO_DET), resync_coeffs(0.0, 0.0)
+        for product in (m @ identity, identity @ m):
+            assert type(product) is TransformCoeffs
+            assert tuple(product) == tuple(m)
+            assert product.determinant == 0.0
 
 
 EPS = sys.float_info.epsilon

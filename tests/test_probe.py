@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 from decimal import Context, Decimal, localcontext
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from synchrony_lab import (
@@ -38,6 +40,7 @@ from conftest import (
     velocity_subtract,
 )
 
+C_READER = probe._table  # numpy's reader, before any test patches it
 GRID_001 = [-0.9 + 0.01 * i for i in range(181)]
 GRID_0001 = [-0.9 + 0.001 * i for i in range(1801)]
 DATA = Path(__file__).parent / "data"
@@ -156,6 +159,38 @@ class TestEstimator:
         assert str(info.value) == (
             f"sample rows need 4 fields (delta_E, beta, t_c, sigma), got {width}")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("t_c", -5.0, "t_c must be positive"),
+        ("beta", 1.5, "|beta| must be < 1"),
+        ("delta_E", -1.0, "delta_E must be positive"),
+        ("sigma", math.nan, "sigma must be positive and finite when given"),
+    ])
+    def test_plain_rows_pass_the_sample_checks(self, field, value, message):
+        rows = [tuple(s) for s in synth_collapse_samples(0.3, self.velocities)]
+        bad = dict(zip(CollapseSample._fields, rows[7]), **{field: value})
+        rows[7] = tuple(bad.values())
+        rows[20] = (-1.0, 2.0, -1.0, -1.0)  # a later bad row is not the one named
+        rows[3] = synth_collapse_samples(0.3, [0.1])[0]  # samples may mix with plain rows
+        with pytest.raises(ValueError) as info:
+            estimate_absolute_frame(rows, GRID_001)
+        assert str(info.value) == message
+
+    def test_plain_rows_with_no_sigma_fit_as_their_samples(self):
+        samples = synth_collapse_samples(0.3, self.velocities)
+        rows = [tuple(s) for s in samples]
+        assert all(row[3] is None for row in rows)
+        assert estimate_absolute_frame(rows, GRID_001) == estimate_absolute_frame(samples, GRID_001)
+
+    def test_samples_are_not_checked_again(self, monkeypatch):
+        def check(*args):
+            raise AssertionError("a list of samples was checked again")
+
+        monkeypatch.setattr(probe, "_check", check)
+        samples = synth_collapse_samples(0.3, self.velocities)
+        estimate_absolute_frame(samples, GRID_001)
+        with pytest.raises(AssertionError):
+            estimate_absolute_frame([tuple(s) for s in samples], GRID_001)
+
     def test_no_samples_are_ill_conditioned(self):
         with pytest.raises(IllConditioned) as info:
             estimate_absolute_frame([], GRID_001)
@@ -244,6 +279,63 @@ def sample_files(draw):
             if draw(st.integers(0, 19)) else draw(st.sampled_from(BAD_FIELDS))
             for j in range(width)))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+# Each of a sample's fields as the rules take it; a column that no required
+# name or sigma reads (an extra or a shadowed repeat) may hold any float.
+NUMERIC_FIELDS = {
+    "delta_E": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "lab_beta": st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    "t_c": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "sigma": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+}
+EDGE_FIELDS = {"delta_E": ["5e-324", "1e308"], "lab_beta": ["0.0", "-0.0"],
+               "t_c": ["5e-324", "1e308"], "sigma": ["5e-324", "1e308"]}
+
+
+@st.composite
+def numeric_files(draw):
+    """CSV text whose every field is a number: a shuffled header with optional,
+    repeated and extra columns, valid samples in exact spellings (repr,
+    exponents, quoted or padded), blank lines and LF, CRLF or CR line ends."""
+    names = ["delta_E", "lab_beta", "t_c"] + ["sigma"] * draw(st.booleans())
+    header = draw(st.permutations(names + draw(st.lists(
+        st.sampled_from(["delta_E", "lab_beta", "t_c", "sigma", "note"]), max_size=3))))
+    last = {name: j for j, name in enumerate(header)}
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+    def field(j):
+        name = header[j]
+        if last[name] != j or name not in NUMERIC_FIELDS:
+            text = repr(draw(st.floats()))
+        elif draw(st.integers(0, 4)):
+            value = draw(NUMERIC_FIELDS[name])
+            text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.17E}"]))
+        else:
+            text = draw(st.sampled_from(EDGE_FIELDS[name]))
+        return draw(st.sampled_from(["{}", '"{}"', " {} ", "\t{}", '" {} "', '"{}" '])).format(text)
+
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(1, 6))):
+        lines += [""] * draw(st.integers(0, 2))
+        lines.append(",".join(field(j) for j in range(len(header))))
+    return end.join(lines) + draw(st.sampled_from(["", end, end + end]))
+
+
+@pytest.fixture
+def c_reader(monkeypatch):
+    """What numpy's reader returned for each file loaded: its columns, or None."""
+    results = []
+
+    def table(*args):
+        results.append(C_READER(*args))
+        return results[-1]
+
+    monkeypatch.setattr(probe, "_table", table)
+    return results
+
+
+NUMERIC_HEADER = "delta_E,lab_beta,t_c,sigma\n"
 
 
 class TestSampleIO:
@@ -444,6 +536,103 @@ class TestSampleIO:
             assert str(info.value) == str(exc)
         else:
             assert list(load_samples(path)) == want
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=numeric_files())
+    @example(text="sigma,t_c,lab_beta,delta_E\n0.01,2.3e12,-0.4,2.0\n0.02,2.4e12,0.4,1.0\n")
+    def test_numpy_reads_numeric_files_bit_for_bit_as_csv(self, tmp_path, monkeypatch, c_reader,
+                                                          text):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = load_samples(path)
+        assert c_reader[-1] is got  # numpy's reader took the file
+        with monkeypatch.context() as csv_only:
+            csv_only.setattr(probe, "_table", lambda *args: None)
+            want = load_samples(path)
+        for name in SampleColumns.__slots__:
+            column = getattr(got, name)
+            assert column.dtype == np.float64 and column.flags.c_contiguous, name
+            assert column.tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("text, message", [
+        (NUMERIC_HEADER + "1.0,0.1,8.1e12,0.01,2\n" * 3,
+         "bad sample on line 2: row has more fields than the header"),
+        (NUMERIC_HEADER + "1.0,0.1,8.1e12,0.01\n" * 5 + "1.0,0.2,-5,0.01\n"
+         + "1.0,0.3,8.1e12,0.01\n" * 3, "bad sample on line 7: t_c must be positive"),
+        (NUMERIC_HEADER + "1.0,0.1,8.1e12,0.01\n\n1.0,0.2,8.1e12,nan\n",
+         "bad sample on line 4: sigma must be positive and finite when given"),
+    ], ids=["every-row-one-field-wider", "t-c-negative-on-line-7", "nan-sigma"])
+    def test_numeric_files_numpy_refuses_end_as_the_csv_reader_ends_them(
+            self, tmp_path, monkeypatch, c_reader, text, message):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for csv_only in (False, True):
+            if csv_only:
+                monkeypatch.setattr(probe, "_table", lambda *args: None)
+            with pytest.raises(ValueError) as info:
+                load_samples(path)
+            assert str(info.value) == message
+        assert c_reader == [None]
+
+    @pytest.mark.parametrize("rows, loads", [(50, True), (51, False), (200, False)])
+    def test_row_cap_is_exact_for_numeric_files(self, tmp_path, monkeypatch, c_reader, rows,
+                                                loads):
+        asked, loadtxt = [], np.loadtxt
+
+        def counted(*args, max_rows, **kwargs):
+            asked.append(max_rows)
+            return loadtxt(*args, max_rows=max_rows, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", 50)
+        path = tmp_path / "samples.csv"
+        path.write_text(NUMERIC_HEADER + "1.0,0.1,8.1e12,0.01\n\n" * rows, encoding="utf-8")
+        if loads:
+            assert len(load_samples(path)) == rows
+            assert c_reader[0] is not None
+        else:
+            with pytest.raises(ValueError, match=r"^sample file has more than 50 rows$"):
+                load_samples(path)
+            assert c_reader == [None]
+        assert asked == [51]  # at most one row past the cap
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_goes_to_the_csv_reader_alone(self, tmp_path, c_reader):
+        # A pipe reports no size, and opening it again would wait for a writer forever.
+        path = tmp_path / "samples.csv"
+        os.mkfifo(path)
+        loaded = []
+        reader = threading.Thread(target=lambda: loaded.append(load_samples(path)), daemon=True)
+        reader.start()
+        path.write_text(NUMERIC_HEADER + "1.0,-0.5,9.3e12,0.01\n1.0,0.0,8e12,0.01\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert list(loaded[0]) == [CollapseSample(1.0, -0.5, 9.3e12, 0.01),
+                                   CollapseSample(1.0, 0.0, 8e12, 0.01)]
+        assert c_reader == []
+
+    @pytest.mark.parametrize("rows, cap, bound", [(10, None, 100_000), (100_000, 100, 1_000_000)],
+                             ids=["small-file", "past-the-cap"])
+    def test_numpy_reader_holds_no_more_than_the_file_or_the_cap(self, tmp_path, monkeypatch,
+                                                                  rows, cap, bound):
+        # loadtxt allocates its max_rows up front: 32 MB at the real cap.
+        if cap:
+            monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", cap)
+        path = tmp_path / "samples.csv"
+        path.write_text(NUMERIC_HEADER + "1.0,0.1,8.1e12,0.01\n" * rows, encoding="utf-8")
+        load_samples(DATA / "collapse_samples_beta03.csv")  # warm-up: numpy's lazy imports
+        tracemalloc.start()
+        try:
+            if cap:
+                with pytest.raises(ValueError, match=rf"^sample file has more than {cap} rows$"):
+                    load_samples(path)
+            else:
+                assert len(load_samples(path)) == rows
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak
 
 
 def unchunked_fit(samples, beta_grid) -> FitReport:
