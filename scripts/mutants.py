@@ -38,6 +38,10 @@ EDGE_DIGITS = ("tests/test_syncsim.py::TestDigitsNearTheSpeedOfLight::"
 REJECTED = "tests/test_probe.py::TestSampleIO::test_rejected_files_name_the_first_bad_line"
 NUMPY_REFUSED = ("tests/test_probe.py::TestSampleIO::"
                  "test_numeric_files_numpy_refuses_end_as_the_csv_reader_ends_them")
+LOADS_ONLY = "tests/test_package.py::test_each_command_loads_only_the_layer_and_format_it_runs"
+IMPORT_LOADS = ("tests/test_package.py::"
+                "test_importing_the_cli_loads_no_module_its_cold_start_does_not_run")
+EMPTY_PATH = "test_empty_path_is_a_missing_file_not_the_current_directory"
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
               "tests/test_kinematics.py::TestFrameMapsMatchTheDecimalOracle"]
 
@@ -221,6 +225,27 @@ CATALOGUE = (
     ("minimizer always used", PROBE,
      "refined = bool(grid.min() <= b_star <= grid.max())", "refined = True",
      ["tests/test_probe.py::TestFitKernel::test_clustered_fit_falls_back_to_the_grid_argmin"]),
+    ("cli loads the clock simulator at import", CLI,
+     "from . import kinematics\n", "from . import kinematics, syncsim\n",
+     [IMPORT_LOADS, f"{LOADS_ONLY}[oneway_k06]", f"{LOADS_ONLY}[probe_beta03]"]),
+    ("CLI protocol choices lose one", CLI,
+     'PROTOCOLS = ("einstein", "superluminal", "external-regulation")',
+     'PROTOCOLS = ("einstein", "superluminal")',
+     ["tests/test_cli.py::TestUsageErrors::test_protocol_choices_are_the_simulators_protocols",
+      "tests/test_cli.py::TestUsageErrors::test_unknown_protocol_names_the_three_choices"]),
+    ("cli loads csv for every format", CLI,
+     "import argparse\nimport io\n", "import argparse\nimport csv\nimport io\n",
+     [IMPORT_LOADS, f"{LOADS_ONLY}[transform_lorentz_rest]",
+      f"{LOADS_ONLY}[sync_drift06_superluminal]"]),
+    ("empty path opens the current directory", SYNCSIM,
+     "open(os.fspath(path)", "open(os.path.normpath(path)",
+     [f"tests/test_cli.py::TestSyncCommand::{EMPTY_PATH}"]),
+    ("empty sample path opens the current directory on the re-read", PROBE,
+     "        with open(os.fspath(path), newline=\"\", encoding=\"utf-8\") as fh:\n"
+     "            reader = csv.reader(fh)\n",
+     "        with open(os.path.normpath(path), newline=\"\", encoding=\"utf-8\") as fh:\n"
+     "            reader = csv.reader(fh)\n",
+     [f"tests/test_cli.py::TestProbeCommand::{EMPTY_PATH}"]),
 )
 
 

@@ -2,7 +2,8 @@
 
 Each export is imported from its submodule on first use (PEP 562), so a
 program loads only the layers it touches: the CLI's ``sync`` never loads
-``probe``, and nothing loads numpy until a fit or a sample file needs it.
+``probe``, its ``transform`` and ``oneway`` never load ``syncsim``, and
+nothing loads numpy until a fit or a sample file needs it.
 """
 
 #: Every export, mapped to the submodule that defines it.

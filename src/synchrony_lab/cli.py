@@ -14,23 +14,30 @@ input file or parameters (including a ``scan``/``probe`` grid of more than
 O(grid + samples), so no cap applies to their product.
 Every error path writes a single machine-parsable line
 ``error_code key=value ...`` to stderr.
+
+Importing this module loads only ``kinematics`` and ``errors`` of the
+package: each command imports the layer it runs (``sync`` and ``scan`` the
+simulator, ``probe`` the estimator and numpy), and the renderer imports the
+module of the format it writes (``json`` or ``csv``), so a cold start
+compiles and runs no module its command does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import re
 import sys
 
-from . import kinematics, syncsim
-from .errors import DegenerateConvention, FileInvalid, IllConditioned, SynchronyError
+from . import kinematics
+from .errors import (DegenerateConvention, FileInvalid, IllConditioned, ScenarioError,
+                     SynchronyError)
 
 PRESETS = ("lorentz", "superluminal")
+#: ``sync --protocol``'s choices: :data:`syncsim.PROTOCOLS`, which the parser may not import.
+PROTOCOLS = ("einstein", "superluminal", "external-regulation")
 
 EXIT_OK = 0
 EXIT_DEGENERATE = 2
@@ -100,12 +107,18 @@ def _render(stream, fmt: Formatter, output: str, document: dict,
     key=value ...`` comment line.
     """
     if output == "json":
+        import json  # each format's module is imported by the branch that writes it
+
         json.dump(_walk(document, fmt.num), stream, indent=2)
         stream.write("\n")
     elif output == "jsonl":
+        import json
+
         for row in rows:
             stream.write(json.dumps(_walk(row, fmt.num)) + "\n")
     else:
+        import csv
+
         writer = csv.DictWriter(stream, columns, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
         writer.writerows(_walk(row, fmt.text) for row in rows)
@@ -158,6 +171,8 @@ def cmd_oneway(args):
 
 
 def cmd_sync(args):
+    from . import syncsim  # here, so that transform and oneway never load it
+
     scale = _speed_scale()
     scenario = syncsim.load_scenario(args.scenario)
     lattice, results = syncsim.run_scenario(scenario, protocol=args.protocol, master=args.master)
@@ -206,6 +221,8 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def cmd_scan(args):
+    from . import syncsim
+
     scale = _speed_scale()
     scan = syncsim.isotropy_scan(_grid(args.beta_min, args.beta_max, args.step))
     points = [
@@ -257,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("sync", help="run a synchronization scenario file")
     sy.add_argument("--scenario", required=True)
-    sy.add_argument("--protocol", choices=syncsim.PROTOCOLS, default=None)
+    sy.add_argument("--protocol", choices=PROTOCOLS, default=None)
     sy.add_argument("--master", type=int, default=0)
 
     sc = sub.add_parser("scan", help="anisotropy scan over candidate drift velocities")
@@ -304,7 +321,7 @@ def main(argv=None, *, stdout=None, stderr=None) -> int:
     except DegenerateConvention as exc:
         return _fail(stderr, EXIT_DEGENERATE, "degenerate_convention",
                      beta=exc.beta, k=exc.k)
-    except syncsim.ScenarioError as exc:
+    except ScenarioError as exc:
         return _fail(stderr, EXIT_INVALID_INPUT, "scenario_invalid",
                      invariant=exc.invariant, field=exc.field_name)
     except IllConditioned as exc:

@@ -42,5 +42,17 @@ class FileInvalid(SynchronyError):
     """An input file could not be opened, decoded or parsed; the message is the cause's type."""
 
 
+class ScenarioError(ValueError):
+    """A scenario file violates an invariant; carries a machine-readable tag."""
+
+    def __init__(self, invariant: str, field_name: str, detail: str = ""):
+        self.invariant = invariant
+        self.field_name = field_name
+        msg = f"scenario field {field_name!r} violates invariant {invariant!r}"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
+
+
 class IllConditioned(SynchronyError):
     """The fit is unconstrained (under three distinct velocities) or its arithmetic overflowed."""

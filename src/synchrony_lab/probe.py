@@ -23,7 +23,6 @@ import math
 import os
 import warnings
 from itertools import islice, zip_longest
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import FileInvalid, IllConditioned
@@ -273,7 +272,7 @@ def load_samples(path) -> SampleColumns:
 
     blocks, n = [], 0
     try:
-        with open(Path(path), newline="", encoding="utf-8") as fh:
+        with open(os.fspath(path), newline="", encoding="utf-8") as fh:
             header, index, rows = _read_header(csv.reader(fh))
             if fh.seekable():  # a pipe could not be read again
                 if (columns := _table(fh, header, index, np)) is not None:
@@ -374,7 +373,7 @@ def _raise_first_bad_row(path) -> None:
     reaches every required column and parses into a :class:`CollapseSample`.
     """
     try:
-        with open(Path(path), newline="", encoding="utf-8") as fh:
+        with open(os.fspath(path), newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header, index, rows = _read_header(reader)
             for row in rows:

@@ -30,13 +30,12 @@ isotropy scan calls with no lattice.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-from pathlib import Path
+import os
 from typing import NamedTuple
 
-from .errors import FileInvalid, NotSynchronized, UnresolvableChase
+from .errors import FileInvalid, NotSynchronized, ScenarioError, UnresolvableChase
 from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
                          _rate, induced_synchrony)
 
@@ -51,18 +50,6 @@ EXTERNAL_REGULATION = "external-regulation"
 PROTOCOLS = (EINSTEIN, SUPERLUMINAL, EXTERNAL_REGULATION)
 
 TWO_WAY = "two-way"
-
-
-class ScenarioError(ValueError):
-    """A scenario file violates an invariant; carries a machine-readable tag."""
-
-    def __init__(self, invariant: str, field_name: str, detail: str = ""):
-        self.invariant = invariant
-        self.field_name = field_name
-        msg = f"scenario field {field_name!r} violates invariant {invariant!r}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
 
 
 class SignalRecord(NamedTuple):
@@ -443,8 +430,10 @@ def parse_scenario(raw: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    import json  # here, so that a CLI command that reads no scenario never loads it
+
     try:
-        with open(Path(path), encoding="utf-8") as fh:
+        with open(os.fspath(path), encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, or not JSON
         raise FileInvalid(type(exc).__name__) from exc

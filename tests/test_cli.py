@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from synchrony_lab import probe
+from synchrony_lab import cli, probe, syncsim
 from synchrony_lab.cli import Formatter
 
 from conftest import run_cli
@@ -279,6 +279,10 @@ class TestSyncCommand:
         assert code == 3
         assert err.startswith("file_invalid ")
 
+    def test_empty_path_is_a_missing_file_not_the_current_directory(self):
+        assert run_cli(["sync", "--scenario", ""]) == (
+            3, "", "file_invalid reason=FileNotFoundError\n")
+
     @pytest.mark.parametrize("content, reason", [
         (b"[" * 100_000, "RecursionError"),  # was a RecursionError traceback
         (b'{"beta": ' + b"1" * 5001 + b"}", "ValueError"),  # past Python's integer-digit limit
@@ -501,6 +505,10 @@ class TestProbeCommand:
                         "--step", "1e-18"]) == (
             3, "", "invalid_input reason=grid_step_is_lost_to_rounding\n")
 
+    def test_empty_path_is_a_missing_file_not_the_current_directory(self):
+        assert run_cli(["probe", "--samples", ""]) == (
+            3, "", "file_invalid reason=FileNotFoundError\n")
+
     @pytest.mark.parametrize("content, reason", [
         (b"delta_E,lab_beta,t_c,sigma\n" + b"1" * 131_073 + b",0.1,1,\n", "Error"),  # csv.Error
         (b"delta_E,lab_beta,t_c,sigma\n1,0.1,1,\xff\n", "UnicodeDecodeError"),
@@ -593,6 +601,16 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and err.endswith("\n")
         assert err.startswith("usage_error reason=")
         assert capsys.readouterr() == ("", "")  # nothing bypasses main's streams
+
+    def test_unknown_protocol_names_the_three_choices(self):
+        code, out, err = run_cli(["sync", "--scenario", str(DATA / "scenario_rest.json"),
+                                  "--protocol", "ntp"])
+        assert (code, out) == (2, "")
+        assert err == ("usage_error reason=argument_--protocol:_invalid_choice:_'ntp'_"
+                       "(choose_from_'einstein',_'superluminal',_'external-regulation')\n")
+
+    def test_protocol_choices_are_the_simulators_protocols(self):
+        assert cli.PROTOCOLS == syncsim.PROTOCOLS
 
     def test_whitespace_in_a_value_stays_on_one_line(self):
         code, _, err = run_cli(["oneway", "--k", "0", "a\nb c"])

@@ -12,7 +12,39 @@ import pytest
 
 import synchrony_lab
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+DATA = "tests/data/"  # relative to ROOT, where the command subprocesses run
+
+SIMULATOR = "synchrony_lab.syncsim"
+#: The documented commands (the cli-cold set), each with the modules it must not load:
+#: a command loads only the layer it runs and the module of the format it writes.
+COMMANDS = {
+    "transform_lorentz_rest": (["transform", "--preset", "lorentz", "--beta", "0",
+                                "--event", "1,0,0,0"], {SIMULATOR, "csv", "pathlib"}),
+    "transform_superluminal_06": (["transform", "--preset", "superluminal", "--beta", "0.6",
+                                   "--event", "1,0,0,0"], {SIMULATOR, "csv", "pathlib"}),
+    "transform_explicit_06": (["transform", "--beta", "0.6", "--k", "0", "--k-prime", "-0.6",
+                               "--event", "1,0,0,0"], {SIMULATOR, "csv", "pathlib"}),
+    "oneway_k06": (["oneway", "--k", "0.6"], {SIMULATOR, "csv", "pathlib"}),
+    "sync_rest_einstein": (["sync", "--scenario", DATA + "scenario_rest.json"],
+                           {"csv", "pathlib"}),
+    "sync_drift06_superluminal": (["sync", "--scenario", DATA + "scenario_drift06.json"],
+                                  {"csv", "pathlib"}),
+    "sync_drift06_external": (["sync", "--scenario", DATA + "scenario_drift06.json",
+                               "--protocol", "external-regulation"], {"csv", "pathlib"}),
+    "sync_drift06_measurements": (["sync", "--scenario", DATA + "scenario_drift06.json",
+                                   "--format", "csv"], {"pathlib"}),
+    "scan_small": (["scan", "--beta-min", "-0.5", "--beta-max", "0.5", "--step", "0.25"],
+                   {"json", "pathlib"}),
+    "scan_wide": (["scan", "--beta-min", "-0.9", "--beta-max", "0.9", "--step", "0.1"],
+                  {"json", "pathlib"}),
+    "probe_beta03": (["probe", "--samples", DATA + "collapse_samples_beta03.csv",
+                      "--beta-min", "-0.9", "--beta-max", "0.9", "--step", "0.01"],
+                     {SIMULATOR}),
+    "sync_bad_positions": (["sync", "--scenario", DATA + "scenario_bad_positions.json"],
+                           {"csv", "pathlib"}),
+}
 
 
 def test_every_export_is_the_object_its_submodule_defines():
@@ -43,4 +75,23 @@ def test_importing_the_cli_loads_no_module_its_cold_start_does_not_run():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout.split()
     assert "synchrony_lab.cli" in loaded
-    assert not {"dataclasses", "inspect", "numpy", "synchrony_lab.probe"} & set(loaded)
+    assert not {"csv", "dataclasses", "inspect", "json", "numpy", "synchrony_lab.probe",
+                SIMULATOR} & set(loaded)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_each_command_loads_only_the_layer_and_format_it_runs(name):
+    argv, unloaded = COMMANDS[name]
+    code = ("import io, sys; before = set(sys.modules); from synchrony_lab import cli; "
+            "status = cli.main(sys.argv[1:], stdout=io.StringIO(), stderr=io.StringIO()); "
+            "print(status, *sorted(set(sys.modules) - before))")
+    # -S as above, except for probe: numpy lives in site-packages.
+    options = () if argv[0] == "probe" else ("-S",)
+    status, *loaded = subprocess.run(
+        [sys.executable, *options, "-c", code, *argv], cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout.split()
+    assert int(status) == (3 if name == "sync_bad_positions" else 0)
+    assert not unloaded & set(loaded)
+    assert ("numpy" in loaded) is (argv[0] == "probe")  # only the estimator loads numpy

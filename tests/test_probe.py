@@ -352,6 +352,17 @@ class TestSampleIO:
         assert samples[0].sigma is None
         assert samples[1] == CollapseSample(2.0, -0.4, 2.3e12, 0.01)
 
+    def test_a_path_object_loads_as_its_string(self):
+        path = DATA / "collapse_samples_beta03.csv"
+        assert list(load_samples(path)) == list(load_samples(str(path)))
+
+    def test_an_integer_path_is_refused_not_read_as_a_file_descriptor(self):
+        with open(DATA / "collapse_samples_beta03.csv", "rb") as fh:
+            with pytest.raises(TypeError):
+                load_samples(fh.fileno())
+            with pytest.raises(TypeError):
+                probe._raise_first_bad_row(fh.fileno())
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("delta_E,t_c\n1.0,2.0\n", encoding="utf-8")

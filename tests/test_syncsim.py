@@ -5,6 +5,7 @@ import math
 import random
 import re
 from decimal import Context, Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -18,6 +19,7 @@ from synchrony_lab import (
     FrameSpec,
     NotSynchronized,
     UnresolvableChase,
+    errors,
     eta,
     isotropy_scan,
     measure_one_way,
@@ -39,9 +41,12 @@ from synchrony_lab.syncsim import (
     ScenarioError,
     SignalSpec,
     _rate,
+    load_scenario,
     parse_scenario,
     run_scenario,
 )
+
+SCENARIO_REST = Path(__file__).parent / "data" / "scenario_rest.json"
 
 
 def lattice(beta=0.6, positions=(0.0, 1.0)):
@@ -691,3 +696,14 @@ class TestScenario:
         lattice, results = run_scenario(parse_scenario(self.good()), protocol="einstein")
         assert lattice.protocol == "einstein"
         assert math.isclose(results[0].speed, 1.0, abs_tol=1e-9)
+
+    def test_scenario_error_is_the_errors_module_class(self):
+        assert syncsim.ScenarioError is errors.ScenarioError
+
+    def test_a_path_object_loads_as_its_string(self):
+        assert load_scenario(SCENARIO_REST) == load_scenario(str(SCENARIO_REST))
+
+    def test_an_integer_path_is_refused_not_read_as_a_file_descriptor(self):
+        with open(SCENARIO_REST, "rb") as fh:
+            with pytest.raises(TypeError):
+                load_scenario(fh.fileno())
