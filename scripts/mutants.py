@@ -109,13 +109,13 @@ CATALOGUE = (
      "(c2 * p12 - c1 * n2)", "(-c1 * n2)",
      [f"{FIT_ORACLE}[one-sided-181x60]"]),
     ("sample rows longer than the header accepted", PROBE,
-     "                    if len(row) > len(header):\n"
-     "                        raise ValueError(\"row has more fields than the header\")\n", "",
+     "            if len(row) > len(header):\n"
+     "                raise ValueError(\"row has more fields than the header\")\n", "",
      ["tests/test_probe.py::TestSampleIO::test_row_longer_than_the_header_is_rejected",
       "tests/test_cli.py::TestProbeCommand::test_row_longer_than_the_header_exits_3"]),
     ("row rule skips the short-row check", PROBE,
-     "                    if short := [c for c in _REQUIRED if index[c] >= len(row)]:\n"
-     "                        raise ValueError(f\"row ends before column {short[0]}\")\n", "",
+     "            if short := [c for c in _REQUIRED if index[c] >= len(row)]:\n"
+     "                raise ValueError(f\"row ends before column {short[0]}\")\n", "",
      [f"{REJECTED}[first-required-column-named]",
       "tests/test_cli.py::TestProbeCommand::test_bad_sample_names_its_physical_line[short-row]"]),
     ("header index keeps the first repeated column", PROBE,
@@ -132,26 +132,39 @@ CATALOGUE = (
     ("list path cuts rows of mixed widths to the shortest", PROBE,
      "zip(*rows, strict=True)", "zip(*rows)",
      ["tests/test_probe.py::TestEstimator::test_a_row_of_another_width_is_refused_not_fitted"]),
-    ("column loader accepts rows longer than the header", PROBE,
-     "    if max(map(len, rows)) > len(header):\n"
-     "        raise ValueError(\"a row has more fields than the header\")\n", "",
-     ["tests/test_probe.py::TestSampleIO::test_row_longer_than_the_header_is_rejected",
-      "tests/test_cli.py::TestProbeCommand::test_row_longer_than_the_header_exits_3"]),
-    ("column loader drops the sigma predicate", PROBE,
+    ("sigma converter run accepts rows wider than the header", PROBE,
+     " or table.shape[1] != len(header):",
+     " or table.shape[1] != len(header) and not blank_sigma:",
+     [f"{NUMPY_REFUSED}[every-row-one-field-wider-blank-sigma]"]),
+    ("C reader drops the sigma predicate", PROBE,
      "\n            & (blank | positive(sigma))", "",
      ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line",
       "tests/test_cli.py::TestProbeCommand::test_bad_sigma_exits_3"]),
-    ("column loader reads a sigma of nan as blank", PROBE,
-     "np.array([not s.strip() for s in sigma_text])", "np.isnan(sigma)",
+    ("sigma converter reads a given NaN as blank", PROBE,
+     "    if math.isnan(sigma := float(text)):\n"
+     "        raise ValueError(\"a given sigma is NaN\")\n    return sigma\n",
+     "    return float(text)\n",
+     ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line",
+      f"{REJECTED}[nan-sigma]"]),
+    ("plain C run counts a NaN sigma as blank", PROBE,
+     "np.isnan(columns[3]) if blank_sigma else sigma is None", "np.isnan(columns[3])",
      ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line"]),
+    ("sigma converter run counts no sigma as blank", PROBE,
+     "np.isnan(columns[3]) if blank_sigma else sigma is None", "sigma is None",
+     ["tests/test_probe.py::TestSampleIO::test_numpy_reads_numeric_files_bit_for_bit_as_csv"]),
+    ("sigma converter run skipped", PROBE,
+     'for blank_sigma in (False, True) if "sigma" in index else (False,):',
+     "for blank_sigma in (False,):",
+     ["tests/test_probe.py::TestSampleIO::test_numpy_reads_numeric_files_bit_for_bit_as_csv"]),
     ("row cap read one row short", PROBE,
-     "MAX_SAMPLE_ROWS + 1 - n", "MAX_SAMPLE_ROWS - n",
+     "enumerate(filter(None, reader), 1)", "enumerate(filter(None, reader), 2)",
      ["tests/test_probe.py::TestSampleIO::test_row_cap_is_exact"]),
-    ("row cap checked only per block", PROBE,
-     "min(_BLOCK_ROWS, MAX_SAMPLE_ROWS + 1 - n)", "_BLOCK_ROWS",
+    ("row reader never checks the cap", PROBE,
+     "        if n > MAX_SAMPLE_ROWS:\n"
+     "            raise ValueError(f\"sample file has more than {MAX_SAMPLE_ROWS} rows\")\n", "",
      ["tests/test_probe.py::TestSampleIO::test_row_cap_stops_reading_before_the_rows_are_held"]),
-    ("row cap reads a block past it", PROBE,
-     "MAX_SAMPLE_ROWS + 1 - n", "MAX_SAMPLE_ROWS + 1 + n",
+    ("row cap reads two rows past it", PROBE,
+     "if n > MAX_SAMPLE_ROWS:", "if n > MAX_SAMPLE_ROWS + 1:",
      ["tests/test_probe.py::TestSampleIO::test_row_cap_reads_at_most_one_row_past_it"]),
     ("row cap one row early", PROBE,
      "if n > MAX_SAMPLE_ROWS:", "if n >= MAX_SAMPLE_ROWS:",
@@ -199,7 +212,7 @@ CATALOGUE = (
      "        if set(map(type, rows)) - {CollapseSample}:", "        if False:",
      ["tests/test_probe.py::TestEstimator::test_plain_rows_pass_the_sample_checks"]),
     ("C reader skips the value checks", PROBE,
-     '        _check(*columns, "sigma" not in index, np)\n', "",
+     "        _check(*columns, np.isnan(columns[3]) if blank_sigma else sigma is None, np)\n", "",
      [f"{NUMPY_REFUSED}[t-c-negative-on-line-7]", f"{NUMPY_REFUSED}[nan-sigma]"]),
     ("C reader accepts another width", PROBE,
      " or table.shape[1] != len(header):", ":",
@@ -240,12 +253,14 @@ CATALOGUE = (
     ("empty path opens the current directory", SYNCSIM,
      "open(os.fspath(path)", "open(os.path.normpath(path)",
      [f"tests/test_cli.py::TestSyncCommand::{EMPTY_PATH}"]),
-    ("empty sample path opens the current directory on the re-read", PROBE,
-     "        with open(os.fspath(path), newline=\"\", encoding=\"utf-8\") as fh:\n"
-     "            reader = csv.reader(fh)\n",
-     "        with open(os.path.normpath(path), newline=\"\", encoding=\"utf-8\") as fh:\n"
-     "            reader = csv.reader(fh)\n",
+    ("empty sample path opens the current directory", PROBE,
+     "open(os.fspath(path)", "open(os.path.normpath(path)",
      [f"tests/test_cli.py::TestProbeCommand::{EMPTY_PATH}"]),
+    ("a_tx's terms rounded apart", KINEMATICS,
+     "(m * ((1.0 + k_from) * (1.0 - k_to))\n             - p * ((1.0 - k_from) * (1.0 + k_to)))",
+     "(m * (1.0 + k_from) * (1.0 - k_to)\n             - p * (1.0 - k_from) * (1.0 + k_to))",
+     ["tests/test_kinematics.py::TestMapVelocity::"
+      "test_instantaneous_stays_instantaneous_between_superluminal_frames"]),
 )
 
 

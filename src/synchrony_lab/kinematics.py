@@ -37,7 +37,7 @@ factors', so rounding never calls a valid chart or composition singular.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ConventionOutOfRange, DegenerateConvention
 
@@ -68,8 +68,8 @@ def _check_k(k: float, name: str = "k") -> None:
 class _Value:
     """Base of the checked value types: a tuple's ``+``, ``*`` and ordering raise TypeError.
 
-    ``_make``, and so the NamedTuple ``_replace``, builds through the type's
-    checks.  It must precede the NamedTuple fields base, or their methods win.
+    ``_make``, and so the namedtuple ``_replace``, builds through the type's
+    checks.  It must precede the namedtuple fields base, or their methods win.
     """
 
     __slots__ = ()
@@ -86,12 +86,7 @@ class _Value:
         return cls(*iterable)
 
 
-class _EventFields(NamedTuple):
-    t: float
-    x: float
-    y: float = 0.0
-    z: float = 0.0
-    chart: str = "S"
+_EventFields = namedtuple("_EventFields", "t x y z chart", defaults=(0.0, 0.0, "S"))
 
 
 class Event(_Value, _EventFields):
@@ -110,10 +105,7 @@ class Event(_Value, _EventFields):
         return tuple.__new__(cls, (t, x, y, z, chart))
 
 
-class _FrameSpecFields(NamedTuple):
-    beta: float
-    k: float = 0.0
-    label: str = "S'"
+_FrameSpecFields = namedtuple("_FrameSpecFields", "beta k label", defaults=(0.0, "S'"))
 
 
 class FrameSpec(_Value, _FrameSpecFields):
@@ -138,11 +130,7 @@ class FrameSpec(_Value, _FrameSpecFields):
 ABSOLUTE_FRAME = FrameSpec(beta=0.0, k=0.0, label="S")
 
 
-class _TransformCoeffsFields(NamedTuple):
-    a_tt: float
-    a_tx: float
-    a_xt: float
-    a_xx: float
+_TransformCoeffsFields = namedtuple("_TransformCoeffsFields", "a_tt a_tx a_xt a_xx")
 
 
 class TransformCoeffs(_Value, _TransformCoeffsFields):
@@ -213,8 +201,11 @@ def _between(frame_from: FrameSpec, frame_to: FrameSpec) -> tuple:
     b_from, k_from, b_to, k_to = frame_from.beta, frame_from.k, frame_to.beta, frame_to.k
     m, p = (1.0 - b_to) * (1.0 + b_from), (1.0 + b_to) * (1.0 - b_from)
     s = 2.0 * math.sqrt(m * p)
+    # With k = -beta in both frames, a_tx's pairs of k factors are p and m bit for bit:
+    # grouped, both of its terms round to m*p and cancel to exactly 0.0.
     return ((p * (1.0 + k_to) + m * (1.0 - k_to)) / s,
-            (m * (1.0 + k_from) * (1.0 - k_to) - p * (1.0 - k_from) * (1.0 + k_to)) / (s * C),
+            (m * ((1.0 + k_from) * (1.0 - k_to))
+             - p * ((1.0 - k_from) * (1.0 + k_to))) / (s * C),
             2.0 * (b_from - b_to) * C / s,
             (p * (1.0 - k_from) + m * (1.0 + k_from)) / s)
 

@@ -22,8 +22,8 @@ import csv
 import math
 import os
 import warnings
-from itertools import islice, zip_longest
-from typing import NamedTuple
+from array import array
+from collections import namedtuple
 
 from .errors import FileInvalid, IllConditioned
 from .kinematics import _Value, _rate
@@ -37,18 +37,11 @@ PLANCK_ENERGY_EV = 1.22e28
 #: Most rows a sample file may hold; :func:`load_samples` stops reading one row past it.
 MAX_SAMPLE_ROWS = 10**6
 
-# Rows that load_samples holds as text at a time before turning them into
-# floats: about 0.4 MB of text, and larger blocks load no faster.
-_BLOCK_ROWS = 1 << 9
-
 _REQUIRED = ("delta_E", "lab_beta", "t_c")
 
 
-class _CollapseSampleFields(NamedTuple):
-    delta_E: float
-    beta: float
-    t_c: float
-    sigma: float | None = None
+_CollapseSampleFields = namedtuple("_CollapseSampleFields", "delta_E beta t_c sigma",
+                                   defaults=(None,))
 
 
 class CollapseSample(_Value, _CollapseSampleFields):
@@ -108,22 +101,16 @@ def collapse_time(delta_E: float, beta: float) -> float:
     return t_c
 
 
-class FitReport(NamedTuple):
+class FitReport(namedtuple("FitReport", "beta_hat grid_beta_hat refined scale beta_grid "
+                                        "residuals n_samples distinct_velocities")):
     """Everything the estimator decided; ``to_dict`` adds the model constants.
 
     ``refined`` means the closed-form minimizer b* lies within the grid's span
     and is ``beta_hat``; otherwise ``beta_hat`` is ``grid_beta_hat``, the grid
-    argmin.
+    argmin.  ``beta_grid`` and ``residuals`` are tuples of floats.
     """
 
-    beta_hat: float
-    grid_beta_hat: float
-    refined: bool
-    scale: float
-    beta_grid: tuple[float, ...]
-    residuals: tuple[float, ...]
-    n_samples: int
-    distinct_velocities: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """The published fit report, with the residual curve as (beta, residual) pairs."""
@@ -255,101 +242,87 @@ def load_samples(path) -> SampleColumns:
     omit trailing fields that no required column needs, and a blank or missing
     sigma reads as none.
 
-    Two readers share these rules.  numpy's C reader (``np.loadtxt``) takes a
-    file in which every row gives every header column a number it parses (so
-    no blank or missing field, and no ``1_0`` or non-ASCII digits), whose
-    samples pass the checks and whose size the OS reports.  Any other file is
-    read again from the top with ``csv.reader``: each block of rows is turned
-    into float columns and checked column by column, and only a file that
-    fails is read a last time, with the one row rule of
-    :func:`_raise_first_bad_row`, to name its first bad line.  Both readers
-    give the same columns and the same errors.  Raises :class:`FileInvalid`
-    if the file is not readable UTF-8 CSV, ValueError on malformed rows and,
-    as soon as the row after the cap is read, on more than
-    :data:`MAX_SAMPLE_ROWS` rows.
+    The path is opened once, and two readers share these rules.  numpy's C
+    reader (``np.loadtxt``) takes a file in which every row gives every header
+    column a number it parses, or leaves the sigma column blank; it is asked
+    without a sigma converter first, and once more with one only if it
+    refused the file and the header has a sigma column.  Its samples pass
+    the checks, and the OS reports the file's size.  Any other file (a text
+    column, a short row, ``1_0`` or non-ASCII digits, a bad sample, a pipe) is
+    read from the end of its header, row by row, by :func:`_read_rows`, which
+    returns the columns or names the first bad line; such files load more
+    slowly.  Both readers give the same columns and the same errors.  Raises
+    :class:`FileInvalid` if the file is not readable UTF-8 CSV, ValueError on
+    malformed rows and, as soon as the row after the cap is read, on more
+    than :data:`MAX_SAMPLE_ROWS` rows.
     """
     import numpy as np  # deferred so that importing the package does not load numpy
 
-    blocks, n = [], 0
     try:
         with open(os.fspath(path), newline="", encoding="utf-8") as fh:
-            header, index, rows = _read_header(csv.reader(fh))
+            reader = csv.reader(iter(fh.readline, ""))  # not next(fh), which disables fh.tell()
+            header, index = _read_header(reader)
             if fh.seekable():  # a pipe could not be read again
-                if (columns := _table(fh, header, index, np)) is not None:
-                    return columns
-                fh.seek(0)
-                header, index, rows = _read_header(csv.reader(fh))
-            while block := list(islice(rows, min(_BLOCK_ROWS, MAX_SAMPLE_ROWS + 1 - n))):
-                n += len(block)
-                if n > MAX_SAMPLE_ROWS:
-                    raise ValueError(f"sample file has more than {MAX_SAMPLE_ROWS} rows")
-                try:
-                    blocks.append(_columns(header, index, block, np))
-                except ValueError:
-                    _raise_first_bad_row(path)  # a valid file never gets here
-                    raise
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        _raise_first_bad_row(path)  # a bad row before the unreadable part is reported first
+                body = fh.tell()
+                for blank_sigma in (False, True) if "sigma" in index else (False,):
+                    if (columns := _table(fh, header, index, np, blank_sigma)) is not None:
+                        return columns
+                    fh.seek(body)
+            return _read_rows(reader, header, index, np)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # file errors only, not row errors
         raise FileInvalid(type(exc).__name__) from exc
-    if not blocks:
-        raise ValueError("sample file contains no rows")
-    return SampleColumns(*(np.concatenate(column) for column in zip(*blocks)))
 
 
 def _read_header(reader):
-    """The header, its {name: column} (a repeated name keeps its last) and the non-blank rows."""
+    """The header and its {name: column}; a repeated name keeps its last column."""
     header = next(reader, [])
     if any(c not in header for c in _REQUIRED):
         raise ValueError(f"sample file must have columns {', '.join(_REQUIRED)}")
-    return header, {name: i for i, name in enumerate(header)}, filter(None, reader)
+    return header, {name: i for i, name in enumerate(header)}
 
 
-def _table(fh, header, index, np) -> SampleColumns | None:
+def _table(fh, header, index, np, blank_sigma) -> SampleColumns | None:
     """The rest of ``fh`` read by numpy's C reader as checked columns, or None.
 
     None means that reader does not take the file: a field is blank or not a
     number as numpy parses it, a row has another width than the header, a
     sample is out of range, or there are no rows or more than
-    :data:`MAX_SAMPLE_ROWS`.
+    :data:`MAX_SAMPLE_ROWS`.  With ``blank_sigma``, the sigma column goes
+    through :func:`_sigma_or_nan`, so a blank sigma is NaN and NaN is blank.
     """
     # loadtxt allocates max_rows rows up front.  Each row it parses takes at
     # least 2 bytes per column, a character and a delimiter or line end (the
     # header makes up for a last row without one), so only a file past the
     # cap, or grown since fstat, reaches the bound.
     max_rows = min(MAX_SAMPLE_ROWS + 1, os.fstat(fh.fileno()).st_size // (2 * len(header)) + 1)
+    sigma = index.get("sigma")
     try:
         with warnings.catch_warnings():  # an empty body or a blank line warns
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                               dtype=float, max_rows=max_rows)
+                               dtype=float, max_rows=max_rows,
+                               converters={sigma: _sigma_or_nan} if blank_sigma else None)
         if not 0 < len(table) < max_rows or table.shape[1] != len(header):
             return None
         columns = [table[:, index[c]].copy() for c in _REQUIRED]
-        columns.append(table[:, index["sigma"]].copy() if "sigma" in index
+        columns.append(table[:, sigma].copy() if sigma is not None
                        else np.full(len(table), math.nan))
-        _check(*columns, "sigma" not in index, np)
+        _check(*columns, np.isnan(columns[3]) if blank_sigma else sigma is None, np)
     except ValueError:  # a field numpy cannot parse, a row of another width, a bad sample
         return None
     return SampleColumns(*columns)
 
 
-def _columns(header, index, rows, np):
-    """delta_E, beta, t_c and sigma (NaN if blank) of ``rows`` as checked float arrays.
+def _sigma_or_nan(text: str) -> float:
+    """A sigma field as numpy's reader takes it with a converter: NaN if blank.
 
-    Raises ValueError, naming no line, if a row breaks a rule.
+    A given NaN is refused, so that NaN in the column means blank exactly.
     """
-    if max(map(len, rows)) > len(header):
-        raise ValueError("a row has more fields than the header")
-    # One tuple per header column: its name, then its fields.  A row's missing
-    # trailing fields read as blank, which fails float for a required column.
-    columns = list(zip_longest(header, *rows, fillvalue=""))
-    n = len(rows)
-    delta_E, beta, t_c = (np.fromiter(map(float, columns[index[c]][1:]), float, n)
-                          for c in _REQUIRED)
-    sigma_text = columns[index["sigma"]][1:] if "sigma" in index else ("",) * n
-    sigma = np.array([float(s) if s.strip() else math.nan for s in sigma_text])
-    _check(delta_E, beta, t_c, sigma, np.array([not s.strip() for s in sigma_text]), np)
-    return delta_E, beta, t_c, sigma
+    if not text.strip():
+        return math.nan
+    if math.isnan(sigma := float(text)):
+        raise ValueError("a given sigma is NaN")
+    return sigma
 
 
 def _check(delta_E, beta, t_c, sigma, blank, np) -> None:
@@ -366,26 +339,33 @@ def _check(delta_E, beta, t_c, sigma, blank, np) -> None:
         raise ValueError("a sample is out of range")
 
 
-def _raise_first_bad_row(path) -> None:
-    """Read a failed sample file again, row by row, and raise its first bad row.
+def _read_rows(reader, header, index, np) -> SampleColumns:
+    """The rest of ``reader``, row by row, as checked columns, or its first bad row raised.
 
     The one row rule, in order: a non-blank row is no longer than the header,
     reaches every required column and parses into a :class:`CollapseSample`.
+    The row after :data:`MAX_SAMPLE_ROWS` is read but not parsed.  Reading is
+    sequential, so a bad row is raised before any file error that follows it.
     """
-    try:
-        with open(os.fspath(path), newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header, index, rows = _read_header(reader)
-            for row in rows:
-                try:
-                    if len(row) > len(header):
-                        raise ValueError("row has more fields than the header")
-                    if short := [c for c in _REQUIRED if index[c] >= len(row)]:
-                        raise ValueError(f"row ends before column {short[0]}")
-                    sigma = row[index["sigma"]] if index.get("sigma", len(row)) < len(row) else ""
-                    CollapseSample(*(float(row[index[c]]) for c in _REQUIRED),
-                                   float(sigma) if sigma.strip() else None)
-                except ValueError as exc:
-                    raise ValueError(f"bad sample on line {reader.line_num}: {exc}") from None
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # file errors only, not row errors
-        raise FileInvalid(type(exc).__name__) from exc
+    fields = [index[c] for c in _REQUIRED]
+    sigma = index.get("sigma", len(header))  # no row reaches a missing sigma column
+    values = array("d")  # delta_E, beta, t_c and sigma (NaN if blank) of each row in turn
+    for n, row in enumerate(filter(None, reader), 1):
+        if n > MAX_SAMPLE_ROWS:
+            raise ValueError(f"sample file has more than {MAX_SAMPLE_ROWS} rows")
+        try:
+            if len(row) > len(header):
+                raise ValueError("row has more fields than the header")
+            if short := [c for c in _REQUIRED if index[c] >= len(row)]:
+                raise ValueError(f"row ends before column {short[0]}")
+            text = row[sigma] if sigma < len(row) else ""
+            sample = CollapseSample(*(float(row[i]) for i in fields),
+                                    float(text) if text.strip() else None)
+        except ValueError as exc:
+            raise ValueError(f"bad sample on line {reader.line_num}: {exc}") from None
+        values.extend(sample[:3])
+        values.append(math.nan if sample.sigma is None else sample.sigma)
+    if not values:
+        raise ValueError("sample file contains no rows")
+    table = np.frombuffer(values).reshape(-1, 4)
+    return SampleColumns(*(table[:, j].copy() for j in range(4)))

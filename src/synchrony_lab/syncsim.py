@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import FileInvalid, NotSynchronized, ScenarioError, UnresolvableChase
 from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
@@ -52,27 +52,25 @@ PROTOCOLS = (EINSTEIN, SUPERLUMINAL, EXTERNAL_REGULATION)
 TWO_WAY = "two-way"
 
 
-class SignalRecord(NamedTuple):
-    """One propagated signal; emit/absorb events are in the absolute chart."""
+class SignalRecord(namedtuple("SignalRecord", "kind emit absorb speed_abs")):
+    """One propagated signal; emit/absorb events are in the absolute chart.
 
-    kind: str
-    emit: Event
-    absorb: Event
-    speed_abs: float  # signed absolute-chart coordinate speed, inf allowed
+    ``speed_abs`` is the signed absolute-chart coordinate speed, inf allowed.
+    """
+
+    __slots__ = ()
 
 
-class SpeedMeasurement(NamedTuple):
+class SpeedMeasurement(namedtuple("SpeedMeasurement", "direction distance elapsed speed")):
     """Outcome of a one-way or round-trip speed measurement.
 
-    ``distance`` and ``elapsed`` are frame-chart quantities (synchronized
-    clock readings, comoving-ruler lengths); ``speed`` is their quotient or
+    ``direction`` is ``"+x"``, ``"-x"`` or ``"two-way"``.  ``distance`` and
+    ``elapsed`` are frame-chart quantities (synchronized clock readings,
+    comoving-ruler lengths); ``speed`` is their quotient or
     :data:`~synchrony_lab.kinematics.INFINITE_SPEED` for zero elapsed.
     """
 
-    direction: str  # "+x", "-x", or "two-way"
-    distance: float
-    elapsed: float
-    speed: float
+    __slots__ = ()
 
 
 class ClockLattice:
@@ -310,13 +308,10 @@ def _timed(rows, kind, b, rate, magnitude, x_from, x_to, from_id, to_id, offsets
     return distance, elapsed, INFINITE_SPEED if elapsed == 0.0 else distance / elapsed
 
 
-class ScanPoint(NamedTuple):
+class ScanPoint(namedtuple("ScanPoint", "beta c_plus c_minus anisotropy")):
     """One candidate drift velocity with its measured one-way speeds."""
 
-    beta: float
-    c_plus: float
-    c_minus: float
-    anisotropy: float
+    __slots__ = ()
 
 
 def isotropy_scan(betas) -> list[ScanPoint]:
@@ -340,21 +335,14 @@ def isotropy_scan(betas) -> list[ScanPoint]:
     return points
 
 
-class SignalSpec(NamedTuple):
+class SignalSpec(namedtuple("SignalSpec", "source target kind two_way speed",
+                            defaults=(LIGHT, False, None))):
     """One requested measurement from a scenario file."""
 
-    source: int
-    target: int
-    kind: str = LIGHT
-    two_way: bool = False
-    speed: float | None = None
+    __slots__ = ()
 
 
-class Scenario(NamedTuple):
-    beta: float
-    node_positions: tuple[float, ...]
-    protocol: str
-    signals: tuple[SignalSpec, ...]
+Scenario = namedtuple("Scenario", "beta node_positions protocol signals")
 
 
 def _is_number(value) -> bool:

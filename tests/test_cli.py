@@ -26,14 +26,17 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def run_cli_process(argv, *python_options):
-    """Run the CLI as a fresh process (real stderr, warnings included), memory-capped."""
+def run_cli_process(argv, *python_options, stdin=None):
+    """Run the CLI as a fresh process (real stderr, warnings included), memory-capped.
+
+    ``stdin``, if given, is text piped to the process's standard input.
+    """
     proc = subprocess.run(
         [sys.executable, *python_options, "-m", "synchrony_lab.cli", *argv],
         # One BLAS thread: per-thread stacks would otherwise count against the cap.
         env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1",
              "OMP_NUM_THREADS": "1"},
-        capture_output=True, text=True,
+        capture_output=True, text=True, input=stdin,
         timeout=60, preexec_fn=_limit_memory,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -540,6 +543,14 @@ class TestProbeCommand:
         samples.write_text(content, encoding="utf-8")
         assert run_cli(["probe", "--samples", str(samples)]) == (
             3, "", f"invalid_input reason={reason}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_a_piped_bad_file_names_its_line_through_dev_stdin(self):
+        # Opened a second time, the pipe would read as empty: a missing-columns error.
+        samples = "delta_E,lab_beta,t_c,sigma\n1.0,-0.5,9.3e12,\n1.0,0.1,x,\n"
+        assert run_cli_process(["probe", "--samples", "/dev/stdin"], stdin=samples) == (
+            3, "", "invalid_input reason=bad_sample_on_line_3:"
+                   "_could_not_convert_string_to_float:_'x'\n")
 
     def test_row_longer_than_the_header_exits_3(self, tmp_path):
         samples = tmp_path / "samples.csv"

@@ -379,6 +379,16 @@ class TestMapVelocity:
         with pytest.raises(ValueError, match="velocity must be a number"):
             map_velocity(math.nan, ABSOLUTE_FRAME, FrameSpec(0.3, 0.0, "A"))
 
+    @given(a=st.floats(-0.99, 0.99), b=st.floats(-0.99, 0.99))
+    @example(a=0.6, b=0.3)  # a_tx's terms rounded apart gave -7.3e-17, and a speed of -1.2e16
+    def test_instantaneous_stays_instantaneous_between_superluminal_frames(self, a, b):
+        """Frames synchronized by zero-delay signals (k = -beta) share their simultaneity:
+        a_tx is exactly 0.0 and an instantaneous signal keeps its infinite speed and its sign."""
+        frame_from, frame_to = FrameSpec(a, -a, "A"), FrameSpec(b, -b, "B")
+        assert between_coeffs(frame_from, frame_to).a_tx == 0.0
+        assert map_velocity(math.inf, frame_from, frame_to) == math.inf
+        assert map_velocity(-math.inf, frame_from, frame_to) == -math.inf
+
     @given(k=ks, beta=betas)
     def test_null_cone_bookkeeping(self, k, beta):
         """A +x light ray in the (beta, k) chart moves at exactly 1/(1 - k)."""

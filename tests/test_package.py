@@ -76,7 +76,7 @@ def test_importing_the_cli_loads_no_module_its_cold_start_does_not_run():
     ).stdout.split()
     assert "synchrony_lab.cli" in loaded
     assert not {"csv", "dataclasses", "inspect", "json", "numpy", "synchrony_lab.probe",
-                SIMULATOR} & set(loaded)
+                SIMULATOR, "typing"} & set(loaded)
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -95,3 +95,5 @@ def test_each_command_loads_only_the_layer_and_format_it_runs(name):
     assert int(status) == (3 if name == "sync_bad_positions" else 0)
     assert not unloaded & set(loaded)
     assert ("numpy" in loaded) is (argv[0] == "probe")  # only the estimator loads numpy
+    if argv[0] != "probe":  # the records are collections.namedtuple types; numpy loads typing
+        assert "typing" not in loaded

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import itertools
+import csv
 import math
 import os
 import threading
@@ -41,6 +41,7 @@ from conftest import (
 )
 
 C_READER = probe._table  # numpy's reader, before any test patches it
+CSV_READER = csv.reader
 GRID_001 = [-0.9 + 0.01 * i for i in range(181)]
 GRID_0001 = [-0.9 + 0.001 * i for i in range(1801)]
 DATA = Path(__file__).parent / "data"
@@ -295,9 +296,10 @@ EDGE_FIELDS = {"delta_E": ["5e-324", "1e308"], "lab_beta": ["0.0", "-0.0"],
 
 @st.composite
 def numeric_files(draw):
-    """CSV text whose every field is a number: a shuffled header with optional,
-    repeated and extra columns, valid samples in exact spellings (repr,
-    exponents, quoted or padded), blank lines and LF, CRLF or CR line ends."""
+    """CSV text whose every field is a number, or blank in the sigma column the
+    rules read: a shuffled header with optional, repeated and extra columns,
+    valid samples in exact spellings (repr, exponents, quoted or padded),
+    blank lines and LF, CRLF or CR line ends."""
     names = ["delta_E", "lab_beta", "t_c"] + ["sigma"] * draw(st.booleans())
     header = draw(st.permutations(names + draw(st.lists(
         st.sampled_from(["delta_E", "lab_beta", "t_c", "sigma", "note"]), max_size=3))))
@@ -308,6 +310,8 @@ def numeric_files(draw):
         name = header[j]
         if last[name] != j or name not in NUMERIC_FIELDS:
             text = repr(draw(st.floats()))
+        elif name == "sigma" and not draw(st.integers(0, 3)):
+            text = draw(st.sampled_from(["", " "]))
         elif draw(st.integers(0, 4)):
             value = draw(NUMERIC_FIELDS[name])
             text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.17E}"]))
@@ -324,7 +328,7 @@ def numeric_files(draw):
 
 @pytest.fixture
 def c_reader(monkeypatch):
-    """What numpy's reader returned for each file loaded: its columns, or None."""
+    """What numpy's reader returned on each attempt: its columns, or None."""
     results = []
 
     def table(*args):
@@ -360,8 +364,6 @@ class TestSampleIO:
         with open(DATA / "collapse_samples_beta03.csv", "rb") as fh:
             with pytest.raises(TypeError):
                 load_samples(fh.fileno())
-            with pytest.raises(TypeError):
-                probe._raise_first_bad_row(fh.fileno())
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -484,42 +486,60 @@ class TestSampleIO:
         with pytest.raises(IndexError):
             columns[2]
 
-    @pytest.mark.parametrize("block_rows", [16, probe._BLOCK_ROWS])
+    # A blank sigma is numpy's reader with the sigma converter; a text column is the row reader.
+    @pytest.mark.parametrize("header, row, numpy_reads", [
+        ("delta_E,lab_beta,t_c,sigma", "1.0,0.1,8.1e12,", True),
+        ("delta_E,lab_beta,t_c,sigma,note", "1.0,0.1,8.1e12,,n/a", False),
+    ], ids=["blank-sigma", "text-column"])
     @pytest.mark.parametrize("rows, loads", [(50, True), (51, False)])
-    def test_row_cap_is_exact(self, tmp_path, monkeypatch, rows, loads, block_rows):
+    def test_row_cap_is_exact(self, tmp_path, monkeypatch, c_reader, rows, loads, header, row,
+                              numpy_reads):
         monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", 50)
-        monkeypatch.setattr(probe, "_BLOCK_ROWS", block_rows)
         path = tmp_path / "samples.csv"
-        path.write_text("delta_E,lab_beta,t_c,sigma\n" + "1.0,0.1,8.1e12,\n\n" * rows,
-                        encoding="utf-8")
+        path.write_text(header + "\n" + (row + "\n\n") * rows, encoding="utf-8")
         if loads:
             assert len(load_samples(path)) == rows
+            assert (c_reader[-1] is not None) is numpy_reads
         else:
             with pytest.raises(ValueError, match=r"^sample file has more than 50 rows$"):
                 load_samples(path)
+            assert c_reader == [None, None]
 
-    @pytest.mark.parametrize("block_rows", [7, 16])
-    def test_row_cap_reads_at_most_one_row_past_it(self, tmp_path, monkeypatch, block_rows):
-        asked = []
+    def test_row_cap_reads_at_most_one_row_past_it(self, tmp_path, monkeypatch):
+        readers = []
 
-        def islice(rows, stop):
-            asked.append(stop)
-            return itertools.islice(rows, stop)
+        class CountedReader:
+            """csv.reader that counts the rows it yields."""
 
-        monkeypatch.setattr(probe, "islice", islice)
+            def __init__(self, lines):
+                self.reader, self.rows = CSV_READER(lines), 0
+                readers.append(self)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                row = next(self.reader)
+                self.rows += 1
+                return row
+
+            @property
+            def line_num(self):
+                return self.reader.line_num
+
+        monkeypatch.setattr(csv, "reader", CountedReader)
         monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", 50)
-        monkeypatch.setattr(probe, "_BLOCK_ROWS", block_rows)
         path = tmp_path / "samples.csv"
-        path.write_text("delta_E,lab_beta,t_c,sigma\n" + "1.0,0.1,8.1e12,\n" * 200,
+        path.write_text("delta_E,lab_beta,t_c,sigma,note\n" + "1.0,0.1,8.1e12,,x\n" * 200,
                         encoding="utf-8")
         with pytest.raises(ValueError, match=r"^sample file has more than 50 rows$"):
             load_samples(path)
-        assert len(asked) > 2 and sum(asked) <= 51, asked
+        [reader] = readers  # the file is read once: one reader, its header, then rows
+        assert reader.rows - 1 == 51, reader.rows
 
     def test_row_cap_stops_reading_before_the_rows_are_held(self, tmp_path, monkeypatch):
         # Held as csv rows, the 100 000 rows would take tens of megabytes.
         monkeypatch.setattr(probe, "MAX_SAMPLE_ROWS", 100)
-        monkeypatch.setattr(probe, "_BLOCK_ROWS", 1 << 16)
         path = tmp_path / "samples.csv"
         path.write_text("delta_E,lab_beta,t_c,sigma\n" + "1.0,0.1,8.1e12,\n" * 100_000,
                         encoding="utf-8")
@@ -534,9 +554,8 @@ class TestSampleIO:
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=sample_files(), block_rows=st.sampled_from([1, 2, 3, probe._BLOCK_ROWS]))
-    def test_agrees_with_the_row_by_row_oracle(self, tmp_path, monkeypatch, text, block_rows):
-        monkeypatch.setattr(probe, "_BLOCK_ROWS", block_rows)
+    @given(text=sample_files())
+    def test_agrees_with_the_row_by_row_oracle(self, tmp_path, text):
         path = tmp_path / "samples.csv"
         path.write_bytes(text.encode("utf-8"))
         try:
@@ -552,12 +571,14 @@ class TestSampleIO:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=numeric_files())
     @example(text="sigma,t_c,lab_beta,delta_E\n0.01,2.3e12,-0.4,2.0\n0.02,2.4e12,0.4,1.0\n")
+    @example(text="delta_E,lab_beta,t_c,sigma\n1.0,0.1,8.1e12,\n2.0,-0.4,2.3e12,0.01\n"
+                  '1.0,0.2,8.2e12," "\n')
     def test_numpy_reads_numeric_files_bit_for_bit_as_csv(self, tmp_path, monkeypatch, c_reader,
                                                           text):
         path = tmp_path / "samples.csv"
         path.write_bytes(text.encode("utf-8"))
         got = load_samples(path)
-        assert c_reader[-1] is got  # numpy's reader took the file
+        assert c_reader[-1] is got  # numpy's reader took the file, blank sigmas included
         with monkeypatch.context() as csv_only:
             csv_only.setattr(probe, "_table", lambda *args: None)
             want = load_samples(path)
@@ -573,7 +594,10 @@ class TestSampleIO:
          + "1.0,0.3,8.1e12,0.01\n" * 3, "bad sample on line 7: t_c must be positive"),
         (NUMERIC_HEADER + "1.0,0.1,8.1e12,0.01\n\n1.0,0.2,8.1e12,nan\n",
          "bad sample on line 4: sigma must be positive and finite when given"),
-    ], ids=["every-row-one-field-wider", "t-c-negative-on-line-7", "nan-sigma"])
+        (NUMERIC_HEADER + "1.0,0.1,8.1e12,,2\n" * 3,
+         "bad sample on line 2: row has more fields than the header"),
+    ], ids=["every-row-one-field-wider", "t-c-negative-on-line-7", "nan-sigma",
+            "every-row-one-field-wider-blank-sigma"])
     def test_numeric_files_numpy_refuses_end_as_the_csv_reader_ends_them(
             self, tmp_path, monkeypatch, c_reader, text, message):
         path = tmp_path / "samples.csv"
@@ -584,7 +608,7 @@ class TestSampleIO:
             with pytest.raises(ValueError) as info:
                 load_samples(path)
             assert str(info.value) == message
-        assert c_reader == [None]
+        assert c_reader == [None, None]  # refused without the sigma converter and with it
 
     @pytest.mark.parametrize("rows, loads", [(50, True), (51, False), (200, False)])
     def test_row_cap_is_exact_for_numeric_files(self, tmp_path, monkeypatch, c_reader, rows,
@@ -605,8 +629,8 @@ class TestSampleIO:
         else:
             with pytest.raises(ValueError, match=r"^sample file has more than 50 rows$"):
                 load_samples(path)
-            assert c_reader == [None]
-        assert asked == [51]  # at most one row past the cap
+            assert c_reader == [None, None]  # every attempt refused
+        assert asked == [51] * len(c_reader)  # every attempt reads at most one row past the cap
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_goes_to_the_csv_reader_alone(self, tmp_path, c_reader):
@@ -622,6 +646,25 @@ class TestSampleIO:
         assert list(loaded[0]) == [CollapseSample(1.0, -0.5, 9.3e12, 0.01),
                                    CollapseSample(1.0, 0.0, 8e12, 0.01)]
         assert c_reader == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_names_its_first_bad_row_without_opening_it_again(self, tmp_path):
+        # Opened again, the pipe would be empty, or wait for a second writer.
+        path = tmp_path / "samples.csv"
+        os.mkfifo(path)
+        raised = []
+
+        def load():
+            with pytest.raises(ValueError) as info:
+                load_samples(path)
+            raised.append(str(info.value))
+
+        reader = threading.Thread(target=load, daemon=True)
+        reader.start()
+        path.write_text(NUMERIC_HEADER + "1.0,-0.5,9.3e12,0.01\n\n1.0,0.0,x,\n1.0,0.5,9.3e12,\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert raised == ["bad sample on line 4: could not convert string to float: 'x'"]
 
     @pytest.mark.parametrize("rows, cap, bound", [(10, None, 100_000), (100_000, 100, 1_000_000)],
                              ids=["small-file", "past-the-cap"])
