@@ -42,6 +42,7 @@ LOADS_ONLY = "tests/test_package.py::test_each_command_loads_only_the_layer_and_
 IMPORT_LOADS = ("tests/test_package.py::"
                 "test_importing_the_cli_loads_no_module_its_cold_start_does_not_run")
 EMPTY_PATH = "test_empty_path_is_a_missing_file_not_the_current_directory"
+CAUSAL = "tests/test_causal_order.py"
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
               "tests/test_kinematics.py::TestFrameMapsMatchTheDecimalOracle"]
 
@@ -124,7 +125,7 @@ CATALOGUE = (
      ["tests/test_probe.py::TestSampleIO::test_accepted_files[repeated-column-uses-the-last]",
       f"{REJECTED}[repeated-column-short]"]),
     ("list path swaps delta_E and beta", PROBE,
-     "for f in fields))", "for f in (fields[1], fields[0], *fields[2:])))",
+     "for f in fields[:3])", "for f in (fields[1], fields[0], fields[2]))",
      ["tests/test_probe.py::TestFitKernel::test_columns_fit_bit_for_bit_as_their_rows"]),
     ("list path lets rows of one other width through", PROBE,
      "        if width != 4:", "        if False:",
@@ -170,10 +171,10 @@ CATALOGUE = (
      "if n > MAX_SAMPLE_ROWS:", "if n >= MAX_SAMPLE_ROWS:",
      ["tests/test_probe.py::TestSampleIO::test_row_cap_is_exact"]),
     ("column fit drops the square of delta_E", PROBE,
-     "samples.t_c * (samples.delta_E * samples.delta_E)", "samples.t_c * samples.delta_E",
+     "t_c * (delta_E * delta_E)", "t_c * delta_E",
      ["tests/test_probe.py::TestEstimator::test_mixed_energy_spreads_are_normalized"]),
     ("fit oracle case drops the square of delta_E", PROBE,
-     "samples.t_c * (samples.delta_E * samples.delta_E)", "samples.t_c * samples.delta_E",
+     "t_c * (delta_E * delta_E)", "t_c * delta_E",
      [f"{FIT_ORACLE}[mixed-energy-181x100]"]),
     ("checked values allow tuple repetition", KINEMATICS,
      "__add__ = __radd__ = __mul__ = __rmul__ = _refuse", "__add__ = __radd__ = __rmul__ = _refuse",
@@ -260,7 +261,19 @@ CATALOGUE = (
      "(m * ((1.0 + k_from) * (1.0 - k_to))\n             - p * ((1.0 - k_from) * (1.0 + k_to)))",
      "(m * (1.0 + k_from) * (1.0 - k_to)\n             - p * (1.0 - k_from) * (1.0 + k_to))",
      ["tests/test_kinematics.py::TestMapVelocity::"
-      "test_instantaneous_stays_instantaneous_between_superluminal_frames"]),
+      "test_instantaneous_stays_instantaneous_between_superluminal_frames",
+      f"{CAUSAL}::TestSuperluminalRelay::test_no_chain_returns_before_it_left"]),
+    ("plain rows coerced instead of checked", PROBE,
+     "CollapseSample(*row)  # the first", "CollapseSample(*map(float, row[:3]), row[3])  # the first",
+     ["tests/test_probe.py::TestEstimator::test_plain_rows_of_numeric_strings_are_refused"]),
+    ("zero-delay signals induce no synchrony", KINEMATICS,
+     "    return beta * (k * k - 1.0) + k\n", "    return k\n",
+     [f"{CAUSAL}::TestSuperluminalRelay::test_the_reply_is_instantaneous_in_a_and_returns_at_zero",
+      f"{CAUSAL}::TestLatticeChart::"
+      "test_superluminal_signals_are_instantaneous_in_the_lattice_chart"]),
+    ("frame-to-frame a_tx with its sign flipped", KINEMATICS,
+     "            (m * ((1.0 + k_from)", "            -(m * ((1.0 + k_from)",
+     [f"{CAUSAL}::TestEinsteinRelay"]),
 )
 
 

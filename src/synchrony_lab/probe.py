@@ -133,10 +133,10 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     """Locate the preferred-frame velocity from collapse-time samples.
 
     ``samples`` is a :class:`SampleColumns` or rows in :class:`CollapseSample`'s
-    field order, such as a list of samples, which become columns once; rows
-    of another width raise ``ValueError``.  Rows that are not samples, such as
-    plain tuples, then pass :class:`CollapseSample`'s checks, or the first bad
-    one raises its ``ValueError``.
+    field order; rows of another width raise ``ValueError``.  Each row that is
+    not a sample, such as a plain tuple, is built as one, so the first bad row
+    raises its own error: ``ValueError`` for a value out of range, ``TypeError``
+    for a non-number such as a numeric string.  The fit reads delta_E, beta, t_c.
 
     Each grid point ``b`` composes the lab velocities u with it (u ominus b
     = (u - b)/(1 - u*b)), scales the gamma curve to the delta_E^2-normalized
@@ -162,7 +162,9 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     if not np.all(np.abs(grid) < 1.0):  # also rejects NaN
         raise ValueError("beta_grid values must satisfy |beta| < 1")
 
-    if not isinstance(samples, SampleColumns):  # rows in CollapseSample's field order
+    if isinstance(samples, SampleColumns):
+        delta_E, u, t_c = samples.delta_E, samples.beta, samples.t_c  # u: lab velocities
+    else:  # rows in CollapseSample's field order
         rows = list(samples)
         try:  # no rows: four empty columns
             fields = list(zip(*rows, strict=True)) if rows else [()] * 4
@@ -172,16 +174,11 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         if width != 4:
             raise ValueError(f"sample rows need 4 fields ({', '.join(CollapseSample._fields)}), "
                              f"got {width}")
-        samples = SampleColumns(*(np.array(f, dtype=float) for f in fields))
         if set(map(type, rows)) - {CollapseSample}:  # a sample checked itself when it was made
-            try:
-                _check(samples.delta_E, samples.beta, samples.t_c, samples.sigma,
-                       np.array([s is None for s in fields[3]]), np)
-            except ValueError:
-                for row in rows:
-                    CollapseSample(*row)  # raises the first bad row's own error
-                raise
-    u = samples.beta  # lab velocities
+            for row in rows:
+                if type(row) is not CollapseSample:
+                    CollapseSample(*row)  # the first bad row raises its own error
+        delta_E, u, t_c = (np.array(f, dtype=float) for f in fields[:3])
     distinct = np.unique(u).size
     if distinct < 3:
         raise IllConditioned(
@@ -191,7 +188,7 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
 
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual
         # Normalized times y; an overflowing square is inf (** would raise).
-        y = samples.t_c * (samples.delta_E * samples.delta_E)
+        y = t_c * (delta_E * delta_E)
         yy = float(y @ y)
         if not (np.all(y > 0.0) and yy >= np.finfo(float).tiny):  # all residuals would be 0
             raise IllConditioned("normalized collapse times underflow")

@@ -182,15 +182,28 @@ class TestEstimator:
         assert all(row[3] is None for row in rows)
         assert estimate_absolute_frame(rows, GRID_001) == estimate_absolute_frame(samples, GRID_001)
 
-    def test_samples_are_not_checked_again(self, monkeypatch):
-        def check(*args):
-            raise AssertionError("a list of samples was checked again")
+    def test_plain_rows_of_numeric_strings_are_refused(self):
+        """CollapseSample takes no strings and the fit coerces none; as floats, they fit."""
+        rows = [(*map(repr, s[:3]), None) for s in synth_collapse_samples(0.3, self.velocities)]
+        with pytest.raises(TypeError):
+            estimate_absolute_frame(rows, GRID_001)
+        floats = [(*map(float, row[:3]), None) for row in rows]
+        assert estimate_absolute_frame(floats, GRID_001)[1].n_samples == len(rows)
 
-        monkeypatch.setattr(probe, "_check", check)
+    def test_samples_are_not_checked_again(self, monkeypatch):
         samples = synth_collapse_samples(0.3, self.velocities)
+        rows = [tuple(s) for s in samples]
+        checked, new = [], CollapseSample.__new__
+
+        def counted(cls, *fields):
+            checked.append(fields)
+            return new(cls, *fields)
+
+        monkeypatch.setattr(CollapseSample, "__new__", counted)
         estimate_absolute_frame(samples, GRID_001)
-        with pytest.raises(AssertionError):
-            estimate_absolute_frame([tuple(s) for s in samples], GRID_001)
+        assert checked == []  # a list of samples is not checked again
+        estimate_absolute_frame(rows, GRID_001)
+        assert checked == rows  # each plain row is checked, once
 
     def test_no_samples_are_ill_conditioned(self):
         with pytest.raises(IllConditioned) as info:
