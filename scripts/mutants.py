@@ -9,7 +9,9 @@ fresh temporary directory, applies the substitution and runs the entry's
 tests with pytest in a subprocess; they must report a failure (pytest exit
 status 1).  A surviving mutant is a check that cannot see the slip: make the
 test stronger, or explain why the mutant is equivalent, but do not drop the
-entry.  Standard library only:
+entry.  The one mutant that restores ``np.unique`` is equivalent on numpy
+before 2.3, whose ``np.unique`` loads no ``numpy.ma``, and is skipped there.
+Standard library only:
 
     python scripts/mutants.py
 """
@@ -22,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +46,12 @@ IMPORT_LOADS = ("tests/test_package.py::"
                 "test_importing_the_cli_loads_no_module_its_cold_start_does_not_run")
 EMPTY_PATH = "test_empty_path_is_a_missing_file_not_the_current_directory"
 CAUSAL = "tests/test_causal_order.py"
+DISTINCT = ("tests/test_probe.py::TestEstimator::"
+            "test_distinct_velocities_are_counted_as_np_unique_counts_them")
+FIRST_FIT = ("tests/test_package.py::"
+             "test_a_first_fit_loads_no_numpy_module_a_bare_numpy_import_does_not")
+#: np.unique imports numpy.ma from numpy 2.3 on; before, this mutant is equivalent.
+NUMPY_MA_MUTANT = "first fit imports numpy.ma"
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
               "tests/test_kinematics.py::TestFrameMapsMatchTheDecimalOracle"]
 
@@ -274,6 +283,21 @@ CATALOGUE = (
     ("frame-to-frame a_tx with its sign flipped", KINEMATICS,
      "            (m * ((1.0 + k_from)", "            -(m * ((1.0 + k_from)",
      [f"{CAUSAL}::TestEinsteinRelay"]),
+    ("distinct velocities counted from equal neighbours", PROBE,
+     "np.count_nonzero(s[1:] != s[:-1])", "np.count_nonzero(s[1:] == s[:-1])", [DISTINCT]),
+    ("distinct count drops the first velocity", PROBE,
+     " + (s.size > 0)\n", "\n", [DISTINCT]),
+    # Killed on numpy 2.3 or later only, where np.unique imports numpy.ma;
+    # main() skips it on an older numpy.
+    (NUMPY_MA_MUTANT, PROBE,
+     "    s = np.sort(u)  # not np.unique, which imports numpy.ma on numpy >= 2.3\n"
+     "    distinct = np.count_nonzero(s[1:] != s[:-1]) + (s.size > 0)\n",
+     "    distinct = np.unique(u).size\n",
+     [f"{FIRST_FIT}[probe_beta03]", f"{FIRST_FIT}[list_input]"]),
+    ("sample fields take a bool as a number", PROBE,
+     "    if isinstance(value, bool):\n"
+     "        raise TypeError(\"a sample field must be a number, not a bool\")\n", "",
+     ["tests/test_probe.py::TestCollapseTime::test_a_bool_is_not_a_number"]),
 )
 
 
@@ -308,8 +332,13 @@ def main() -> int:
         print(f"the named tests do not pass on the unmutated tree (pytest exit {status})")
         return 2
 
+    numpy = version("numpy")
+    skipped = {NUMPY_MA_MUTANT} if tuple(map(int, numpy.split(".")[:2])) < (2, 3) else set()
     survivors = 0
     for name, path, old, new, tests in CATALOGUE:
+        if name in skipped:
+            print(f"{'skipped':>8}  {name} (numpy {numpy}: np.unique loads no numpy.ma)")
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             tree = copy_tree(Path(tmp))
             source = tree / path
@@ -321,7 +350,9 @@ def main() -> int:
         print(f"{verdict:>8}  {name}")
 
     elapsed = time.perf_counter() - started
-    print(f"{len(CATALOGUE) - survivors} of {len(CATALOGUE)} mutants killed in {elapsed:.1f} s")
+    run = len(CATALOGUE) - len(skipped)
+    print(f"{run - survivors} of {run} mutants killed in {elapsed:.1f} s"
+          + (f", {len(skipped)} skipped" if skipped else ""))
     return 1 if survivors else 0
 
 

@@ -38,6 +38,7 @@ PLANCK_ENERGY_EV = 1.22e28
 MAX_SAMPLE_ROWS = 10**6
 
 _REQUIRED = ("delta_E", "lab_beta", "t_c")
+_INF = math.inf
 
 
 _CollapseSampleFields = namedtuple("_CollapseSampleFields", "delta_E beta t_c sigma",
@@ -45,20 +46,41 @@ _CollapseSampleFields = namedtuple("_CollapseSampleFields", "delta_E beta t_c si
 
 
 class CollapseSample(_Value, _CollapseSampleFields):
-    """One observed collapse time at a known laboratory velocity."""
+    """One observed collapse time at a known laboratory velocity.
+
+    A field that is a bool, or not a number, raises TypeError; an int past
+    the float range is not finite and fails its field's check.
+    """
 
     __slots__ = ()
 
     def __new__(cls, delta_E, beta, t_c, sigma=None):
-        if not (math.isfinite(delta_E) and delta_E > 0.0):
+        # The loaders' and the fit's samples are exact floats, checked in one test.
+        # Unchained: CPython specializes a float comparison followed by a jump, not a chain.
+        if (type(delta_E) is float and type(beta) is float and type(t_c) is float
+                and delta_E > 0.0 and delta_E < _INF and t_c > 0.0 and t_c < _INF
+                and beta > -1.0 and beta < 1.0
+                and (sigma is None or type(sigma) is float and sigma > 0.0 and sigma < _INF)):
+            return tuple.__new__(cls, (delta_E, beta, t_c, sigma))
+        if not (_finite(delta_E) and delta_E > 0.0):
             raise ValueError("delta_E must be positive")
-        if not (math.isfinite(t_c) and t_c > 0.0):
+        if not (_finite(t_c) and t_c > 0.0):
             raise ValueError("t_c must be positive")
-        if not (math.isfinite(beta) and abs(beta) < 1.0):
+        if not (_finite(beta) and abs(beta) < 1.0):
             raise ValueError("|beta| must be < 1")
-        if sigma is not None and not (math.isfinite(sigma) and sigma > 0.0):
+        if sigma is not None and not (_finite(sigma) and sigma > 0.0):
             raise ValueError("sigma must be positive and finite when given")
         return tuple.__new__(cls, (delta_E, beta, t_c, sigma))
+
+
+def _finite(value) -> bool:
+    """math.isfinite for a sample field: a bool raises TypeError, a too-large int is not finite."""
+    if isinstance(value, bool):
+        raise TypeError("a sample field must be a number, not a bool")
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # math.isfinite converts an int to float
+        return False
 
 
 class SampleColumns:
@@ -152,7 +174,10 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     velocities are present (the curve's location and scale would be
     unconstrained or untestable), when the normalized times underflow, or
     when a residual is not finite (samples or grid points so close to
-    |beta| = 1, or times so large, that the arithmetic overflows).
+    |beta| = 1, or times so large, that the arithmetic overflows).  The
+    distinct velocities are counted on the sorted velocities, as the
+    neighbours that differ plus one (none for no samples), so -0.0 and 0.0
+    are one velocity, as in ``np.unique``.
     """
     import numpy as np  # deferred so that importing the package does not load numpy
 
@@ -179,7 +204,8 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
                 if type(row) is not CollapseSample:
                     CollapseSample(*row)  # the first bad row raises its own error
         delta_E, u, t_c = (np.array(f, dtype=float) for f in fields[:3])
-    distinct = np.unique(u).size
+    s = np.sort(u)  # not np.unique, which imports numpy.ma on numpy >= 2.3
+    distinct = np.count_nonzero(s[1:] != s[:-1]) + (s.size > 0)
     if distinct < 3:
         raise IllConditioned(
             f"need at least 3 samples at 3 distinct velocities, "

@@ -97,3 +97,27 @@ def test_each_command_loads_only_the_layer_and_format_it_runs(name):
     assert ("numpy" in loaded) is (argv[0] == "probe")  # only the estimator loads numpy
     if argv[0] != "probe":  # the records are collections.namedtuple types; numpy loads typing
         assert "typing" not in loaded
+
+
+#: A first fit, through the CLI and through the library's list input.
+FIRST_FITS = {
+    "probe_beta03": ("status = cli.main(sys.argv[1:], stdout=io.StringIO(), stderr=io.StringIO())",
+                     COMMANDS["probe_beta03"][0]),
+    "list_input": ("status = 0; probe.estimate_absolute_frame("
+                   "[(1.0, u, probe.collapse_time(1.0, u), None) for u in (-0.5, 0.0, 0.5)], "
+                   "[-0.5, 0.0, 0.5])", []),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_FITS)
+def test_a_first_fit_loads_no_numpy_module_a_bare_numpy_import_does_not(name):
+    # numpy is imported first, so each module loaded after it is one the fit loaded.
+    run, argv = FIRST_FITS[name]
+    code = ("import io, sys, numpy; from synchrony_lab import cli, probe; "
+            f"before = set(sys.modules); {run}; print(status, *sorted(set(sys.modules) - before))")
+    status, *loaded = subprocess.run(
+        [sys.executable, "-c", code, *argv], cwd=ROOT, env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert int(status) == 0
+    assert [m for m in loaded if m.partition(".")[0] == "numpy"] == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import threading
@@ -45,6 +46,7 @@ CSV_READER = csv.reader
 GRID_001 = [-0.9 + 0.01 * i for i in range(181)]
 GRID_0001 = [-0.9 + 0.001 * i for i in range(1801)]
 DATA = Path(__file__).parent / "data"
+GOOD_SAMPLE = {"delta_E": 1.0, "beta": 0.1, "t_c": 1.0, "sigma": 0.5}
 
 
 class TestCollapseTime:
@@ -107,6 +109,42 @@ class TestCollapseTime:
             with pytest.raises(ValueError, match="delta_E must be positive"):
                 CollapseSample(delta_E=delta_E, beta=0.0, t_c=1.0)
 
+    @pytest.mark.parametrize("field", CollapseSample._fields)
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_bool_is_not_a_number(self, field, value):
+        fields = {**GOOD_SAMPLE, field: value}
+        with pytest.raises(TypeError, match="not a bool"):
+            CollapseSample(**fields)
+
+    @pytest.mark.parametrize("field, message", [
+        ("delta_E", "delta_E must be positive"),
+        ("beta", "|beta| must be < 1"),
+        ("t_c", "t_c must be positive"),
+        ("sigma", "sigma must be positive and finite when given"),
+    ])
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["10**400", "-10**400"])
+    def test_an_int_past_the_float_range_fails_its_range_check(self, field, message, value):
+        fields = {**GOOD_SAMPLE, field: value}
+        with pytest.raises(ValueError) as info:
+            CollapseSample(**fields)
+        assert str(info.value) == message
+        CollapseSample(**{**fields, field: 0 if field == "beta" else 1})  # a small int is taken
+
+    def test_exact_floats_take_the_verdict_of_their_float_subclass_twins(self):
+        """Exact floats take a fast path; np.float64, a float subclass, takes the field checks."""
+        edges = [0.0, -0.0, 0.5, 1.0, -1.0, 1.0 - 2**-53, -1.0 + 2**-53, 5e-324,
+                 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+        def verdict(values):
+            try:
+                return tuple(CollapseSample(*values))
+            except ValueError as exc:
+                return str(exc)
+
+        for fields in itertools.product(edges, edges, edges, [None, *edges]):
+            twins = [None if f is None else np.float64(f) for f in fields]
+            assert verdict(fields) == verdict(twins), fields
+
 
 class TestEstimator:
     velocities = np.linspace(-0.8, 0.8, 33)
@@ -135,13 +173,49 @@ class TestEstimator:
 
     def test_single_velocity_is_ill_conditioned(self):
         samples = synth_collapse_samples(0.0, [0.2] * 10)
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned) as info:
             estimate_absolute_frame(samples, GRID_001)
+        assert str(info.value) == ("need at least 3 samples at 3 distinct velocities, "
+                                   "got 10 samples at 1")
 
     def test_two_velocities_are_ill_conditioned(self):
         samples = synth_collapse_samples(0.0, [0.2, -0.2, 0.2, -0.2])
-        with pytest.raises(IllConditioned):
+        with pytest.raises(IllConditioned) as info:
             estimate_absolute_frame(samples, GRID_001)
+        assert str(info.value) == ("need at least 3 samples at 3 distinct velocities, "
+                                   "got 4 samples at 2")
+
+    def test_signed_zeros_are_one_velocity(self):
+        samples = synth_collapse_samples(0.0, [0.0, -0.0, 0.2, -0.0])
+        with pytest.raises(IllConditioned) as info:
+            estimate_absolute_frame(samples, GRID_001)
+        assert str(info.value) == ("need at least 3 samples at 3 distinct velocities, "
+                                   "got 4 samples at 2")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                              st.integers(-9, 9).map(lambda i: i / 10)), min_size=1, max_size=5)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=12)),
+           st.booleans())
+    @example([0.0, -0.0, 0.5, 0.5, -0.5], False)
+    @example([0.0, -0.0, 0.5, 0.5, -0.5], True)
+    def test_distinct_velocities_are_counted_as_np_unique_counts_them(self, velocities, columns):
+        u = np.array(velocities, dtype=float)
+        want = np.unique(u).size
+        assert want == len(set(u.tolist()))  # -0.0 == 0.0 in both
+        rows = [(1.0, b, collapse_time(1.0, b), None) for b in velocities]
+        samples = (SampleColumns(np.ones(u.size), u, np.array([r[2] for r in rows]),
+                                 np.full(u.size, math.nan)) if columns else rows)
+        try:
+            _, report = estimate_absolute_frame(samples, [-0.5, 0.0, 0.5])
+        except IllConditioned as exc:
+            assert want < 3
+            assert str(exc) == ("need at least 3 samples at 3 distinct velocities, "
+                                f"got {u.size} samples at {want}")
+        else:
+            assert want >= 3
+            assert type(report.distinct_velocities) is int
+            assert report.distinct_velocities == want
 
     @pytest.mark.parametrize("at", [0, 5, -1])
     def test_a_row_of_another_width_is_refused_not_fitted(self, at):
@@ -173,6 +247,17 @@ class TestEstimator:
         rows[20] = (-1.0, 2.0, -1.0, -1.0)  # a later bad row is not the one named
         rows[3] = synth_collapse_samples(0.3, [0.1])[0]  # samples may mix with plain rows
         with pytest.raises(ValueError) as info:
+            estimate_absolute_frame(rows, GRID_001)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (True, TypeError, "a sample field must be a number, not a bool"),
+        (10**400, ValueError, "delta_E must be positive"),
+    ], ids=["bool", "10**400"])
+    def test_plain_rows_refuse_a_bool_and_an_int_past_a_float(self, bad, error, message):
+        rows = [tuple(s) for s in synth_collapse_samples(0.3, self.velocities)]
+        rows[5] = (bad, *rows[5][1:])
+        with pytest.raises(error) as info:
             estimate_absolute_frame(rows, GRID_001)
         assert str(info.value) == message
 
@@ -786,6 +871,14 @@ class TestFitKernel:
         assert got.beta_grid == want.beta_grid
         tolerance = 1e-9 * max(want.residuals)
         assert all(abs(a - b) <= tolerance for a, b in zip(got.residuals, want.residuals))
+
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_counts_match_the_cell_by_cell_fit(self, case):
+        samples, grid = FIT_CASES[case]()
+        _, got = estimate_absolute_frame(samples, grid[:3])
+        want = unchunked_fit(samples, grid[:3])
+        assert (got.n_samples, got.distinct_velocities) == (want.n_samples,
+                                                            want.distinct_velocities)
 
     @pytest.mark.parametrize("path", [DATA / "collapse_samples_beta03.csv", "large"])
     def test_columns_fit_bit_for_bit_as_their_rows(self, tmp_path, path):
