@@ -48,6 +48,8 @@ EMPTY_PATH = "test_empty_path_is_a_missing_file_not_the_current_directory"
 CAUSAL = "tests/test_causal_order.py"
 DISTINCT = ("tests/test_probe.py::TestEstimator::"
             "test_distinct_velocities_are_counted_as_np_unique_counts_them")
+FAST_READER = ("tests/test_cli_reader.py::"
+               "test_the_fast_reader_returns_none_or_the_argparse_namespace")
 FIRST_FIT = ("tests/test_package.py::"
              "test_a_first_fit_loads_no_numpy_module_a_bare_numpy_import_does_not")
 #: np.unique imports numpy.ma from numpy 2.3 on; before, this mutant is equivalent.
@@ -257,7 +259,7 @@ CATALOGUE = (
      ["tests/test_cli.py::TestUsageErrors::test_protocol_choices_are_the_simulators_protocols",
       "tests/test_cli.py::TestUsageErrors::test_unknown_protocol_names_the_three_choices"]),
     ("cli loads csv for every format", CLI,
-     "import argparse\nimport io\n", "import argparse\nimport csv\nimport io\n",
+     "import io\nimport math\n", "import csv\nimport io\nimport math\n",
      [IMPORT_LOADS, f"{LOADS_ONLY}[transform_lorentz_rest]",
       f"{LOADS_ONLY}[sync_drift06_superluminal]"]),
     ("empty path opens the current directory", SYNCSIM,
@@ -294,6 +296,16 @@ CATALOGUE = (
      "    distinct = np.count_nonzero(s[1:] != s[:-1]) + (s.size > 0)\n",
      "    distinct = np.unique(u).size\n",
      [f"{FIRST_FIT}[probe_beta03]", f"{FIRST_FIT}[list_input]"]),
+    ("fast reader takes a flag-like value", CLI,
+     "        elif text.startswith(\"-\") and not _NEGATIVE_NUMBER.match(text):\n"
+     "            return None\n", "",
+     [FAST_READER]),
+    ("fast reader skips the required-flag check", CLI,
+     "            if required:\n                return None\n", "",
+     [FAST_READER, "tests/test_cli.py::TestUsageErrors::test_one_usage_error_line_exit_2"]),
+    ("cli imports argparse at load", CLI,
+     "import math\nimport os\n", "import argparse\nimport math\nimport os\n",
+     [IMPORT_LOADS, f"{LOADS_ONLY}[oneway_k06]"]),
     ("sample fields take a bool as a number", PROBE,
      "    if isinstance(value, bool):\n"
      "        raise TypeError(\"a sample field must be a number, not a bool\")\n", "",

@@ -20,16 +20,23 @@ package: each command imports the layer it runs (``sync`` and ``scan`` the
 simulator, ``probe`` the estimator and numpy), and the renderer imports the
 module of the format it writes (``json`` or ``csv``), so a cold start
 compiles and runs no module its command does not use.
+
+Each command's flags are declared once, in :data:`COMMANDS`.  A command line
+in the canonical form, the command followed by ``--flag value`` pairs with
+each flag spelled out in full and given once, is read without argparse.
+Only help, usage errors and every other form (``--flag=value``, an
+abbreviated or repeated flag, ``--``) load argparse, which reads them as it
+always has.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import math
 import os
 import re
 import sys
+import types
 
 from . import kinematics
 from .errors import (DegenerateConvention, FileInvalid, IllConditioned, ScenarioError,
@@ -47,6 +54,14 @@ EXIT_ILL_CONDITIONED = 4
 
 #: Largest beta grid ``scan`` and ``probe`` accept; checked before allocation.
 MAX_GRID_POINTS = 10**6
+
+
+class UsageError(Exception):
+    """A command line the CLI cannot run; :func:`main` reports it as ``usage_error``."""
+
+
+class _Help(Exception):
+    """``-h``/``--help`` was given; carries the help text for :func:`main` to print."""
 
 
 class Formatter:
@@ -136,7 +151,7 @@ def _parse_event(text: str) -> kinematics.Event:
 
 def cmd_transform(args):
     if args.preset is not None and (args.k is not None or args.k_prime is not None):
-        raise argparse.ArgumentError(None, "--preset conflicts with explicit --k/--k-prime")
+        raise UsageError("--preset conflicts with explicit --k/--k-prime")
     k = args.k if args.k is not None else 0.0
     k_prime = args.k_prime if args.k_prime is not None else 0.0
     if args.preset == "superluminal":  # the lorentz preset is k = k' = 0
@@ -248,56 +263,109 @@ def cmd_probe(args):
     return {"command": "probe", **report.to_dict()}, [], []
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises each usage error for :func:`main` to report, instead of printing usage and exiting."""
+def _output(*formats):
+    """The ``--format`` and ``--precision`` flags of a command; its first format is the default."""
+    return (("--format", formats, formats[0], False, None),
+            ("--precision", int, 15, False, None))
 
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
+
+#: Each command's help, handler and flags.  A flag is ``(option, type, default, required,
+#: help)``: its dest is the option without the leading ``--`` and with ``-`` read as
+#: ``_``, as argparse derives it, and a tuple type lists the flag's choices.
+COMMANDS = {
+    "transform": ("apply a convention boost to one event", cmd_transform, (
+        ("--event", str, None, True, "comma-separated t,x[,y[,z]]"),
+        ("--beta", float, None, True, None),
+        ("--k", float, None, False, None),
+        ("--k-prime", float, None, False, None),
+        ("--preset", PRESETS, None, False, None),
+        *_output("json", "csv"))),
+    "oneway": ("closed-form one-way speeds for a convention", cmd_oneway, (
+        ("--k", float, None, True, None),
+        *_output("json", "csv"))),
+    "sync": ("run a synchronization scenario file", cmd_sync, (
+        ("--scenario", str, None, True, None),
+        ("--protocol", PROTOCOLS, None, False, None),
+        ("--master", int, 0, False, None),
+        *_output("json", "csv", "jsonl"))),
+    "scan": ("anisotropy scan over candidate drift velocities", cmd_scan, (
+        ("--beta-min", float, None, True, None),
+        ("--beta-max", float, None, True, None),
+        ("--step", float, None, True, None),
+        *_output("csv", "json"))),
+    "probe": ("fit the preferred-frame velocity from samples", cmd_probe, (
+        ("--samples", str, None, True, None),
+        ("--beta-min", float, -0.9, False, None),
+        ("--beta-max", float, 0.9, False, None),
+        ("--step", float, 0.01, False, None),
+        *_output("json"))),
+}
+
+#: argparse reads a value that starts with "-" as a flag unless it matches this rule.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+def _read_canonical(argv: list[str]):
+    """The namespace argparse would return for ``command --flag value ...``, or None.
+
+    Only that form is read here: each flag spelled out in full and given once,
+    every required flag given, and each value converted as argparse converts
+    it.  Any other command line returns None, to be read by argparse: help,
+    ``--flag=value``, an abbreviation, a repeated flag, ``--``, an unknown
+    command or flag, a value its type or choices refuse, and a value that
+    argparse would take for a flag, such as ``-1e-3`` or ``-inf``.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, handler, flags = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) + 1 != len(argv):  # a flag given twice
+        return None
+    args = types.SimpleNamespace(command=argv[0], handler=handler)
+    for option, kind, default, required, _ in flags:
+        text = given.pop(option, None)
+        if text is None:
+            if required:
+                return None
+            value = default
+        elif text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+            return None
+        elif isinstance(kind, tuple):
+            if text not in kind:
+                return None
+            value = text
+        else:
+            try:
+                value = kind(text)
+            except ValueError:
+                return None
+        setattr(args, option[2:].replace("-", "_"), value)
+    return None if given else args
+
+
+def _build_parser():
+    import argparse  # here, so that a command line in the canonical form never loads it
+
+    class Parser(argparse.ArgumentParser):
+        """Raises usage errors and help for :func:`main` to report on its own streams."""
+
+        def error(self, message):
+            raise UsageError(message)
+
+        def print_help(self, file=None):
+            raise _Help(self.format_help())
+
+    parser = Parser(
         prog="synchrony-lab",
         description="Synchrony-convention kinematics, clock-sync simulation, and frame probes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    tr = sub.add_parser("transform", help="apply a convention boost to one event")
-    tr.add_argument("--event", required=True, help="comma-separated t,x[,y[,z]]")
-    tr.add_argument("--beta", type=float, required=True)
-    tr.add_argument("--k", type=float, default=None)
-    tr.add_argument("--k-prime", dest="k_prime", type=float, default=None)
-    tr.add_argument("--preset", choices=PRESETS, default=None)
-
-    ow = sub.add_parser("oneway", help="closed-form one-way speeds for a convention")
-    ow.add_argument("--k", type=float, required=True)
-
-    sy = sub.add_parser("sync", help="run a synchronization scenario file")
-    sy.add_argument("--scenario", required=True)
-    sy.add_argument("--protocol", choices=PROTOCOLS, default=None)
-    sy.add_argument("--master", type=int, default=0)
-
-    sc = sub.add_parser("scan", help="anisotropy scan over candidate drift velocities")
-    sc.add_argument("--beta-min", dest="beta_min", type=float, required=True)
-    sc.add_argument("--beta-max", dest="beta_max", type=float, required=True)
-    sc.add_argument("--step", type=float, required=True)
-
-    pr = sub.add_parser("probe", help="fit the preferred-frame velocity from samples")
-    pr.add_argument("--samples", required=True)
-    pr.add_argument("--beta-min", dest="beta_min", type=float, default=-0.9)
-    pr.add_argument("--beta-max", dest="beta_max", type=float, default=0.9)
-    pr.add_argument("--step", type=float, default=0.01)
-
-    # The first format listed is the command's default.
-    for command, handler, formats in (
-        (tr, cmd_transform, ("json", "csv")),
-        (ow, cmd_oneway, ("json", "csv")),
-        (sy, cmd_sync, ("json", "csv", "jsonl")),
-        (sc, cmd_scan, ("csv", "json")),
-        (pr, cmd_probe, ("json",)),
-    ):
-        command.add_argument("--format", choices=formats, default=formats[0])
-        command.add_argument("--precision", type=int, default=15)
+    for name, (summary, handler, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for option, kind, default, required, text in flags:
+            convert = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            command.add_argument(option, default=default, required=required, help=text,
+                                 **convert)
         command.set_defaults(handler=handler)
     return parser
 
@@ -311,12 +379,18 @@ def _fail(stderr, code: int, error_code: str, **fields) -> int:
 def main(argv=None, *, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
+    argv = sys.argv[1:] if argv is None else list(argv)
     buffer = io.StringIO()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_canonical(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
         fmt = Formatter(args.precision)
         _render(buffer, fmt, args.format, *args.handler(args))
-    except argparse.ArgumentError as exc:
+    except _Help as shown:
+        stdout.write(str(shown))
+        return EXIT_OK
+    except UsageError as exc:
         return _fail(stderr, EXIT_USAGE, "usage_error", reason=exc)
     except DegenerateConvention as exc:
         return _fail(stderr, EXIT_DEGENERATE, "degenerate_convention",

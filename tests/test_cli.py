@@ -628,6 +628,23 @@ class TestUsageErrors:
         assert (code, err) == (2, "usage_error reason=unrecognized_arguments:_a_b_c\n")
 
 
+class TestHelp:
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "usage: synchrony-lab [-h] {transform,oneway,sync,scan,probe} ..."),
+        (["sync", "--help"], "usage: synchrony-lab sync [-h] --scenario SCENARIO"),
+    ], ids=["top-level", "sync"])
+    def test_help_goes_to_mains_stdout_and_exits_0(self, argv, usage, capsys):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].startswith(usage)
+        assert capsys.readouterr() == ("", "")  # nothing bypasses main's streams
+
+    def test_the_process_prints_help_to_stdout_and_exits_0(self):
+        code, out, err = run_cli_process(["sync", "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: synchrony-lab sync [-h] --scenario SCENARIO")
+
+
 def _pretty(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 

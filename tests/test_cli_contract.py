@@ -2,11 +2,13 @@
 
 Argument vectors are drawn from the real subcommands and flags, with numeric
 text that includes nan, inf, -0, 1e308 and 1e-320; scenario and sample files
-mix valid and invalid fields.  Every value is passed as ``--flag=value`` so
-that argparse never mistakes a value for a flag.  Usage errors keep the same
-contract (one ``usage_error`` line, exit 2): the drawn ``--precision`` and
-``--preset`` combinations reach them only through ``@example``s here, and
-``test_cli.TestUsageErrors`` covers the rest.
+mix valid and invalid fields.  Each value is passed as ``--flag=value``,
+which only argparse reads, or as ``--flag value``, which the CLI's fast
+reader reads unless argparse would take the value for a flag (``-inf``,
+``-1e-05``).  Usage errors keep the same contract (one ``usage_error`` line,
+exit 2): such values reach them, the ``--preset`` combinations reach them
+only through ``@example``s here, and ``test_cli.TestUsageErrors`` covers the
+rest.
 """
 
 from __future__ import annotations
@@ -71,38 +73,45 @@ def sample_row(draw):
 @st.composite
 def invocations(draw):
     """(argv, format, files): files maps a tmp_path file name to the text to write there."""
+
+    def flag(name, value):
+        """``--name=value`` or ``--name value``."""
+        return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", str(value)]
+
     command = draw(st.sampled_from(["transform", "oneway", "sync", "scan", "probe"]))
     files = {}
     if command == "transform":
-        argv = ["transform", f"--beta={draw(NUMBER)}",
-                f"--event={','.join(draw(st.lists(NUMBER, min_size=1, max_size=5)))}"]
+        argv = ["transform", *flag("beta", draw(NUMBER)),
+                *flag("event", ",".join(draw(st.lists(NUMBER, min_size=1, max_size=5))))]
         if draw(st.booleans()):  # a preset excludes --k/--k-prime
-            argv.append(f"--preset={draw(st.sampled_from(cli.PRESETS))}")
+            argv += flag("preset", draw(st.sampled_from(cli.PRESETS)))
         else:
-            argv += [f"--{flag}={draw(NUMBER)}" for flag in ("k", "k-prime") if draw(st.booleans())]
+            for name in ("k", "k-prime"):
+                argv += flag(name, draw(NUMBER)) if draw(st.booleans()) else []
     elif command == "oneway":
-        argv = ["oneway", f"--k={draw(NUMBER)}"]
+        argv = ["oneway", *flag("k", draw(NUMBER))]
     elif command == "sync":
         files["scenario.json"] = json.dumps(draw(SCENARIO))
-        argv = ["sync", "--scenario={tmp}/scenario.json", f"--master={draw(st.integers(-1, 4))}"]
+        argv = ["sync", *flag("scenario", "{tmp}/scenario.json"),
+                *flag("master", draw(st.integers(-1, 4)))]
         protocol = draw(st.sampled_from([None, "einstein", "superluminal", "external-regulation"]))
-        argv += [f"--protocol={protocol}"] if protocol else []
+        argv += flag("protocol", protocol) if protocol else []
     elif command == "scan":
-        argv = ["scan", f"--beta-min={draw(BOUND)}", f"--beta-max={draw(BOUND)}",
-                f"--step={draw(STEP)}"]
+        argv = ["scan", *flag("beta-min", draw(BOUND)), *flag("beta-max", draw(BOUND)),
+                *flag("step", draw(STEP))]
     else:
         rows = draw(st.lists(sample_row(), max_size=5))
         files["samples.csv"] = "delta_E,lab_beta,t_c,sigma\n" + "".join(rows)
         source = draw(st.sampled_from([
             "{tmp}/samples.csv", str(DATA / "collapse_samples_beta03.csv"),
             str(DATA / "scenario_rest.json"), "{tmp}/missing.csv"]))
-        argv = ["probe", f"--samples={source}"]
-        argv += [f"--{flag}={draw(value)}" for flag, value in
-                 (("beta-min", BOUND), ("beta-max", BOUND), ("step", STEP)) if draw(st.booleans())]
+        argv = ["probe", *flag("samples", source)]
+        for name, value in (("beta-min", BOUND), ("beta-max", BOUND), ("step", STEP)):
+            argv += flag(name, draw(value)) if draw(st.booleans()) else []
     fmt = draw(st.sampled_from(FORMATS[command]))
-    argv.append(f"--format={fmt}")
+    argv += flag("format", fmt)
     if draw(st.booleans()):
-        argv.append(f"--precision={draw(st.integers(-1, 18))}")
+        argv += flag("precision", draw(st.integers(-1, 18)))
     return argv, fmt, files
 
 
@@ -181,6 +190,9 @@ def _assert_strict_csv(text):
 @example(case=(["transform", "--beta=0.6", "--event=1,0", "--preset=lorentz", "--k=0.2",
                 "--format=json"], "json", {}),
          speed_of_light=None)
+# A value that argparse takes for a flag ends in a usage error, not in the fast reader.
+@example(case=(["oneway", "--k", "-inf", "--format", "json"], "json", {}), speed_of_light=None)
+@example(case=(["oneway", "--k", "-.5", "--format", "csv"], "csv", {}), speed_of_light=None)
 def test_every_invocation_keeps_the_output_contract(case, speed_of_light, tmp_path, monkeypatch):
     argv, fmt, files = case
     for name, text in files.items():

@@ -17,6 +17,8 @@ SRC = str(ROOT / "src")
 DATA = "tests/data/"  # relative to ROOT, where the command subprocesses run
 
 SIMULATOR = "synchrony_lab.syncsim"
+#: Loaded only for help, usage errors and the command lines that argparse reads.
+ARGPARSE = {"argparse", "gettext", "locale"}
 #: The documented commands (the cli-cold set), each with the modules it must not load:
 #: a command loads only the layer it runs and the module of the format it writes.
 COMMANDS = {
@@ -76,7 +78,7 @@ def test_importing_the_cli_loads_no_module_its_cold_start_does_not_run():
     ).stdout.split()
     assert "synchrony_lab.cli" in loaded
     assert not {"csv", "dataclasses", "inspect", "json", "numpy", "synchrony_lab.probe",
-                SIMULATOR, "typing"} & set(loaded)
+                SIMULATOR, "typing", *ARGPARSE} & set(loaded)
 
 
 @pytest.mark.parametrize("name", COMMANDS)
@@ -93,10 +95,34 @@ def test_each_command_loads_only_the_layer_and_format_it_runs(name):
         timeout=60,
     ).stdout.split()
     assert int(status) == (3 if name == "sync_bad_positions" else 0)
-    assert not unloaded & set(loaded)
+    assert not (unloaded | ARGPARSE) & set(loaded)
     assert ("numpy" in loaded) is (argv[0] == "probe")  # only the estimator loads numpy
     if argv[0] != "probe":  # the records are collections.namedtuple types; numpy loads typing
         assert "typing" not in loaded
+
+
+#: Command lines that only argparse reads, each with its exit status and first output line.
+ARGPARSE_LINES = {
+    "help": (["sync", "--help"], 0, "usage: synchrony-lab sync [-h] --scenario SCENARIO"),
+    "flag_like_value": (["oneway", "--k", "-1e-3"], 2,
+                        "usage_error reason=argument_--k:_expected_one_argument"),
+    "equals_form": (["oneway", "--k=0.6"], 0, "{"),
+}
+
+
+@pytest.mark.parametrize("name", ARGPARSE_LINES)
+def test_help_usage_errors_and_other_forms_end_as_argparse_ends_them(name):
+    argv, status, first_line = ARGPARSE_LINES[name]
+    code = ("import io, sys; from synchrony_lab import cli; out = io.StringIO(); "
+            "status = cli.main(sys.argv[1:], stdout=out, stderr=out); "
+            "print(status, 'argparse' in sys.modules); print(out.getvalue(), end='')")
+    head, output = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout.split("\n", 1)
+    assert head == f"{status} True"
+    assert output.startswith(first_line + "\n")
 
 
 #: A first fit, through the CLI and through the library's list input.
