@@ -52,6 +52,8 @@ FAST_READER = ("tests/test_cli_reader.py::"
                "test_the_fast_reader_returns_none_or_the_argparse_namespace")
 FIRST_FIT = ("tests/test_package.py::"
              "test_a_first_fit_loads_no_numpy_module_a_bare_numpy_import_does_not")
+REPLAY = "tests/test_syncsim.py::TestProtocolReplay::"
+ANY_REPLAY = f"{REPLAY}test_any_lattice_matches_a_propagate_replay"
 #: np.unique imports numpy.ma from numpy 2.3 on; before, this mutant is equivalent.
 NUMPY_MA_MUTANT = "first fit imports numpy.ma"
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
@@ -310,6 +312,30 @@ CATALOGUE = (
      "    if isinstance(value, bool):\n"
      "        raise TypeError(\"a sample field must be a number, not a bool\")\n", "",
      ["tests/test_probe.py::TestCollapseTime::test_a_bool_is_not_a_number"]),
+    ("exchange side speeds swapped", SYNCSIM,
+     "for slaves, w in ((range(m), -C), (range(m + 1, len(p)), C)):",
+     "for slaves, w in ((range(m), C), (range(m + 1, len(p)), -C)):",
+     ["tests/test_syncsim.py::TestProtocols::"
+      "test_an_ordered_lattice_is_synchronized_without_the_kernel"]),
+    ("exchange fast path skips the finiteness test", SYNCSIM,
+     "                if (dt > 0.0 and dt_back > 0.0\n"
+     "                        and isfinite(t0 + x_emit + t_reflect + x_reflect)\n"
+     "                        and isfinite(t_reflect + x_back + t_return + x_return)):\n",
+     "                if dt > 0.0 and dt_back > 0.0:\n",
+     [ANY_REPLAY]),
+    ("exchange emits the return leg at t0", SYNCSIM,
+     "append((LIGHT, t_reflect, x_back,", "append((LIGHT, t0, x_back,",
+     [f"{REPLAY}test_rows_and_offsets_match_a_propagate_replay", ANY_REPLAY]),
+    ("exchange drops the gap-sign guard", SYNCSIM,
+     "if (x - x_m) * w > 0.0 and isfinite(head + x_abs):", "if isfinite(head + x_abs):",
+     [ANY_REPLAY]),
+    ("lattice positions coerced, not checked", SYNCSIM,
+     '_floats(positions, "node positions")', "tuple(map(float, positions))",
+     ["tests/test_syncsim.py::TestBuild::test_bools_non_numbers_and_huge_ints_are_refused"]),
+    ("scan drifts coerced, not checked", SYNCSIM,
+     'for beta in _floats(betas, "drift"):', "for beta in map(float, betas):",
+     ["tests/test_syncsim.py::TestIsotropyScan::"
+      "test_bools_strings_and_huge_ints_are_refused_not_coerced"]),
 )
 
 

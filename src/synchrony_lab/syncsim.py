@@ -23,9 +23,11 @@ toward -x, while every round trip averages to ``C`` under every protocol.
 lattice chart.
 
 A lattice is owned by one simulation run at a time.  Callers check their
-inputs once; then every signal goes through one kernel, :func:`_signal`,
-and every speed measurement through one, :func:`_timed`, which the
-isotropy scan calls with no lattice.
+inputs once.  A protocol's exchange runs in :func:`_exchange`, one loop per
+side of the master, which hands any slave whose signal would fail a check
+to :func:`_signal`; every other signal goes through that one kernel, and
+every speed measurement through one, :func:`_timed`, which the isotropy
+scan calls with no lattice.
 """
 
 from __future__ import annotations
@@ -101,8 +103,14 @@ class ClockLattice:
 
     @classmethod
     def build(cls, drift: float, positions) -> "ClockLattice":
-        """Comoving lattice at ``drift`` with clocks at the given absolute positions."""
-        return cls(FrameSpec(-drift, 0.0, "lab"), tuple(map(float, positions)))
+        """Comoving lattice at ``drift`` with clocks at the given absolute positions.
+
+        ``drift`` and every position must be an int or float (not a bool):
+        anything else raises TypeError, and an int past the float range
+        raises ValueError.
+        """
+        (drift,) = _floats((drift,), "drift")
+        return cls(FrameSpec(-drift, 0.0, "lab"), _floats(positions, "node positions"))
 
     @property
     def rate(self) -> float:
@@ -229,22 +237,63 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     rows, offsets = [], [0.0] * len(p)  # the master reads rate*t
     lattice.offsets, lattice.log, lattice.protocol = [0.0] * len(p), rows, None
     lattice.frame = FrameSpec(b, 0.0, label)
-    rate, u, t0 = _rate(b), b * C, 0.0
-    x_m, read0 = p[m], rate * t0  # the master's position and its reading at t0
-    slaves = [i for i in range(len(p)) if i != m]
-    if protocol == EINSTEIN:
-        for i in slaves:
-            t_reflect = _signal(rows, LIGHT, u, C, x_m, p[i], t0, i)
-            t_return = _signal(rows, LIGHT, u, C, p[i], x_m, t_reflect, m)
-            offsets[i] = 0.5 * (read0 + rate * t_return) - rate * t_reflect
-    elif protocol == SUPERLUMINAL:
-        for i in slaves:
-            offsets[i] = read0 - rate * _signal(rows, INSTANTANEOUS, u, C, x_m, p[i], t0, i)
-    # EXTERNAL_REGULATION: at absolute time 0 the reference reads the master's 0.
+    if protocol != EXTERNAL_REGULATION:  # at absolute time 0 the reference reads the master's 0
+        _exchange(rows, offsets, LIGHT if protocol == EINSTEIN else INSTANTANEOUS,
+                  b * C, _rate(b), p, m)
 
     lattice.offsets, lattice.protocol = offsets, protocol
     lattice.frame = FrameSpec(b, 0.0 if protocol == EINSTEIN else induced_synchrony(0.0, b), label)
     return lattice
+
+
+def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
+    """:func:`run_protocol`'s exchange from master ``m``, starting at absolute time 0.
+
+    Light goes out to each slave and back (the midpoint rule sets the
+    slave); an instantaneous signal goes out only.  The rows and offsets are
+    those of sending every leg through :func:`_signal` in index order, bit
+    for bit, but the loop takes each side of the master in turn: positions
+    increase, so a slave's side is its signal's direction, and the signed
+    speed and chase denominators are computed once per side.  A slave whose
+    leg would fail a check of :func:`_signal` (a chase that does not
+    resolve, a non-finite coordinate sum, or a gap against its side, which
+    only reassigned ``positions`` give) is sent through :func:`_signal`,
+    which raises or logs it as it always has.
+    """
+    t0, x_m, isfinite, append = 0.0, p[m], math.isfinite, rows.append
+    x_emit, read0 = x_m + u * t0, rate * t0  # the master's emission and its reading then
+    for slaves, w in ((range(m), -C), (range(m + 1, len(p)), C)):
+        if kind == LIGHT:
+            # |u| < C, so neither denominator is zero, and each carries its
+            # leg's sign: dt > 0 also checks the gap against the side.
+            w_back, d_out, d_back = -w, w - u, -w - u
+            for i in slaves:
+                x = p[i]
+                dt = (x - x_m) / d_out
+                t_reflect, x_reflect = t0 + dt, x_emit + w * dt
+                dt_back, x_back = (x_m - x) / d_back, x + u * t_reflect
+                t_return, x_return = t_reflect + dt_back, x_back + w_back * dt_back
+                if (dt > 0.0 and dt_back > 0.0
+                        and isfinite(t0 + x_emit + t_reflect + x_reflect)
+                        and isfinite(t_reflect + x_back + t_return + x_return)):
+                    append((LIGHT, t0, x_emit, t_reflect, x_reflect, w))
+                    append((LIGHT, t_reflect, x_back, t_return, x_return, w_back))
+                else:
+                    t_reflect = _signal(rows, LIGHT, u, C, x_m, x, t0, i)
+                    t_return = _signal(rows, LIGHT, u, C, x, x_m, t_reflect, m)
+                offsets[i] = 0.5 * (read0 + rate * t_return) - rate * t_reflect
+        else:
+            # Every slave is reached at t0; (gap * w > 0) is false for a gap
+            # against the side, and for a zero or NaN one.
+            w, ut0, head = w * INFINITE_SPEED, u * t0, t0 + x_emit + t0
+            for i in slaves:
+                x = p[i]
+                x_abs = x + ut0
+                if (x - x_m) * w > 0.0 and isfinite(head + x_abs):
+                    append((INSTANTANEOUS, t0, x_emit, t0, x_abs, w))
+                else:
+                    _signal(rows, INSTANTANEOUS, u, C, x_m, x, t0, i)
+            offsets[slaves.start:slaves.stop] = [read0 - rate * t0] * len(slaves)
 
 
 def measure_one_way(
@@ -317,14 +366,16 @@ class ScanPoint(namedtuple("ScanPoint", "beta c_plus c_minus anisotropy")):
 def isotropy_scan(betas) -> list[ScanPoint]:
     """Measure the one-way anisotropy for each candidate drift velocity.
 
-    Each drift is checked once; with no lattice, :func:`_timed` times a light
-    signal each way between clocks at x = 0 and 1 with zero offsets, which
-    external regulation sets and which equal the superluminal ones exactly.
+    Each drift is checked once, as :meth:`ClockLattice.build` checks it, and
+    the types of all of them before the first point.  With no lattice,
+    :func:`_timed` times a light signal each way between clocks at x = 0 and
+    1 with zero offsets, which external regulation sets and which equal the
+    superluminal ones exactly.
     ``c_plus - c_minus`` is 2*beta/(1 - beta^2) and vanishes exactly in the
     isotropy frame, so the argmin of its magnitude locates that frame.
     """
     points, offsets = [], (0.0, 0.0)
-    for beta in map(float, betas):
+    for beta in _floats(betas, "drift"):
         b, rows = -beta, []  # b: ClockLattice.build's frame.beta
         _check_beta(b)
         rate = _rate(b)
@@ -348,6 +399,25 @@ Scenario = namedtuple("Scenario", "beta node_positions protocol signals")
 def _is_number(value) -> bool:
     """A JSON number: int or float, but not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _floats(values, name: str) -> tuple:
+    """``values`` as a tuple of floats, refused as :meth:`ClockLattice.build` documents.
+
+    Each distinct type is checked once, so a long list costs no Python call
+    per value; the error names the type of the first value refused.
+    """
+    values = tuple(values)
+    types = set(map(type, values))
+    if types == {float}:  # the common case: nothing to refuse or convert
+        return values
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types):
+        bad = next(v for v in values if not _is_number(v))
+        raise TypeError(f"{name} must be int or float, not {type(bad).__name__}")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an int past the largest float
+        raise ValueError(f"{name} must be finite") from None
 
 
 def _is_finite(value) -> bool:

@@ -196,7 +196,7 @@ def lattice_scan(betas) -> list[ScanPoint]:
     """
     points = []
     for beta in betas:
-        lattice = ClockLattice.build(float(beta), (0.0, 1.0))
+        lattice = ClockLattice.build(beta, (0.0, 1.0))
         run_protocol(lattice, SUPERLUMINAL)
         c_plus = measure_one_way(lattice, 0, 1).speed
         c_minus = measure_one_way(lattice, 1, 0).speed

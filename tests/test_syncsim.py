@@ -70,6 +70,26 @@ class TestBuild:
         with pytest.raises(ValueError, match="at least two|strictly increasing"):
             lattice(positions=positions)
 
+    @pytest.mark.parametrize("drift, positions, error, message", [
+        (0.6, ["0", True, "2.5"], TypeError, "^node positions must be int or float, not str$"),
+        (0.6, [0, True, 2.5], TypeError, "^node positions must be int or float, not bool$"),
+        (0.6, [0.0, None], TypeError, "^node positions must be int or float, not NoneType$"),
+        (0.5, [0.0, 10**400], ValueError, "^node positions must be finite$"),
+        (True, [0.0, 1.0], TypeError, "^drift must be int or float, not bool$"),
+        ("0.5", [0.0, 1.0], TypeError, "^drift must be int or float, not str$"),
+        (10**400, [0.0, 1.0], ValueError, "^drift must be finite$"),
+    ], ids=["strings-and-bool", "bool", "none", "int-past-float-range",
+            "bool-drift", "string-drift", "int-drift-past-float-range"])
+    def test_bools_non_numbers_and_huge_ints_are_refused(self, drift, positions, error, message):
+        with pytest.raises(error, match=message):
+            ClockLattice.build(drift, positions)
+
+    def test_ints_and_any_iterable_build_float_positions(self):
+        lat = ClockLattice.build(0, iter([0, 2**60, 2**61]))
+        assert lat.positions == (0.0, 2.0**60, 2.0**61)
+        assert list(map(type, lat.positions)) == [float] * 3
+        assert lat.frame.beta == 0.0 and type(lat.frame.beta) is float
+
 
 class TestNodeLookup:
     def test_node_is_its_index(self):
@@ -353,7 +373,9 @@ class TestProtocols:
             measure_one_way(lat, 0, 1)
 
         # A zero-delay signal cannot fail, so fail the second one by hand:
-        # the run must not leave its realized k = 0.6 behind.
+        # the run must not leave its realized k = 0.6 behind.  Reversed
+        # positions put each slave's gap against its side of the master, so
+        # the exchange sends both slaves through the kernel.
         def second_signal_fails(rows, *args):
             if rows:
                 raise UnresolvableChase("second signal")
@@ -361,9 +383,22 @@ class TestProtocols:
 
         signal = syncsim._signal
         monkeypatch.setattr(syncsim, "_signal", second_signal_fails)
+        lat.positions = lat.positions[::-1]
         with pytest.raises(UnresolvableChase):
             run_protocol(lat, SUPERLUMINAL, master=1)
         assert (lat.protocol, lat.frame.k, lat.offsets, len(lat.log)) == (None, 0.0, [0.0] * 3, 1)
+
+    @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
+    @pytest.mark.parametrize("drift", [0.6, -0.6])
+    def test_an_ordered_lattice_is_synchronized_without_the_kernel(self, monkeypatch, protocol,
+                                                                   drift):
+        """Only a slave whose signal would fail a check goes through ``_signal``."""
+        def kernel(*args):
+            raise AssertionError("the exchange fell back to _signal")
+
+        monkeypatch.setattr(syncsim, "_signal", kernel)
+        lat = run_protocol(lattice(beta=drift, positions=(0.0, 1.0, 2.5, 4.0)), protocol, 1)
+        assert len(lat.log) == (6 if protocol == EINSTEIN else 3)
 
     def test_only_a_protocol_run_marks_a_lattice_synced(self):
         lat = lattice()
@@ -376,11 +411,16 @@ class TestProtocolReplay:
 
     N = 300
 
-    @staticmethod
-    def replay(drift, positions, protocol, master):
+    @classmethod
+    def replay(cls, drift, positions, protocol, master):
         """Rows and offsets of the protocol's exchange, sent through :func:`propagate`."""
         ref = ClockLattice.build(drift, positions)
-        rate, t0 = ref.rate, 0.0
+        return (ref, *cls.replay_into(ref, protocol, master))
+
+    @staticmethod
+    def replay_into(ref, protocol, master):
+        """Offsets and (sender, receiver) legs of the exchange, sent into ``ref``'s log."""
+        positions, rate, t0 = ref.positions, ref.rate, 0.0
         offsets, legs = [0.0] * len(positions), []
         for i in range(len(positions)):
             if i == master:
@@ -393,7 +433,7 @@ class TestProtocolReplay:
             else:
                 offsets[i] = rate * t0 - rate * propagate(ref, master, i, INSTANTANEOUS).absorb.t
                 legs.append((master, i))
-        return ref, offsets, legs
+        return offsets, legs
 
     @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
     @pytest.mark.parametrize("master", [0, N // 2, N - 1])
@@ -414,6 +454,63 @@ class TestProtocolReplay:
             assert math.isclose(emit_x, ref.positions[i] + u * emit_t, rel_tol=0.0, abs_tol=1e-9)
             assert math.isclose(absorb_x, ref.positions[j] + u * absorb_t, rel_tol=0.0,
                                 abs_tol=1e-9)
+
+    @staticmethod
+    def outcome(drift, positions, reassigned, run):
+        """``run``'s offsets or error, and its log, on a fresh lattice."""
+        lat = ClockLattice.build(drift, positions)
+        if reassigned is not None:
+            lat.positions = reassigned
+        try:
+            result = list(map(repr, run(lat)))
+        except (ValueError, errors.SynchronyError) as exc:
+            result = (type(exc), str(exc))
+            assert (lat.protocol, lat.offsets) == (None, [0.0] * len(positions))
+        return result, list(map(repr, lat.log))
+
+    # Sorted distinct floats reach spans near 1e308 and subnormal gaps;
+    # cumulative gaps give longer lattices that synchronize.
+    lattices = st.one_of(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=6,
+                 unique=True).map(sorted),
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12).map(
+            lambda gaps: [sum(gaps[:i]) for i in range(len(gaps) + 1)]),
+    )
+    drifts = st.one_of(
+        st.sampled_from([0.0, -0.0, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0),
+                         1.0 - 1e-9, -(1.0 - 1e-9)]),
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+
+    @given(drift=drifts, positions=lattices, protocol=st.sampled_from([EINSTEIN, SUPERLUMINAL]),
+           where=st.sampled_from(["first", "middle", "last"]),
+           order=st.none() | st.permutations(range(13)))
+    # The return leg from 1e308 overflows; the light chase of a subnormal gap
+    # underflows to dt = 0; finite coordinates whose sum overflows are logged.
+    @example(drift=0.6, positions=[0.0, 1e308], protocol=EINSTEIN, where="first", order=None)
+    @example(drift=-0.6, positions=[-1e308, 0.0, 1e308], protocol=EINSTEIN, where="middle",
+             order=None)
+    @example(drift=math.nextafter(1.0, 0.0), positions=[0.0, 5e-324], protocol=EINSTEIN,
+             where="first", order=None)
+    @example(drift=0.0, positions=[1e308, 1.7e308], protocol=SUPERLUMINAL, where="first",
+             order=None)
+    @example(drift=0.0, positions=[0.0, 1.7e308], protocol=EINSTEIN, where="last", order=None)
+    # Positions reassigned out of order after construction.
+    @example(drift=0.6, positions=[0.0, 1.0, 2.0, 3.0], protocol=SUPERLUMINAL, where="middle",
+             order=[3, 1, 2, 0])
+    @example(drift=-0.3, positions=[0.0, 1.0, 2.0, 3.0], protocol=EINSTEIN, where="middle",
+             order=[3, 1, 2, 0])
+    def test_any_lattice_matches_a_propagate_replay(self, drift, positions, protocol, where,
+                                                    order):
+        """Same log, offsets or error; ``order`` reassigns the positions after construction."""
+        n = len(positions)
+        master = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        reassigned = None if order is None else tuple(positions[j] for j in order if j < n)
+        got = self.outcome(drift, positions, reassigned,
+                           lambda lat: run_protocol(lat, protocol, master).offsets)
+        want = self.outcome(drift, positions, reassigned,
+                            lambda ref: self.replay_into(ref, protocol, master)[0])
+        assert got == want
 
 
 class TestMeasurements:
@@ -570,7 +667,9 @@ class TestIsotropyScan:
         betas += [-b for b in betas]
         assert list(map(repr, isotropy_scan(betas))) == list(map(repr, lattice_scan(betas)))
 
-    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, -7.0, math.inf, -math.inf, math.nan, "x"])
+    @pytest.mark.parametrize("bad", [1.0, -1.0, 1.5, -7.0, math.inf, -math.inf, math.nan, "x",
+                                     "0.5", True, False, None,
+                                     pytest.param(10**400, id="10**400")])
     def test_rejects_like_the_lattice_path(self, bad):
         def outcome(scan):
             with pytest.raises((ValueError, TypeError)) as info:
@@ -578,6 +677,20 @@ class TestIsotropyScan:
             return type(info.value), str(info.value)
 
         assert outcome(isotropy_scan) == outcome(lattice_scan)
+
+
+    @pytest.mark.parametrize("bad, error, message", [
+        ("0.5", TypeError, "^drift must be int or float, not str$"),
+        (False, TypeError, "^drift must be int or float, not bool$"),
+        (True, TypeError, "^drift must be int or float, not bool$"),
+        (10**400, ValueError, "^drift must be finite$"),
+    ], ids=["numeric-string", "false", "true", "int-past-float-range"])
+    def test_bools_strings_and_huge_ints_are_refused_not_coerced(self, bad, error, message):
+        with pytest.raises(error, match=message):
+            isotropy_scan([0.3, 0.2, bad])
+
+    def test_ints_scan_as_floats(self):
+        assert repr(isotropy_scan([0])) == repr(isotropy_scan([0.0]))
 
 
 class TestDigitsNearTheSpeedOfLight:
