@@ -56,6 +56,8 @@ REPLAY = "tests/test_syncsim.py::TestProtocolReplay::"
 ANY_REPLAY = f"{REPLAY}test_any_lattice_matches_a_propagate_replay"
 #: np.unique imports numpy.ma from numpy 2.3 on; before, this mutant is equivalent.
 NUMPY_MA_MUTANT = "first fit imports numpy.ma"
+REFUSED = ("tests/test_number_rule.py::"
+           "test_bools_non_numbers_and_ints_past_the_float_range_are_refused")
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
               "tests/test_kinematics.py::TestFrameMapsMatchTheDecimalOracle"]
 
@@ -193,9 +195,11 @@ CATALOGUE = (
      "__add__ = __radd__ = __mul__ = __rmul__ = _refuse", "__add__ = __radd__ = __rmul__ = _refuse",
      ["tests/test_records.py::test_checked_records_refuse_tuple_algebra"]),
     ("event constructor skips the finiteness check", KINEMATICS,
-     "        if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(z)):\n"
-     "            for name, value in zip(\"txyz\", (t, x, y, z)):\n"
-     "                if not isfinite(value):\n"
+     "        if not (isinstance(t, float) and isinstance(x, float) and isinstance(y, float)\n"
+     "                and isinstance(z, float) and math.isfinite(t + x + y + z)):"
+     "  # only if each is\n            for name, value in zip(\"txyz\", (t, x, y, z)):\n"
+     "                if not math.isfinite("
+     "_floats((value,), f\"event component {name}\")[0]):\n"
      "                    raise ValueError(f\"event component {name} must be finite\")\n", "",
      ["tests/test_records.py::test_each_bad_field_raises_its_message_in_check_order"]),
     ("event _replace skips the checks", KINEMATICS,
@@ -309,8 +313,8 @@ CATALOGUE = (
      "import math\nimport os\n", "import argparse\nimport math\nimport os\n",
      [IMPORT_LOADS, f"{LOADS_ONLY}[oneway_k06]"]),
     ("sample fields take a bool as a number", PROBE,
-     "    if isinstance(value, bool):\n"
-     "        raise TypeError(\"a sample field must be a number, not a bool\")\n", "",
+     "            if not _is_number(value):",
+     "            if not isinstance(value, (int, float)):",
      ["tests/test_probe.py::TestCollapseTime::test_a_bool_is_not_a_number"]),
     ("exchange side speeds swapped", SYNCSIM,
      "for slaves, w in ((range(m), -C), (range(m + 1, len(p)), C)):",
@@ -336,6 +340,31 @@ CATALOGUE = (
      'for beta in _floats(betas, "drift"):', "for beta in map(float, betas):",
      ["tests/test_syncsim.py::TestIsotropyScan::"
       "test_bools_strings_and_huge_ints_are_refused_not_coerced"]),
+    ("number rule takes a bool", KINEMATICS,
+     "    return isinstance(value, (int, float)) and not isinstance(value, bool)\n",
+     "    return isinstance(value, (int, float))\n",
+     [f"{REFUSED}[CollapseSample.beta]", "tests/test_probe.py::TestCollapseTime::"
+      "test_a_bool_is_not_a_number"]),
+    ("beta's float fast path takes |beta| = 1", KINEMATICS,
+     "beta > -1.0 and beta < 1.0", "beta >= -1.0 and beta <= 1.0",
+     ["tests/test_records.py::test_each_bad_field_raises_its_message_in_check_order"]),
+    ("event fast path skips the type checks", KINEMATICS,
+     "        if not (isinstance(t, float) and isinstance(x, float) and isinstance(y, float)\n"
+     "                and isinstance(z, float) and math.isfinite(",
+     "        if not (math.isfinite(",
+     [f"{REFUSED}[Event.t]", f"{REFUSED}[Event.z]"]),
+    ("fit grid coerced by numpy, not checked", PROBE,
+     'beta_grid = _floats(beta_grid, "beta_grid")',
+     "beta_grid = tuple(np.asarray(list(beta_grid), dtype=float).tolist())",
+     [f"{REFUSED}[estimate_absolute_frame.beta_grid]"]),
+    ("lattice constructor keeps positions as given", SYNCSIM,
+     '        positions = _floats(positions, "node positions")\n', "",
+     ["tests/test_number_rule.py::"
+      "test_the_lattice_constructor_refuses_bools_and_keeps_a_tuple_of_floats",
+      f"{REFUSED}[ClockLattice.positions]"]),
+    ("grid order unchecked", CLI,
+     "    if hi < lo:\n", "    if False:\n",
+     ["tests/test_cli.py::TestScanCommand::test_grid_maximum_below_its_minimum_exits_3"]),
 )
 
 

@@ -25,7 +25,9 @@ safe to share between threads.  Instantaneous propagation is representable:
 speed-valued functions return the module constant :data:`INFINITE_SPEED`
 (``math.inf``) instead of raising.
 
-Public functions and constructors validate their arguments once.  The
+Public functions and constructors validate their arguments once; a number
+passes the library's one rule, :func:`_is_number` (an int or a float, not a
+bool: else TypeError), and fits a float (else ValueError).  The
 ``_``-prefixed kernels behind them take plain floats and 2x2 tuples, assume
 validated inputs, are not API and hold the only copy of each formula.  Only
 entries a caller gives :class:`TransformCoeffs` (or its ``_make``/``_replace``)
@@ -55,14 +57,44 @@ MINUS_X = "-x"
 _SINGULAR = "transform is singular (zero determinant)"
 
 
+def _is_number(value) -> bool:
+    """The library's number rule: an int or a float counts, but a bool does not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A number that a float holds finitely; an int past the largest float is not."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # math.isfinite converts an int to float
+        return False
+
+
+def _floats(values, name: str) -> tuple:
+    """``values`` as a tuple of floats, or the rule's error naming ``name``; checked per type."""
+    values = tuple(values)
+    types = set(map(type, values))
+    if types == {float}:  # the common case: nothing to refuse or convert
+        return values
+    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types):
+        bad = next(v for v in values if not _is_number(v))
+        raise TypeError(f"{name} must be int or float, not {type(bad).__name__}")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an int past the largest float
+        raise ValueError(f"{name} must be finite") from None
+
+
 def _check_beta(beta: float) -> None:
-    if not (math.isfinite(beta) and abs(beta) < 1.0):
-        raise ValueError(f"boost velocity must satisfy |beta| < 1, got {beta!r}")
+    if not (isinstance(beta, float) and beta > -1.0 and beta < 1.0):  # floats skip _floats
+        if not abs(_floats((beta,), "beta")[0]) < 1.0:  # also NaN
+            raise ValueError(f"boost velocity must satisfy |beta| < 1, got {beta!r}")
 
 
 def _check_k(k: float, name: str = "k") -> None:
-    if not (math.isfinite(k) and abs(k) <= 1.0):
-        raise ValueError(f"synchrony parameter {name} must lie in [-1, 1], got {k!r}")
+    if not (isinstance(k, float) and k >= -1.0 and k <= 1.0):  # floats skip _floats
+        if not abs(_floats((k,), name)[0]) <= 1.0:  # also NaN
+            raise ValueError(f"synchrony parameter {name} must lie in [-1, 1], got {k!r}")
 
 
 class _Value:
@@ -95,10 +127,10 @@ class Event(_Value, _EventFields):
     __slots__ = ()
 
     def __new__(cls, t, x, y=0.0, z=0.0, chart="S"):
-        isfinite = math.isfinite
-        if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(z)):
+        if not (isinstance(t, float) and isinstance(x, float) and isinstance(y, float)
+                and isinstance(z, float) and math.isfinite(t + x + y + z)):  # only if each is
             for name, value in zip("txyz", (t, x, y, z)):
-                if not isfinite(value):
+                if not math.isfinite(_floats((value,), f"event component {name}")[0]):
                     raise ValueError(f"event component {name} must be finite")
         if not chart:
             raise ValueError("event chart must be a non-empty identifier")
@@ -148,6 +180,7 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
 
     def __new__(cls, a_tt, a_tx, a_xt, a_xx):
         m = tuple.__new__(cls, (a_tt, a_tx, a_xt, a_xx))
+        _floats(m, "transform coefficients")  # the number rule; the entries are kept as given
         if m.determinant == 0.0:
             raise ValueError(_SINGULAR)
         return m
@@ -223,12 +256,12 @@ def _image(m: tuple, e: Event, chart: str) -> Event:
 def _velocity_through(m: tuple, u: float) -> float:
     """Image of the coordinate velocity u under a linear chart map.
 
-    ``u`` may be +-inf (an instantaneous worldline); |u| > 1 is traced along
-    (1/|u|, sign u), so huge velocities do not overflow.  Returns
-    :data:`INFINITE_SPEED` (signed) when the image worldline lies in a
-    surface of constant image-time.
+    ``u`` may be +-inf (an instantaneous worldline), but not an int past the
+    float range; |u| > 1 is traced along (1/|u|, sign u), so huge velocities
+    do not overflow.  Returns :data:`INFINITE_SPEED` (signed) when the image
+    worldline lies in a surface of constant image-time.
     """
-    if math.isnan(u):
+    if not (isinstance(u, float) and u == u) and math.isnan(_floats((u,), "velocity")[0]):
         raise ValueError("velocity must be a number (may be +-inf)")
     a_tt, a_tx, a_xt, a_xx = m
     dt, dx = (1.0, u) if abs(u) <= 1.0 else (1.0 / abs(u), math.copysign(1.0, u))

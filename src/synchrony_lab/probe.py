@@ -26,7 +26,7 @@ from array import array
 from collections import namedtuple
 
 from .errors import FileInvalid, IllConditioned
-from .kinematics import _Value, _rate
+from .kinematics import _Value, _floats, _is_finite, _is_number, _rate
 
 #: Reduced Planck constant in eV*s (CODATA).
 HBAR_EV_S = 6.582119569e-16
@@ -48,8 +48,8 @@ _CollapseSampleFields = namedtuple("_CollapseSampleFields", "delta_E beta t_c si
 class CollapseSample(_Value, _CollapseSampleFields):
     """One observed collapse time at a known laboratory velocity.
 
-    A field that is a bool, or not a number, raises TypeError; an int past
-    the float range is not finite and fails its field's check.
+    Fields follow the number rule of :mod:`~synchrony_lab.kinematics`, types
+    first; an int past the float range is not finite and fails its field's check.
     """
 
     __slots__ = ()
@@ -62,25 +62,18 @@ class CollapseSample(_Value, _CollapseSampleFields):
                 and beta > -1.0 and beta < 1.0
                 and (sigma is None or type(sigma) is float and sigma > 0.0 and sigma < _INF)):
             return tuple.__new__(cls, (delta_E, beta, t_c, sigma))
-        if not (_finite(delta_E) and delta_E > 0.0):
+        for value in (delta_E, beta, t_c) if sigma is None else (delta_E, beta, t_c, sigma):
+            if not _is_number(value):
+                raise TypeError(f"a sample field must be a number, not a {type(value).__name__}")
+        if not (_is_finite(delta_E) and delta_E > 0.0):
             raise ValueError("delta_E must be positive")
-        if not (_finite(t_c) and t_c > 0.0):
+        if not (_is_finite(t_c) and t_c > 0.0):
             raise ValueError("t_c must be positive")
-        if not (_finite(beta) and abs(beta) < 1.0):
+        if not (_is_finite(beta) and abs(beta) < 1.0):
             raise ValueError("|beta| must be < 1")
-        if sigma is not None and not (_finite(sigma) and sigma > 0.0):
+        if sigma is not None and not (_is_finite(sigma) and sigma > 0.0):
             raise ValueError("sigma must be positive and finite when given")
         return tuple.__new__(cls, (delta_E, beta, t_c, sigma))
-
-
-def _finite(value) -> bool:
-    """math.isfinite for a sample field: a bool raises TypeError, a too-large int is not finite."""
-    if isinstance(value, bool):
-        raise TypeError("a sample field must be a number, not a bool")
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # math.isfinite converts an int to float
-        return False
 
 
 class SampleColumns:
@@ -112,6 +105,8 @@ def collapse_time(delta_E: float, beta: float) -> float:
     Strictly increasing in |beta| and exactly inverse-square in delta_E:
     doubling delta_E divides the result by four.
     """
+    if not (isinstance(delta_E, float) and isinstance(beta, float)):  # floats skip _floats
+        _floats((delta_E, beta), "delta_E and beta")
     if not (math.isfinite(delta_E) and delta_E > 0.0):
         raise ValueError(f"delta_E must be positive, got {delta_E!r}")
     if not (math.isfinite(beta) and abs(beta) < 1.0):
@@ -159,6 +154,7 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     not a sample, such as a plain tuple, is built as one, so the first bad row
     raises its own error: ``ValueError`` for a value out of range, ``TypeError``
     for a non-number such as a numeric string.  The fit reads delta_E, beta, t_c.
+    ``beta_grid`` follows the number rule of :mod:`~synchrony_lab.kinematics`.
 
     Each grid point ``b`` composes the lab velocities u with it (u ominus b
     = (u - b)/(1 - u*b)), scales the gamma curve to the delta_E^2-normalized
@@ -181,7 +177,8 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
     """
     import numpy as np  # deferred so that importing the package does not load numpy
 
-    grid = np.asarray(list(beta_grid), dtype=float)
+    beta_grid = _floats(beta_grid, "beta_grid")  # the report's tuple of floats
+    grid = np.array(beta_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("beta_grid must be non-empty")
     if not np.all(np.abs(grid) < 1.0):  # also rejects NaN
@@ -248,7 +245,7 @@ def estimate_absolute_frame(samples, beta_grid) -> tuple[float, FitReport]:
         grid_beta_hat=grid_b,
         refined=refined,
         scale=float((c1 * d1 + c2 * d2) / (d1 * d1 + d2 * d2)) * _rate(b),
-        beta_grid=tuple(grid.tolist()),
+        beta_grid=beta_grid,
         residuals=tuple(residuals.tolist()),
         n_samples=u.size,
         distinct_velocities=int(distinct),

@@ -39,7 +39,7 @@ from collections import namedtuple
 
 from .errors import FileInvalid, NotSynchronized, ScenarioError, UnresolvableChase
 from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
-                         _rate, induced_synchrony)
+                         _floats, _is_finite, _is_number, _rate, induced_synchrony)
 
 LIGHT = "light"
 SUPERLUMINAL_FINITE = "superluminal-finite"
@@ -86,10 +86,12 @@ class ClockLattice:
     measurements) as a ``(kind, emit_t, emit_x, absorb_t, absorb_x,
     speed_abs)`` tuple in the absolute chart.  ``protocol`` names the last
     protocol run if it completed, else None, and then ``k`` and the offsets
-    are zero; only :func:`run_protocol` sets them.
+    are zero; only :func:`run_protocol` sets them.  Positions are checked by
+    the number rule of :mod:`~synchrony_lab.kinematics` and kept as floats.
     """
 
-    def __init__(self, frame: FrameSpec, positions: tuple[float, ...]):
+    def __init__(self, frame: FrameSpec, positions):
+        positions = _floats(positions, "node positions")
         if len(positions) < 2:
             raise ValueError("lattice needs at least two nodes")
         if not all(map(math.isfinite, positions)):
@@ -105,12 +107,10 @@ class ClockLattice:
     def build(cls, drift: float, positions) -> "ClockLattice":
         """Comoving lattice at ``drift`` with clocks at the given absolute positions.
 
-        ``drift`` and every position must be an int or float (not a bool):
-        anything else raises TypeError, and an int past the float range
-        raises ValueError.
+        ``drift`` is checked as the constructor checks a position.
         """
         (drift,) = _floats((drift,), "drift")
-        return cls(FrameSpec(-drift, 0.0, "lab"), _floats(positions, "node positions"))
+        return cls(FrameSpec(-drift, 0.0, "lab"), positions)
 
     @property
     def rate(self) -> float:
@@ -250,7 +250,8 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
     """:func:`run_protocol`'s exchange from master ``m``, starting at absolute time 0.
 
     Light goes out to each slave and back (the midpoint rule sets the
-    slave); an instantaneous signal goes out only.  The rows and offsets are
+    slave); an instantaneous signal goes out only, and its slave keeps the
+    zero offset :func:`run_protocol` gave it.  The rows and offsets are
     those of sending every leg through :func:`_signal` in index order, bit
     for bit, but the loop takes each side of the master in turn: positions
     increase, so a slave's side is its signal's direction, and the signed
@@ -293,7 +294,6 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
                     append((INSTANTANEOUS, t0, x_emit, t0, x_abs, w))
                 else:
                     _signal(rows, INSTANTANEOUS, u, C, x_m, x, t0, i)
-            offsets[slaves.start:slaves.stop] = [read0 - rate * t0] * len(slaves)
 
 
 def measure_one_way(
@@ -396,38 +396,6 @@ class SignalSpec(namedtuple("SignalSpec", "source target kind two_way speed",
 Scenario = namedtuple("Scenario", "beta node_positions protocol signals")
 
 
-def _is_number(value) -> bool:
-    """A JSON number: int or float, but not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _floats(values, name: str) -> tuple:
-    """``values`` as a tuple of floats, refused as :meth:`ClockLattice.build` documents.
-
-    Each distinct type is checked once, so a long list costs no Python call
-    per value; the error names the type of the first value refused.
-    """
-    values = tuple(values)
-    types = set(map(type, values))
-    if types == {float}:  # the common case: nothing to refuse or convert
-        return values
-    if not all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types):
-        bad = next(v for v in values if not _is_number(v))
-        raise TypeError(f"{name} must be int or float, not {type(bad).__name__}")
-    try:
-        return tuple(map(float, values))
-    except OverflowError:  # an int past the largest float
-        raise ValueError(f"{name} must be finite") from None
-
-
-def _is_finite(value) -> bool:
-    """A JSON number that a float holds finitely; an integer past the largest float does not."""
-    try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:  # math.isfinite converts an int to float
-        return False
-
-
 def _check_keys(raw: dict, known, prefix: str = "") -> None:
     """Reject the first key not in ``known``; a misspelled key would otherwise be ignored."""
     for key in raw:
@@ -447,9 +415,8 @@ def parse_scenario(raw: dict) -> Scenario:
     positions = raw.get("node_positions")
     if not isinstance(positions, list) or len(positions) < 2:
         raise ScenarioError("at_least_two_nodes", "node_positions")
-    for p in positions:
-        if not _is_finite(p):
-            raise ScenarioError("positions_finite_numbers", "node_positions")
+    if not all(map(_is_finite, positions)):
+        raise ScenarioError("positions_finite_numbers", "node_positions")
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise ScenarioError("strictly_increasing_positions", "node_positions")
 

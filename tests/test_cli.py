@@ -388,6 +388,14 @@ class TestScanCommand:
         assert (code, err) == (0, "")
         assert [line.split(",")[0] for line in out.splitlines()[1:-1]] == ["0.5", "0.9999999999"]
 
+    @pytest.mark.parametrize("command", [
+        ["scan"], ["probe", "--samples", str(DATA / "collapse_samples_beta03.csv")],
+    ], ids=["scan", "probe"])
+    def test_grid_maximum_below_its_minimum_exits_3(self, command):
+        # Without the order check, scan's argmin met an empty grid and probe's fit refused one.
+        assert run_cli([*command, "--beta-min", "0.5", "--beta-max", "-0.5", "--step", "0.1"]) == (
+            3, "", "invalid_input reason=grid_maximum_is_below_its_minimum\n")
+
     def test_step_lost_to_rounding_exits_3(self):
         # 1e-18 is far below the float spacing at 0.3: every point would print as 0.3.
         assert run_cli(["scan", "--beta-min", "0.3", "--beta-max", "0.30000000000000004",
