@@ -148,30 +148,13 @@ CATALOGUE = (
     ("list path cuts rows of mixed widths to the shortest", PROBE,
      "zip(*rows, strict=True)", "zip(*rows)",
      ["tests/test_probe.py::TestEstimator::test_a_row_of_another_width_is_refused_not_fitted"]),
-    ("sigma converter run accepts rows wider than the header", PROBE,
-     " or table.shape[1] != len(header):",
-     " or table.shape[1] != len(header) and not blank_sigma:",
-     [f"{NUMPY_REFUSED}[every-row-one-field-wider-blank-sigma]"]),
     ("C reader drops the sigma predicate", PROBE,
      "\n            & (blank | positive(sigma))", "",
      ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line",
       "tests/test_cli.py::TestProbeCommand::test_bad_sigma_exits_3"]),
-    ("sigma converter reads a given NaN as blank", PROBE,
-     "    if math.isnan(sigma := float(text)):\n"
-     "        raise ValueError(\"a given sigma is NaN\")\n    return sigma\n",
-     "    return float(text)\n",
-     ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line",
-      f"{REJECTED}[nan-sigma]"]),
     ("plain C run counts a NaN sigma as blank", PROBE,
-     "np.isnan(columns[3]) if blank_sigma else sigma is None", "np.isnan(columns[3])",
+     "_check(*columns, sigma is None, np)", "_check(*columns, np.isnan(columns[3]), np)",
      ["tests/test_probe.py::TestSampleIO::test_bad_sigma_reports_line"]),
-    ("sigma converter run counts no sigma as blank", PROBE,
-     "np.isnan(columns[3]) if blank_sigma else sigma is None", "sigma is None",
-     ["tests/test_probe.py::TestSampleIO::test_numpy_reads_numeric_files_bit_for_bit_as_csv"]),
-    ("sigma converter run skipped", PROBE,
-     'for blank_sigma in (False, True) if "sigma" in index else (False,):',
-     "for blank_sigma in (False,):",
-     ["tests/test_probe.py::TestSampleIO::test_numpy_reads_numeric_files_bit_for_bit_as_csv"]),
     ("row cap read one row short", PROBE,
      "enumerate(filter(None, reader), 1)", "enumerate(filter(None, reader), 2)",
      ["tests/test_probe.py::TestSampleIO::test_row_cap_is_exact"]),
@@ -210,6 +193,16 @@ CATALOGUE = (
      "    return TransformCoeffs(h * (1.0 + beta * (k + k_prime)),",
      ["tests/test_kinematics.py::TestLibraryMapsAreNotCheckedForSingularity::"
       "test_no_valid_convention_near_the_edge_is_called_singular"]),
+    ("coefficient constructor takes non-finite entries", KINEMATICS,
+     "        if not all(map(math.isfinite, _floats(m, \"transform coefficients\"))):\n"
+     "            raise ValueError(\"transform coefficients must be finite\")\n",
+     "        _floats(m, \"transform coefficients\")\n",
+     ["tests/test_records.py::test_each_bad_field_raises_its_message_in_check_order"]),
+    ("coefficient finiteness read off the sum of the entries", KINEMATICS,
+     "all(map(math.isfinite, _floats(m, \"transform coefficients\")))",
+     "math.isfinite(sum(_floats(m, \"transform coefficients\")))",
+     ["tests/test_kinematics.py::TestTransformCoeffs::"
+      "test_finite_entries_whose_sum_overflows_are_accepted"]),
     ("inverse divides by a zero determinant", KINEMATICS,
      "        if d == 0.0:\n            raise ValueError(_SINGULAR)\n", "",
      ["tests/test_kinematics.py::TestLibraryMapsAreNotCheckedForSingularity::"
@@ -230,7 +223,7 @@ CATALOGUE = (
      "        if set(map(type, rows)) - {CollapseSample}:", "        if False:",
      ["tests/test_probe.py::TestEstimator::test_plain_rows_pass_the_sample_checks"]),
     ("C reader skips the value checks", PROBE,
-     "        _check(*columns, np.isnan(columns[3]) if blank_sigma else sigma is None, np)\n", "",
+     "        _check(*columns, sigma is None, np)\n", "",
      [f"{NUMPY_REFUSED}[t-c-negative-on-line-7]", f"{NUMPY_REFUSED}[nan-sigma]"]),
     ("C reader accepts another width", PROBE,
      " or table.shape[1] != len(header):", ":",
@@ -362,6 +355,14 @@ CATALOGUE = (
      ["tests/test_number_rule.py::"
       "test_the_lattice_constructor_refuses_bools_and_keeps_a_tuple_of_floats",
       f"{REFUSED}[ClockLattice.positions]"]),
+    ("lattice constructor takes any frame", SYNCSIM,
+     "        if not isinstance(frame, FrameSpec):\n"
+     "            raise TypeError(f\"lattice frame must be a FrameSpec, "
+     "not {type(frame).__name__}\")\n", "",
+     ["tests/test_syncsim.py::TestProtocols::test_a_lattice_frame_must_be_a_frame_spec"]),
+    ("lattice constructor takes a synchronized frame", SYNCSIM,
+     "        if frame.k != 0.0:\n", "        if False:\n",
+     ["tests/test_syncsim.py::TestProtocols::test_a_new_lattice_is_not_synchronized"]),
     ("grid order unchecked", CLI,
      "    if hi < lo:\n", "    if False:\n",
      ["tests/test_cli.py::TestScanCommand::test_grid_maximum_below_its_minimum_exits_3"]),

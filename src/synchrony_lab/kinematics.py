@@ -172,15 +172,17 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
     named map has a ``*_coeffs`` constructor for one of these, built by the
     kernels its transform runs, so composition and inversion are 2x2 algebra.
     An instance is the ``(a_tt, a_tx, a_xt, a_xx)`` tuple the kernels take.  Given
-    entries need a nonzero determinant, ``inverse()`` refuses a zero one, and
-    the ``*_coeffs`` maps and products ``@`` are built unchecked.
+    entries must be finite with a nonzero determinant, ``inverse()`` refuses a
+    zero one, and the ``*_coeffs`` maps and products ``@`` are built unchecked.
     """
 
     __slots__ = ()
 
     def __new__(cls, a_tt, a_tx, a_xt, a_xx):
-        m = tuple.__new__(cls, (a_tt, a_tx, a_xt, a_xx))
-        _floats(m, "transform coefficients")  # the number rule; the entries are kept as given
+        m = tuple.__new__(cls, (a_tt, a_tx, a_xt, a_xx))  # the entries are kept as given
+        # The number rule, then each entry on its own: a sum of finite entries can overflow.
+        if not all(map(math.isfinite, _floats(m, "transform coefficients"))):
+            raise ValueError("transform coefficients must be finite")
         if m.determinant == 0.0:
             raise ValueError(_SINGULAR)
         return m

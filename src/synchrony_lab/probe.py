@@ -263,11 +263,9 @@ def load_samples(path) -> SampleColumns:
     sigma reads as none.
 
     The path is opened once, and two readers share these rules.  numpy's C
-    reader (``np.loadtxt``) takes a file in which every row gives every header
-    column a number it parses, or leaves the sigma column blank; it is asked
-    without a sigma converter first, and once more with one only if it
-    refused the file and the header has a sigma column.  Its samples pass
-    the checks, and the OS reports the file's size.  Any other file (a text
+    reader (``np.loadtxt``), asked once, takes a file if every row gives every
+    header column a number it parses, the samples pass the checks and the OS
+    reports the file's size.  Any other file (a blank sigma, a text
     column, a short row, ``1_0`` or non-ASCII digits, a bad sample, a pipe) is
     read from the end of its header, row by row, by :func:`_read_rows`, which
     returns the columns or names the first bad line; such files load more
@@ -284,10 +282,9 @@ def load_samples(path) -> SampleColumns:
             header, index = _read_header(reader)
             if fh.seekable():  # a pipe could not be read again
                 body = fh.tell()
-                for blank_sigma in (False, True) if "sigma" in index else (False,):
-                    if (columns := _table(fh, header, index, np, blank_sigma)) is not None:
-                        return columns
-                    fh.seek(body)
+                if (columns := _table(fh, header, index, np)) is not None:
+                    return columns
+                fh.seek(body)
             return _read_rows(reader, header, index, np)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # file errors only, not row errors
         raise FileInvalid(type(exc).__name__) from exc
@@ -301,14 +298,13 @@ def _read_header(reader):
     return header, {name: i for i, name in enumerate(header)}
 
 
-def _table(fh, header, index, np, blank_sigma) -> SampleColumns | None:
+def _table(fh, header, index, np) -> SampleColumns | None:
     """The rest of ``fh`` read by numpy's C reader as checked columns, or None.
 
-    None means that reader does not take the file: a field is blank or not a
-    number as numpy parses it, a row has another width than the header, a
-    sample is out of range, or there are no rows or more than
-    :data:`MAX_SAMPLE_ROWS`.  With ``blank_sigma``, the sigma column goes
-    through :func:`_sigma_or_nan`, so a blank sigma is NaN and NaN is blank.
+    None means that reader does not take the file: a field, a blank sigma
+    included, is not a number as numpy parses it, a row has another width
+    than the header, a sample is out of range, or there are no rows or more
+    than :data:`MAX_SAMPLE_ROWS`.
     """
     # loadtxt allocates max_rows rows up front.  Each row it parses takes at
     # least 2 bytes per column, a character and a delimiter or line end (the
@@ -320,36 +316,23 @@ def _table(fh, header, index, np, blank_sigma) -> SampleColumns | None:
         with warnings.catch_warnings():  # an empty body or a blank line warns
             warnings.simplefilter("ignore", UserWarning)
             table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2,
-                               dtype=float, max_rows=max_rows,
-                               converters={sigma: _sigma_or_nan} if blank_sigma else None)
+                               dtype=float, max_rows=max_rows)
         if not 0 < len(table) < max_rows or table.shape[1] != len(header):
             return None
         columns = [table[:, index[c]].copy() for c in _REQUIRED]
         columns.append(table[:, sigma].copy() if sigma is not None
                        else np.full(len(table), math.nan))
-        _check(*columns, np.isnan(columns[3]) if blank_sigma else sigma is None, np)
+        _check(*columns, sigma is None, np)
     except ValueError:  # a field numpy cannot parse, a row of another width, a bad sample
         return None
     return SampleColumns(*columns)
 
 
-def _sigma_or_nan(text: str) -> float:
-    """A sigma field as numpy's reader takes it with a converter: NaN if blank.
-
-    A given NaN is refused, so that NaN in the column means blank exactly.
-    """
-    if not text.strip():
-        return math.nan
-    if math.isnan(sigma := float(text)):
-        raise ValueError("a given sigma is NaN")
-    return sigma
-
-
 def _check(delta_E, beta, t_c, sigma, blank, np) -> None:
     """Raise ValueError, naming no sample, if a sample fails :class:`CollapseSample`'s checks.
 
-    The samples are float columns.  ``blank`` (one bool for all, or a bool
-    array) marks those given no sigma, whose sigma is NaN.
+    The samples are float columns.  ``blank`` says the file has no sigma
+    column, so every sigma is NaN and none is checked.
     """
     def positive(x):
         return np.isfinite(x) & (x > 0.0)

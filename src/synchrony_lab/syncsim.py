@@ -86,11 +86,16 @@ class ClockLattice:
     measurements) as a ``(kind, emit_t, emit_x, absorb_t, absorb_x,
     speed_abs)`` tuple in the absolute chart.  ``protocol`` names the last
     protocol run if it completed, else None, and then ``k`` and the offsets
-    are zero; only :func:`run_protocol` sets them.  Positions are checked by
-    the number rule of :mod:`~synchrony_lab.kinematics` and kept as floats.
+    are zero; only :func:`run_protocol` sets them.  So the constructor takes
+    a :class:`FrameSpec` whose ``k`` is 0.  Positions are checked by the
+    number rule of :mod:`~synchrony_lab.kinematics` and kept as floats.
     """
 
     def __init__(self, frame: FrameSpec, positions):
+        if not isinstance(frame, FrameSpec):
+            raise TypeError(f"lattice frame must be a FrameSpec, not {type(frame).__name__}")
+        if frame.k != 0.0:
+            raise ValueError(f"a new lattice's frame must have k = 0, got {frame.k!r}")
         positions = _floats(positions, "node positions")
         if len(positions) < 2:
             raise ValueError("lattice needs at least two nodes")

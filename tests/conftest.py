@@ -54,6 +54,8 @@ class OracleKinematics:
     class Coeffs:
         def __init__(self, a_tt, a_tx, a_xt, a_xx, checked=True):
             self.entries = (a_tt, a_tx, a_xt, a_xx)
+            if checked and not all(math.isfinite(a) for a in self.entries):
+                raise ValueError("transform coefficients must be finite")
             if checked and self.determinant == 0.0:
                 raise ValueError("transform is singular (zero determinant)")
 

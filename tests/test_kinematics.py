@@ -248,6 +248,10 @@ class TestTransformCoeffs:
         with pytest.raises(ValueError):
             TransformCoeffs(1.0, 1.0, 1.0, 1.0)
 
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        m = TransformCoeffs(1e308, 1e308, 0.0, 1.0)
+        assert m == (1e308, 1e308, 0.0, 1.0) and m.determinant == 1e308
+
     @given(beta=betas, k=ks, kp=ks)
     def test_boost_family_is_unimodular(self, beta, k, kp):
         if not nondegenerate(beta, k):

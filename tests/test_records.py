@@ -94,6 +94,10 @@ BAD_VALUES = {
         ((0.5, 0.5, ""), "frame label must be non-empty"),
     ],
     "TransformCoeffs": [
+        ((math.nan, math.inf, -math.inf, math.nan), "transform coefficients must be finite"),
+        ((1.0, math.inf, -math.inf, math.nan), "transform coefficients must be finite"),
+        ((1.0, 2.0, -math.inf, math.nan), "transform coefficients must be finite"),
+        ((1.0, 2.0, 0.5, math.nan), "transform coefficients must be finite"),
         ((1.0, 2.0, 0.5, 1.0), "transform is singular (zero determinant)"),
     ],
     "CollapseSample": [

@@ -405,6 +405,18 @@ class TestProtocols:
         with pytest.raises(TypeError):
             ClockLattice(lat.frame, lat.positions, protocol=EINSTEIN)
 
+    def test_a_lattice_frame_must_be_a_frame_spec(self):
+        with pytest.raises(TypeError, match="^lattice frame must be a FrameSpec, not str$"):
+            ClockLattice("lab", (0.0, 1.0))
+
+    def test_a_new_lattice_is_not_synchronized(self):
+        synced = run_protocol(lattice(), SUPERLUMINAL, 0).frame
+        for frame in (FrameSpec(-0.6, 0.3, "lab"), synced):
+            with pytest.raises(ValueError, match="^a new lattice's frame must have k = 0, got "):
+                ClockLattice(frame, (0.0, 1.0))
+        lat = ClockLattice(FrameSpec(-0.6, -0.0, "lab"), (0.0, 1.0))
+        assert lat.frame.k == 0.0 and lat.protocol is None
+
 
 class TestProtocolReplay:
     """``run_protocol``'s signals, replayed one by one through public ``propagate``."""
