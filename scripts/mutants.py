@@ -56,6 +56,10 @@ REPLAY = "tests/test_syncsim.py::TestProtocolReplay::"
 ANY_REPLAY = f"{REPLAY}test_any_lattice_matches_a_propagate_replay"
 #: np.unique imports numpy.ma from numpy 2.3 on; before, this mutant is equivalent.
 NUMPY_MA_MUTANT = "first fit imports numpy.ma"
+ROUND_TRIPS = ("tests/test_kinematics.py::TestTransformCoeffs::"
+               "test_an_invertible_map_whose_determinant_over_or_underflows_round_trips")
+SCALE_SINGULAR = ("tests/test_kinematics.py::TestTransformCoeffs::"
+                  "test_a_singular_map_is_refused_at_any_scale")
 REFUSED = ("tests/test_number_rule.py::"
            "test_bools_non_numbers_and_ints_past_the_float_range_are_refused")
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
@@ -203,6 +207,13 @@ CATALOGUE = (
      "math.isfinite(sum(_floats(m, \"transform coefficients\")))",
      ["tests/test_kinematics.py::TestTransformCoeffs::"
       "test_finite_entries_whose_sum_overflows_are_accepted"]),
+    ("coefficient singularity read off the plain determinant", KINEMATICS,
+     "if not 0.0 < abs(m.determinant) < math.inf and _scaled(m)[1] == 0.0:",
+     "if m.determinant == 0.0:",
+     [f"{ROUND_TRIPS}[determinant-underflows]", f"{SCALE_SINGULAR}[overflows]"]),
+    ("inverse divides by an overflowed determinant", KINEMATICS,
+     "        if 0.0 < abs(d) < math.inf:\n", "        if d:\n",
+     [f"{ROUND_TRIPS}[determinant-overflows]"]),
     ("inverse divides by a zero determinant", KINEMATICS,
      "        if d == 0.0:\n            raise ValueError(_SINGULAR)\n", "",
      ["tests/test_kinematics.py::TestLibraryMapsAreNotCheckedForSingularity::"
@@ -310,22 +321,46 @@ CATALOGUE = (
      "            if not isinstance(value, (int, float)):",
      ["tests/test_probe.py::TestCollapseTime::test_a_bool_is_not_a_number"]),
     ("exchange side speeds swapped", SYNCSIM,
-     "for slaves, w in ((range(m), -C), (range(m + 1, len(p)), C)):",
-     "for slaves, w in ((range(m), C), (range(m + 1, len(p)), -C)):",
+     "for first, xs, w in ((0, p[:m], -C), (m + 1, p[m + 1:], C)):",
+     "for first, xs, w in ((0, p[:m], C), (m + 1, p[m + 1:], -C)):",
      ["tests/test_syncsim.py::TestProtocols::"
       "test_an_ordered_lattice_is_synchronized_without_the_kernel"]),
     ("exchange fast path skips the finiteness test", SYNCSIM,
      "                if (dt > 0.0 and dt_back > 0.0\n"
-     "                        and isfinite(t0 + x_emit + t_reflect + x_reflect)\n"
-     "                        and isfinite(t_reflect + x_back + t_return + x_return)):\n",
+     "                        and isfinite(t_return + x_reflect + x_back + x_return)):\n",
      "                if dt > 0.0 and dt_back > 0.0:\n",
      [ANY_REPLAY]),
     ("exchange emits the return leg at t0", SYNCSIM,
-     "append((LIGHT, t_reflect, x_back,", "append((LIGHT, t0, x_back,",
+     "append((LIGHT, dt, x_back,", "append((LIGHT, t0, x_back,",
      [f"{REPLAY}test_rows_and_offsets_match_a_propagate_replay", ANY_REPLAY]),
     ("exchange drops the gap-sign guard", SYNCSIM,
-     "if (x - x_m) * w > 0.0 and isfinite(head + x_abs):", "if isfinite(head + x_abs):",
+     "elif (xs and (min(xs) - x_m > 0.0 if w > 0.0 else max(xs) - x_m < 0.0)\n"
+     "              and isfinite(", "elif (xs\n              and isfinite(",
      [ANY_REPLAY]),
+    ("exchange side check reads only the slave nearest the master", SYNCSIM,
+     "min(xs) - x_m > 0.0 if w > 0.0 else max(xs) - x_m < 0.0",
+     "xs[0] - x_m > 0.0 if w > 0.0 else xs[-1] - x_m < 0.0",
+     [ANY_REPLAY]),
+    ("exchange side check compares positions, not gaps", SYNCSIM,
+     "min(xs) - x_m > 0.0 if w > 0.0 else max(xs) - x_m < 0.0",
+     "min(xs) > x_m if w > 0.0 else max(xs) < x_m",
+     [f"{REPLAY}test_a_reassigned_int_gap_is_signed_as_the_kernel_signs_it"]),
+    ("exchange logs the bare positions of an instantaneous side", SYNCSIM,
+     "x + ut0, w) for x in xs]", "x, w) for x in xs]",
+     [ANY_REPLAY]),
+    ("exchange skips the finiteness sum of an instantaneous side", SYNCSIM,
+     "              and isfinite(x_emit + sum(xs))):\n", "              and True):\n",
+     [ANY_REPLAY]),
+    ("lattice finiteness shortcut inverted", SYNCSIM,
+     "if not math.isfinite(sum(positions)) and not all(",
+     "if math.isfinite(sum(positions)) and not all(",
+     ["tests/test_syncsim.py::TestBuild::test_non_finite_positions_are_rejected"]),
+    ("lattice drift checked as the frame's beta", SYNCSIM,
+     "        _check_beta(drift)\n", "",
+     ["tests/test_syncsim.py::TestBuild::test_a_drift_out_of_range_is_named_as_given"]),
+    ("scan checks the frame's beta, not the drift", SYNCSIM,
+     "        _check_beta(beta)  # the drift as given", "        _check_beta(-beta)  # the drift",
+     ["tests/test_syncsim.py::TestBuild::test_a_drift_out_of_range_is_named_as_given"]),
     ("lattice positions coerced, not checked", SYNCSIM,
      '_floats(positions, "node positions")', "tuple(map(float, positions))",
      ["tests/test_syncsim.py::TestBuild::test_bools_non_numbers_and_huge_ints_are_refused"]),

@@ -174,6 +174,9 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
     An instance is the ``(a_tt, a_tx, a_xt, a_xx)`` tuple the kernels take.  Given
     entries must be finite with a nonzero determinant, ``inverse()`` refuses a
     zero one, and the ``*_coeffs`` maps and products ``@`` are built unchecked.
+    Where the determinant is 0.0 or not finite, both tests take it again at
+    an exact power-of-two scale (:func:`_scaled`): a product that overflowed
+    or underflowed does not decide.
     """
 
     __slots__ = ()
@@ -183,7 +186,7 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
         # The number rule, then each entry on its own: a sum of finite entries can overflow.
         if not all(map(math.isfinite, _floats(m, "transform coefficients"))):
             raise ValueError("transform coefficients must be finite")
-        if m.determinant == 0.0:
+        if not 0.0 < abs(m.determinant) < math.inf and _scaled(m)[1] == 0.0:
             raise ValueError(_SINGULAR)
         return m
 
@@ -203,9 +206,31 @@ class TransformCoeffs(_Value, _TransformCoeffsFields):
 
     def inverse(self) -> "TransformCoeffs":
         d = self.determinant
+        if 0.0 < abs(d) < math.inf:
+            return TransformCoeffs(self.a_xx / d, -self.a_tx / d, -self.a_xt / d, self.a_tt / d)
+        e, d, (a_tt, a_tx, a_xt, a_xx) = _scaled(self)
         if d == 0.0:
             raise ValueError(_SINGULAR)
-        return TransformCoeffs(self.a_xx / d, -self.a_tx / d, -self.a_xt / d, self.a_tt / d)
+        try:
+            entries = [math.ldexp(a / d, -e) for a in (a_xx, -a_tx, -a_xt, a_tt)]
+        except OverflowError:  # past the float range, where a plain division gives inf
+            raise ValueError("transform coefficients must be finite") from None
+        return TransformCoeffs(*entries)
+
+
+def _scaled(m: tuple) -> tuple:
+    """``(e, d, s)``: ``s`` is ``m`` times 2**-e, ``e`` the binary exponent of its
+    largest entry, and ``d`` is the determinant of ``s``.
+
+    :class:`TransformCoeffs` takes it where ``m``'s own determinant is 0.0,
+    inf or NaN (inf - inf), that is, where a product overflowed or
+    underflowed.  ``s``'s products do not overflow: its largest entry lies in
+    [0.5, 1).  A power-of-two scale is exact for every entry it leaves at or
+    above 2**-1022, so ``m``'s inverse is ``s``'s times 2**-e.
+    """
+    e = math.frexp(max(map(abs, m)))[1]
+    s = [math.ldexp(a, -e) for a in m]
+    return e, s[0] * s[3] - s[1] * s[2], s
 
 
 def _eta(beta: float, k: float) -> float:

@@ -24,8 +24,10 @@ lattice chart.
 
 A lattice is owned by one simulation run at a time.  Callers check their
 inputs once.  A protocol's exchange runs in :func:`_exchange`, one loop per
-side of the master, which hands any slave whose signal would fail a check
-to :func:`_signal`; every other signal goes through that one kernel, and
+side of the master: light is checked slave by slave, an instantaneous side
+once for all its slaves.  It hands any slave whose signal would fail a
+check, and every slave of an instantaneous side that fails, to
+:func:`_signal`; every other signal goes through that one kernel, and
 every speed measurement through one, :func:`_timed`, which the isotropy
 scan calls with no lattice.
 """
@@ -99,7 +101,9 @@ class ClockLattice:
         positions = _floats(positions, "node positions")
         if len(positions) < 2:
             raise ValueError("lattice needs at least two nodes")
-        if not all(map(math.isfinite, positions)):
+        # One sum first: it is finite only if every position is (a sum of
+        # finite positions can still overflow, so then each is checked).
+        if not math.isfinite(sum(positions)) and not all(map(math.isfinite, positions)):
             raise ValueError("node positions must be finite")
         if any(map(operator.le, positions[1:], positions)):
             raise ValueError("node positions must be strictly increasing")
@@ -112,9 +116,12 @@ class ClockLattice:
     def build(cls, drift: float, positions) -> "ClockLattice":
         """Comoving lattice at ``drift`` with clocks at the given absolute positions.
 
-        ``drift`` is checked as the constructor checks a position.
+        ``drift`` is checked as the constructor checks a position, then as a
+        boost velocity: an error names the drift as given, not the frame's
+        ``beta``.
         """
         (drift,) = _floats((drift,), "drift")
+        _check_beta(drift)
         return cls(FrameSpec(-drift, 0.0, "lab"), positions)
 
     @property
@@ -260,45 +267,52 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
     those of sending every leg through :func:`_signal` in index order, bit
     for bit, but the loop takes each side of the master in turn: positions
     increase, so a slave's side is its signal's direction, and the signed
-    speed and chase denominators are computed once per side.  A slave whose
-    leg would fail a check of :func:`_signal` (a chase that does not
+    speed and chase denominators are computed once per side.  Light checks
+    each slave: both chases resolve and one sum of its coordinates is
+    finite.  Instantaneous signals check each side once: the slave nearest
+    the master lies on the side, and the sum of the master's emission and
+    the side's positions is finite; then one list holds the side's rows.  A
+    slave that fails a check of :func:`_signal` (a chase that does not
     resolve, a non-finite coordinate sum, or a gap against its side, which
-    only reassigned ``positions`` give) is sent through :func:`_signal`,
-    which raises or logs it as it always has.
+    only reassigned ``positions`` give), and every slave of an instantaneous
+    side that fails its check, is sent through :func:`_signal`, which raises
+    or logs it as it always has.
     """
     t0, x_m, isfinite, append = 0.0, p[m], math.isfinite, rows.append
-    x_emit, read0 = x_m + u * t0, rate * t0  # the master's emission and its reading then
-    for slaves, w in ((range(m), -C), (range(m + 1, len(p)), C)):
+    x_emit, ut0 = x_m + u * t0, u * t0  # the master's emission, and the clocks' shift then
+    for first, xs, w in ((0, p[:m], -C), (m + 1, p[m + 1:], C)):
         if kind == LIGHT:
             # |u| < C, so neither denominator is zero, and each carries its
-            # leg's sign: dt > 0 also checks the gap against the side.
+            # leg's sign: dt > 0 also checks the gap against the side.  With
+            # t0 = 0, t0 + dt is dt and the master's reading rate*t0 adds
+            # +0.0 to a reading that is not -0.0: both sums are left out.
             w_back, d_out, d_back = -w, w - u, -w - u
-            for i in slaves:
-                x = p[i]
+            for i, x in enumerate(xs, first):
                 dt = (x - x_m) / d_out
-                t_reflect, x_reflect = t0 + dt, x_emit + w * dt
-                dt_back, x_back = (x_m - x) / d_back, x + u * t_reflect
-                t_return, x_return = t_reflect + dt_back, x_back + w_back * dt_back
+                x_reflect = x_emit + w * dt
+                dt_back, x_back = (x_m - x) / d_back, x + u * dt
+                t_return, x_return = dt + dt_back, x_back + w_back * dt_back
+                # One sum: finite only if each term is, and a finite t_return and
+                # x_reflect make the other three coordinates finite too.
                 if (dt > 0.0 and dt_back > 0.0
-                        and isfinite(t0 + x_emit + t_reflect + x_reflect)
-                        and isfinite(t_reflect + x_back + t_return + x_return)):
-                    append((LIGHT, t0, x_emit, t_reflect, x_reflect, w))
-                    append((LIGHT, t_reflect, x_back, t_return, x_return, w_back))
+                        and isfinite(t_return + x_reflect + x_back + x_return)):
+                    append((LIGHT, t0, x_emit, dt, x_reflect, w))
+                    append((LIGHT, dt, x_back, t_return, x_return, w_back))
                 else:
-                    t_reflect = _signal(rows, LIGHT, u, C, x_m, x, t0, i)
-                    t_return = _signal(rows, LIGHT, u, C, x, x_m, t_reflect, m)
-                offsets[i] = 0.5 * (read0 + rate * t_return) - rate * t_reflect
-        else:
-            # Every slave is reached at t0; (gap * w > 0) is false for a gap
-            # against the side, and for a zero or NaN one.
-            w, ut0, head = w * INFINITE_SPEED, u * t0, t0 + x_emit + t0
-            for i in slaves:
-                x = p[i]
-                x_abs = x + ut0
-                if (x - x_m) * w > 0.0 and isfinite(head + x_abs):
-                    append((INSTANTANEOUS, t0, x_emit, t0, x_abs, w))
-                else:
-                    _signal(rows, INSTANTANEOUS, u, C, x_m, x, t0, i)
+                    dt = _signal(rows, LIGHT, u, C, x_m, x, t0, i)
+                    t_return = _signal(rows, LIGHT, u, C, x, x_m, dt, m)
+                offsets[i] = 0.5 * (rate * t_return) - rate * dt
+        # Every slave is reached at t0, so a side is checked once.  Every gap
+        # has the side's sign if the one nearest the master does (a
+        # difference, as _signal takes a gap, so an int position is signed as
+        # there), and the sum is finite only if every position is.
+        elif (xs and (min(xs) - x_m > 0.0 if w > 0.0 else max(xs) - x_m < 0.0)
+              and isfinite(x_emit + sum(xs))):
+            w *= INFINITE_SPEED
+            rows += [(INSTANTANEOUS, t0, x_emit, t0, x + ut0, w) for x in xs]
+        else:  # an empty side, or one that holds a failing slave
+            for i, x in enumerate(xs, first):
+                _signal(rows, INSTANTANEOUS, u, C, x_m, x, t0, i)
 
 
 def measure_one_way(
@@ -381,8 +395,8 @@ def isotropy_scan(betas) -> list[ScanPoint]:
     """
     points, offsets = [], (0.0, 0.0)
     for beta in _floats(betas, "drift"):
+        _check_beta(beta)  # the drift as given, as ClockLattice.build checks it
         b, rows = -beta, []  # b: ClockLattice.build's frame.beta
-        _check_beta(b)
         rate = _rate(b)
         c_plus = _timed(rows, LIGHT, b, rate, C, 0.0, 1.0, 0, 1, offsets, False)[2]
         c_minus = _timed(rows, LIGHT, b, rate, C, 1.0, 0.0, 1, 0, offsets, False)[2]

@@ -56,13 +56,26 @@ class OracleKinematics:
             self.entries = (a_tt, a_tx, a_xt, a_xx)
             if checked and not all(math.isfinite(a) for a in self.entries):
                 raise ValueError("transform coefficients must be finite")
-            if checked and self.determinant == 0.0:
+            if checked and self.singular():
                 raise ValueError("transform is singular (zero determinant)")
 
         @property
         def determinant(self):
             a_tt, a_tx, a_xt, a_xx = self.entries
             return a_tt * a_xx - a_tx * a_xt
+
+        def rescaled(self):
+            """(e, entries times 2**-e), e the exponent of the largest entry: an exact scale."""
+            e = math.frexp(max(abs(a) for a in self.entries))[1]
+            return e, OracleKinematics.Coeffs(*(math.ldexp(a, -e) for a in self.entries),
+                                              checked=False)
+
+        def singular(self):
+            """A zero, infinite or NaN determinant is decided again at the rescaled entries."""
+            d = self.determinant
+            if d != 0.0 and math.isfinite(d):
+                return False
+            return self.rescaled()[1].determinant == 0.0
 
         def apply(self, e, chart=None):
             a_tt, a_tx, a_xt, a_xx = self.entries
@@ -80,11 +93,19 @@ class OracleKinematics:
             )
 
         def inverse(self):
-            a_tt, a_tx, a_xt, a_xx = self.entries
             d = self.determinant
-            if d == 0.0:
+            if d != 0.0 and math.isfinite(d):
+                a_tt, a_tx, a_xt, a_xx = self.entries
+                return OracleKinematics.Coeffs(a_xx / d, -a_tx / d, -a_xt / d, a_tt / d)
+            # The inverse of 2**e * S is 2**-e times the inverse of S.
+            e, scaled = self.rescaled()
+            if scaled.singular():
                 raise ValueError("transform is singular (zero determinant)")
-            return OracleKinematics.Coeffs(a_xx / d, -a_tx / d, -a_xt / d, a_tt / d)
+            try:
+                entries = [math.ldexp(a, -e) for a in scaled.inverse().entries]
+            except OverflowError:
+                raise ValueError("transform coefficients must be finite") from None
+            return OracleKinematics.Coeffs(*entries)
 
     @staticmethod
     def event(t, x, y=0.0, z=0.0, chart="S"):

@@ -252,6 +252,30 @@ class TestTransformCoeffs:
         m = TransformCoeffs(1e308, 1e308, 0.0, 1.0)
         assert m == (1e308, 1e308, 0.0, 1.0) and m.determinant == 1e308
 
+    @pytest.mark.parametrize("entries, inverse", [
+        ((1e200, 0.0, 0.0, 1e200), (1e-200, -0.0, -0.0, 1e-200)),
+        ((1e-200, 0.0, 0.0, 1e-200), (1e200, -0.0, -0.0, 1e200)),
+        ((1e200, 1e200, 1e200, 2e200), (2e-200, -1e-200, -1e-200, 1e-200)),
+    ], ids=["determinant-overflows", "determinant-underflows", "determinant-is-inf-minus-inf"])
+    def test_an_invertible_map_whose_determinant_over_or_underflows_round_trips(self, entries,
+                                                                              inverse):
+        m = TransformCoeffs(*entries)
+        assert not 0.0 < abs(m.determinant) < math.inf
+        back = m.inverse()
+        assert list(map(repr, back)) == list(map(repr, inverse))
+        assert list(map(repr, back.inverse())) == list(map(repr, m))
+        e = Event(1.5, -2.5)
+        for image in (back.apply(m.apply(e)), m.apply(back.apply(e))):
+            assert math.isclose(image.t, e.t, rel_tol=1e-12)
+            assert math.isclose(image.x, e.x, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("entries", [(1e200, 1e200, 1e200, 1e200),
+                                         (1e-200, 1e-200, 1e-200, 1e-200)],
+                             ids=["overflows", "underflows"])
+    def test_a_singular_map_is_refused_at_any_scale(self, entries):
+        with pytest.raises(ValueError, match=r"^transform is singular \(zero determinant\)$"):
+            TransformCoeffs(*entries)
+
     @given(beta=betas, k=ks, kp=ks)
     def test_boost_family_is_unimodular(self, beta, k, kp):
         if not nondegenerate(beta, k):

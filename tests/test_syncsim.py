@@ -84,6 +84,14 @@ class TestBuild:
         with pytest.raises(error, match=message):
             ClockLattice.build(drift, positions)
 
+    @pytest.mark.parametrize("drift", [1.5, -1.5, 1.0, math.nan])
+    def test_a_drift_out_of_range_is_named_as_given(self, drift):
+        message = f"^boost velocity must satisfy \\|beta\\| < 1, got {drift!r}$"
+        with pytest.raises(ValueError, match=message):
+            ClockLattice.build(drift, [0.0, 1.0])
+        with pytest.raises(ValueError, match=message):
+            isotropy_scan([0.3, drift])
+
     def test_ints_and_any_iterable_build_float_positions(self):
         lat = ClockLattice.build(0, iter([0, 2**60, 2**61]))
         assert lat.positions == (0.0, 2.0**60, 2.0**61)
@@ -512,16 +520,49 @@ class TestProtocolReplay:
              order=[3, 1, 2, 0])
     @example(drift=-0.3, positions=[0.0, 1.0, 2.0, 3.0], protocol=EINSTEIN, where="middle",
              order=[3, 1, 2, 0])
+    # A reassigned int position, and -0.0 under u = -drift > 0, log the float 0.0.
+    @example(drift=0.6, positions=[0, 1.0, 2.0], protocol=SUPERLUMINAL, where="last",
+             order=[0, 1, 2])
+    @example(drift=-0.6, positions=[0, 1.0, 2.0], protocol=EINSTEIN, where="last",
+             order=[0, 1, 2])
+    @example(drift=-0.6, positions=[-0.0, 1.0], protocol=SUPERLUMINAL, where="last", order=None)
+    # Finite positions whose sum overflows, on either side of the master.
+    @example(drift=0.6, positions=[0.0, 1e308, 1.5e308], protocol=SUPERLUMINAL, where="first",
+             order=None)
+    @example(drift=0.6, positions=[-1.5e308, -1e308, 0.0], protocol=SUPERLUMINAL, where="last",
+             order=None)
+    # A reassigned NaN that is not the nearest slave of its side.
+    @example(drift=0.6, positions=[0.0, 1.0, 2.0, 3.0], protocol=SUPERLUMINAL, where="first",
+             order=[0, 1, math.nan, 3])
+    @example(drift=0.6, positions=[0.0, 1.0, 2.0, 3.0], protocol=EINSTEIN, where="last",
+             order=[0, math.nan, 2, 3])
     def test_any_lattice_matches_a_propagate_replay(self, drift, positions, protocol, where,
                                                     order):
-        """Same log, offsets or error; ``order`` reassigns the positions after construction."""
+        """Same log, offsets or error; ``order`` reassigns the positions after construction.
+
+        An int in ``order`` picks the position of that index, or nothing past
+        the end; a float stands for itself.
+        """
         n = len(positions)
         master = {"first": 0, "middle": n // 2, "last": n - 1}[where]
-        reassigned = None if order is None else tuple(positions[j] for j in order if j < n)
+        reassigned = None if order is None else tuple(
+            j if isinstance(j, float) else positions[j] for j in order
+            if isinstance(j, float) or j < n)
         got = self.outcome(drift, positions, reassigned,
                            lambda lat: run_protocol(lat, protocol, master).offsets)
         want = self.outcome(drift, positions, reassigned,
                             lambda ref: self.replay_into(ref, protocol, master)[0])
+        assert got == want
+
+    @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
+    def test_a_reassigned_int_gap_is_signed_as_the_kernel_signs_it(self, protocol):
+        # 2**53 + 1 compares above the float 2.0**53, but their difference, the
+        # gap the kernel takes, is 0.0: a gap against the +x side.
+        positions, reassigned = [0.0, 2.0**53, 2.0**54], (0.0, 2.0**53, 2**53 + 1)
+        got = self.outcome(0.6, positions, reassigned,
+                           lambda lat: run_protocol(lat, protocol, 1).offsets)
+        want = self.outcome(0.6, positions, reassigned,
+                            lambda ref: self.replay_into(ref, protocol, 1)[0])
         assert got == want
 
 
