@@ -22,14 +22,12 @@ toward -x, while every round trip averages to ``C`` under every protocol.
 ``frame_coeffs(lattice.frame)`` therefore maps absolute events into the
 lattice chart.
 
-A lattice is owned by one simulation run at a time.  Callers check their
-inputs once.  A protocol's exchange runs in :func:`_exchange`, one loop per
-side of the master: light is checked slave by slave, an instantaneous side
-once for all its slaves.  It hands any slave whose signal would fail a
-check, and every slave of an instantaneous side that fails, to
-:func:`_signal`; every other signal goes through that one kernel, and
-every speed measurement through one, :func:`_timed`, which the isotropy
-scan calls with no lattice.
+A lattice is owned by one simulation run at a time, and its positions are
+fixed when it is built.  Callers check their inputs once.  A protocol's
+exchange runs in :func:`_exchange`, one loop per side of the master, which
+hands a light slave that would fail a check to :func:`_signal`; every other
+signal goes through that one kernel, and every speed measurement through
+one, :func:`_timed`, which the isotropy scan calls with no lattice.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ class ClockLattice:
     protocol run if it completed, else None, and then ``k`` and the offsets
     are zero; only :func:`run_protocol` sets them.  So the constructor takes
     a :class:`FrameSpec` whose ``k`` is 0.  Positions are checked by the
-    number rule of :mod:`~synchrony_lab.kinematics` and kept as floats.
+    number rule of :mod:`~synchrony_lab.kinematics` and kept, read-only, as floats.
     """
 
     def __init__(self, frame: FrameSpec, positions):
@@ -107,7 +105,7 @@ class ClockLattice:
             raise ValueError("node positions must be finite")
         if any(map(operator.le, positions[1:], positions)):
             raise ValueError("node positions must be strictly increasing")
-        self.frame, self.positions = frame, positions
+        self.frame, self._positions = frame, positions
         self.offsets: list[float] = [0.0] * len(positions)
         self.log: list = []
         self.protocol: str | None = None
@@ -124,6 +122,9 @@ class ClockLattice:
         _check_beta(drift)
         return cls(FrameSpec(-drift, 0.0, "lab"), positions)
 
+    positions = property(operator.attrgetter("_positions"),
+                         doc="Absolute positions of the clocks at absolute time 0, as built.")
+
     @property
     def rate(self) -> float:
         """Tick rate of every clock per absolute time unit."""
@@ -133,7 +134,7 @@ class ClockLattice:
         """``node_id``, checked: negative, bool, non-integer or out-of-range ids are rejected."""
         try:
             if node_id >= 0 and not isinstance(node_id, bool):
-                self.positions[node_id]
+                self._positions[node_id]
                 return node_id
         except (TypeError, IndexError):  # not an integer, or past the end
             pass
@@ -176,8 +177,8 @@ def _check_signal(lattice, from_id, to_id, kind, speed) -> tuple:
         raise ValueError(f"unknown signal kind {kind!r}")
     if from_id == to_id:
         raise ValueError("signal endpoints must differ")
-    x_from = lattice.positions[lattice.index(from_id)]
-    x_to = lattice.positions[lattice.index(to_id)]
+    p = lattice.positions
+    x_from, x_to = p[lattice.index(from_id)], p[lattice.index(to_id)]
     if speed is not None or kind == SUPERLUMINAL_FINITE:
         if not (_is_finite(speed) and speed > 0.0):
             raise ValueError(f"{kind} signals need a positive finite speed")
@@ -267,23 +268,19 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
     those of sending every leg through :func:`_signal` in index order, bit
     for bit, but the loop takes each side of the master in turn: positions
     increase, so a slave's side is its signal's direction, and the signed
-    speed and chase denominators are computed once per side.  Light checks
-    each slave: both chases resolve and one sum of its coordinates is
-    finite.  Instantaneous signals check each side once: the slave nearest
-    the master lies on the side, and the sum of the master's emission and
-    the side's positions is finite; then one list holds the side's rows.  A
-    slave that fails a check of :func:`_signal` (a chase that does not
-    resolve, a non-finite coordinate sum, or a gap against its side, which
-    only reassigned ``positions`` give), and every slave of an instantaneous
-    side that fails its check, is sent through :func:`_signal`, which raises
-    or logs it as it always has.
+    speed and chase denominators are computed once per side.  A light slave
+    whose chase does not resolve or whose coordinate sum is not finite goes
+    through :func:`_signal`, which raises or logs it as it always has.  An
+    instantaneous signal cannot fail on a built lattice: with subnormals,
+    x > y implies x - y > 0, so every gap has its side's sign, and every
+    coordinate of its row is finite.
     """
     t0, x_m, isfinite, append = 0.0, p[m], math.isfinite, rows.append
     x_emit, ut0 = x_m + u * t0, u * t0  # the master's emission, and the clocks' shift then
     for first, xs, w in ((0, p[:m], -C), (m + 1, p[m + 1:], C)):
         if kind == LIGHT:
             # |u| < C, so neither denominator is zero, and each carries its
-            # leg's sign: dt > 0 also checks the gap against the side.  With
+            # leg's sign: dt > 0 fails only where a tiny gap underflows.  With
             # t0 = 0, t0 + dt is dt and the master's reading rate*t0 adds
             # +0.0 to a reading that is not -0.0: both sums are left out.
             w_back, d_out, d_back = -w, w - u, -w - u
@@ -302,17 +299,9 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
                     dt = _signal(rows, LIGHT, u, C, x_m, x, t0, i)
                     t_return = _signal(rows, LIGHT, u, C, x, x_m, dt, m)
                 offsets[i] = 0.5 * (rate * t_return) - rate * dt
-        # Every slave is reached at t0, so a side is checked once.  Every gap
-        # has the side's sign if the one nearest the master does (a
-        # difference, as _signal takes a gap, so an int position is signed as
-        # there), and the sum is finite only if every position is.
-        elif (xs and (min(xs) - x_m > 0.0 if w > 0.0 else max(xs) - x_m < 0.0)
-              and isfinite(x_emit + sum(xs))):
+        else:
             w *= INFINITE_SPEED
             rows += [(INSTANTANEOUS, t0, x_emit, t0, x + ut0, w) for x in xs]
-        else:  # an empty side, or one that holds a failing slave
-            for i, x in enumerate(xs, first):
-                _signal(rows, INSTANTANEOUS, u, C, x_m, x, t0, i)
 
 
 def measure_one_way(
@@ -415,8 +404,23 @@ class SignalSpec(namedtuple("SignalSpec", "source target kind two_way speed",
 Scenario = namedtuple("Scenario", "beta node_positions protocol signals")
 
 
+class _Repeated(dict):
+    """A JSON object that gave ``key`` more than once; :func:`_check_keys` refuses it."""
+
+
+def _object(pairs) -> dict:
+    """``json.load``'s object hook: a dict, or a :class:`_Repeated` naming its first repeat."""
+    raw = dict(pairs)
+    if len(raw) < len(pairs):
+        seen, raw = set(), _Repeated(raw)
+        raw.key = next(key for key, _ in pairs if key in seen or seen.add(key))
+    return raw
+
+
 def _check_keys(raw: dict, known, prefix: str = "") -> None:
-    """Reject the first key not in ``known``; a misspelled key would otherwise be ignored."""
+    """Reject a repeated key, then one not in ``known``; either would be silently ignored."""
+    if type(raw) is _Repeated:
+        raise ScenarioError("unique_keys", f"{prefix}{raw.key}")
     for key in raw:
         if key not in known:
             raise ScenarioError("known_field", f"{prefix}{key}")
@@ -478,7 +482,7 @@ def load_scenario(path) -> Scenario:
 
     try:
         with open(os.fspath(path), encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_object)
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, or not JSON
         raise FileInvalid(type(exc).__name__) from exc
     return parse_scenario(raw)

@@ -310,6 +310,20 @@ class TestSyncCommand:
         assert run_cli(["sync", "--scenario", str(scenario)]) == (
             3, "", f"scenario_invalid invariant=known_field field={field}\n")
 
+    @pytest.mark.parametrize("given, field", [
+        ('"signals": [{"from": 0, "to": 1}], "signals": []', "signals"),  # measured nothing
+        ('"beta": 2, "signals": [], "beta": 0.5', "beta"),
+        ('"signals": [{"from": 0, "to": 1, "to": 0}]', "signals[0].to"),  # signal_endpoints
+        ('"signals": [{"from": 1, "to": 0}, {"kind": "light", "from": 0, "to": 1, "kind": "x"}]',
+         "signals[1].kind"),
+    ])
+    def test_a_repeated_key_exits_3(self, tmp_path, given, field):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"beta": 0.6, "node_positions": [0.0, 1.0], '
+                            f'"protocol": "superluminal", {given}}}')
+        assert run_cli(["sync", "--scenario", str(scenario)]) == (
+            3, "", f"scenario_invalid invariant=unique_keys field={field}\n")
+
     def test_csv_format(self):
         _, out, _ = run_cli(["sync", "--scenario", str(DATA / "scenario_drift06.json"),
                              "--format", "csv"])
