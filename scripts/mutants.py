@@ -62,6 +62,8 @@ SCALE_SINGULAR = ("tests/test_kinematics.py::TestTransformCoeffs::"
                   "test_a_singular_map_is_refused_at_any_scale")
 REFUSED = ("tests/test_number_rule.py::"
            "test_bools_non_numbers_and_ints_past_the_float_range_are_refused")
+NEAR_EDGE = ("tests/test_kinematics.py::TestDigitsNearTheEdge::"
+             "test_every_entry_is_within_a_few_ulps_of_the_oracle")
 FRAME_MAPS = ["tests/test_acceptance.py::test_criterion_07_groupoid_closure",
               "tests/test_kinematics.py::TestFrameMapsMatchTheDecimalOracle"]
 
@@ -84,8 +86,8 @@ CATALOGUE = (
      ["tests/test_syncsim.py::TestSignalLog::"
       "test_finite_coordinates_whose_sum_overflows_are_logged"]),
     ("realized k set before the exchange", SYNCSIM,
-     "    lattice.frame = FrameSpec(b, 0.0, label)\n",
-     "    lattice.frame = FrameSpec(b, 0.0 if protocol == EINSTEIN"
+     "    lattice._frame = FrameSpec(b, 0.0, label)\n",
+     "    lattice._frame = FrameSpec(b, 0.0 if protocol == EINSTEIN"
      " else induced_synchrony(0.0, b), label)\n",
      ["tests/test_syncsim.py::TestProtocols::"
       "test_a_failed_run_leaves_the_lattice_unsynchronized"]),
@@ -102,10 +104,19 @@ CATALOGUE = (
     ("clock rate radicand 1 - b*b", KINEMATICS,
      "math.sqrt((1.0 - b) * (1.0 + b))", "math.sqrt(1.0 - b * b)",
      [EDGE_DIGITS]),
+    ("eta takes no exact factors near the edge", KINEMATICS,
+     "        p, e = _two_product(beta, k)\n"
+     "        disc = math.fsum((1.0, -beta, p, e)) * math.fsum((1.0, beta, p, e))\n", "",
+     [NEAR_EDGE, "tests/test_cli.py::TestTransformCommand::"
+      "test_determinant_rounding_to_zero_is_not_an_error"]),
+    ("eta's two-product drops its error term", KINEMATICS,
+     "    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo\n",
+     "    return p, 0.0\n",
+     [NEAR_EDGE]),
     ("eta radicand (1 + beta*k)**2 - beta**2", KINEMATICS,
      "    a = 1.0 + beta * k\n    disc = (a - beta) * (a + beta)",
      "    disc = (1.0 + beta * k) ** 2 - beta**2",
-     [EDGE_DIGITS]),
+     ["tests/test_syncsim.py::TestDigitsNearTheSpeedOfLight::test_inverse_rate_is_eta_at_k_zero"]),
     ("frame-to-frame a_xt = 2(b_to - b_from)", KINEMATICS,
      "2.0 * (b_from - b_to)", "2.0 * (b_to - b_from)", FRAME_MAPS),
     ("frame-to-frame m = (1 + b_to)(1 - b_from)", KINEMATICS,
@@ -326,9 +337,18 @@ CATALOGUE = (
      ["tests/test_syncsim.py::TestProtocols::"
       "test_an_ordered_lattice_is_synchronized_without_the_kernel"]),
     ("exchange fast path skips the finiteness test", SYNCSIM,
-     "                if (dt > 0.0 and dt_back > 0.0\n"
-     "                        and isfinite(t_return + x_reflect + x_back + x_return)):\n",
-     "                if dt > 0.0 and dt_back > 0.0:\n",
+     "            if sound or (dt > 0.0 and dt_back > 0.0\n"
+     "                         and isfinite(t_return + x_reflect + x_back + x_return)):\n",
+     "            if sound or (dt > 0.0 and dt_back > 0.0):\n",
+     [ANY_REPLAY]),
+    ("exchange takes every light side as sound", SYNCSIM,
+     "        sound = ((near - x_m) / d_out > 0.0", "        sound = True or ((near - x_m) / d_out > 0.0",
+     [ANY_REPLAY]),
+    ("exchange bounds a side from its nearest and farthest slaves swapped", SYNCSIM,
+     "        near, far = (xs[0], xs[-1]) if w > 0.0", "        far, near = (xs[0], xs[-1]) if w > 0.0",
+     [ANY_REPLAY]),
+    ("exchange bound ignores the lattice velocity", SYNCSIM,
+     "(abs(far - x_m) / (1.0 - abs(u)))", "(abs(far - x_m) / 1.0)",
      [ANY_REPLAY]),
     ("exchange emits the return leg at t0", SYNCSIM,
      "append((LIGHT, dt, x_back,", "append((LIGHT, t0, x_back,",
@@ -383,6 +403,10 @@ CATALOGUE = (
     ("lattice constructor takes a synchronized frame", SYNCSIM,
      "        if frame.k != 0.0:\n", "        if False:\n",
      ["tests/test_syncsim.py::TestProtocols::test_a_new_lattice_is_not_synchronized"]),
+    ("lattice frame made writable again", SYNCSIM,
+     'frame = property(operator.attrgetter("_frame"),',
+     'frame = property(operator.attrgetter("_frame"), lambda lat, f: setattr(lat, "_frame", f),',
+     ["tests/test_syncsim.py::TestBuild::test_protocol_state_is_set_only_by_a_protocol_run"]),
     ("lattice positions made writable again", SYNCSIM,
      'property(operator.attrgetter("_positions"),',
      'property(operator.attrgetter("_positions"), lambda lat, p: setattr(lat, "_positions", p),',

@@ -234,11 +234,43 @@ def _scaled(m: tuple) -> tuple:
 
 
 def _eta(beta: float, k: float) -> float:
+    """1/sqrt((1 + beta*k - beta) * (1 + beta*k + beta)), within a few ulps.
+
+    Where the radicand is below :data:`_EDGE`, the roundings in ``1 + beta*k`` can
+    be all that is left of the smaller factor, so each factor is rounded once
+    from its exact terms.  Above it, the plain factors keep the result within
+    about 7e-16 (relative); the common path pays one comparison.
+    """
     a = 1.0 + beta * k
     disc = (a - beta) * (a + beta)  # a*a - beta*beta cancels near |beta| = 1
-    if disc <= 0.0:
-        raise DegenerateConvention(beta, k)
+    if disc < _EDGE:
+        p, e = _two_product(beta, k)
+        disc = math.fsum((1.0, -beta, p, e)) * math.fsum((1.0, beta, p, e))
+        if disc <= 0.0:
+            raise DegenerateConvention(beta, k)
     return 1.0 / math.sqrt(disc)
+
+
+#: _eta's radicand below which it takes each factor exactly.
+_EDGE = 2.0 ** -2
+#: Dekker's splitting constant for doubles, 2**27 + 1.
+_SPLIT = 134217729.0
+
+
+def _two_product(a: float, b: float) -> tuple:
+    """``(p, e)``: ``p`` is ``a*b`` rounded and ``p + e`` is ``a*b`` exactly (Dekker 1971).
+
+    Exact unless a partial product underflows, which for |a|, |b| <= 1 can
+    only happen where ``a*b`` is far below the terms it is added to.
+    """
+    p = a * b
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _rate(b: float) -> float:

@@ -22,12 +22,15 @@ toward -x, while every round trip averages to ``C`` under every protocol.
 ``frame_coeffs(lattice.frame)`` therefore maps absolute events into the
 lattice chart.
 
-A lattice is owned by one simulation run at a time, and its positions are
-fixed when it is built.  Callers check their inputs once.  A protocol's
-exchange runs in :func:`_exchange`, one loop per side of the master, which
-hands a light slave that would fail a check to :func:`_signal`; every other
-signal goes through that one kernel, and every speed measurement through
-one, :func:`_timed`, which the isotropy scan calls with no lattice.
+A lattice is owned by one simulation run at a time; its positions are
+fixed when it is built, and only a protocol run sets its frame, offsets,
+log and protocol.  Callers check their inputs once.  A protocol's exchange
+runs in :func:`_exchange`, one loop per side of the master.  It bounds each
+light side once from its nearest and farthest slaves; a side that fails the
+bound checks each slave and hands one that would fail a check to
+:func:`_signal`.  Every other signal goes through that one kernel, and
+every speed measurement through one, :func:`_timed`, which the isotropy
+scan calls with no lattice.
 """
 
 from __future__ import annotations
@@ -88,7 +91,9 @@ class ClockLattice:
     protocol run if it completed, else None, and then ``k`` and the offsets
     are zero; only :func:`run_protocol` sets them.  So the constructor takes
     a :class:`FrameSpec` whose ``k`` is 0.  Positions are checked by the
-    number rule of :mod:`~synchrony_lab.kinematics` and kept, read-only, as floats.
+    number rule of :mod:`~synchrony_lab.kinematics` and kept as floats.
+    ``positions``, ``frame``, ``offsets``, ``log`` and ``protocol`` are
+    read-only: assigning one raises ``AttributeError``.
     """
 
     def __init__(self, frame: FrameSpec, positions):
@@ -105,10 +110,10 @@ class ClockLattice:
             raise ValueError("node positions must be finite")
         if any(map(operator.le, positions[1:], positions)):
             raise ValueError("node positions must be strictly increasing")
-        self.frame, self._positions = frame, positions
-        self.offsets: list[float] = [0.0] * len(positions)
-        self.log: list = []
-        self.protocol: str | None = None
+        self._frame, self._positions = frame, positions
+        self._offsets: list[float] = [0.0] * len(positions)
+        self._log: list = []
+        self._protocol: str | None = None
 
     @classmethod
     def build(cls, drift: float, positions) -> "ClockLattice":
@@ -122,13 +127,22 @@ class ClockLattice:
         _check_beta(drift)
         return cls(FrameSpec(-drift, 0.0, "lab"), positions)
 
+    # Read-only: only the constructor and run_protocol set them.
     positions = property(operator.attrgetter("_positions"),
                          doc="Absolute positions of the clocks at absolute time 0, as built.")
+    frame = property(operator.attrgetter("_frame"),
+                     doc="The hardware's kinematics frame, with the k its protocol realized.")
+    offsets = property(operator.attrgetter("_offsets"),
+                       doc="Each clock's reading at absolute time 0.")
+    log = property(operator.attrgetter("_log"),
+                   doc="Every signal since the last protocol run started, as tuples.")
+    protocol = property(operator.attrgetter("_protocol"),
+                        doc="The last protocol run if it completed, else None.")
 
     @property
     def rate(self) -> float:
         """Tick rate of every clock per absolute time unit."""
-        return _rate(self.frame.beta)
+        return _rate(self._frame.beta)
 
     def index(self, node_id: int) -> int:
         """``node_id``, checked: negative, bool, non-integer or out-of-range ids are rejected."""
@@ -163,9 +177,9 @@ def propagate(
     x_from, x_to, magnitude = _check_signal(lattice, from_id, to_id, kind, speed)
     if not _is_number(t_emit) or isinstance(t_emit, int) and not _is_finite(t_emit):
         raise ValueError("t_emit must be an int or float that a float can hold")
-    u, t_emit = lattice.frame.beta * C, float(t_emit)
-    _signal(lattice.log, kind, u, magnitude, x_from, x_to, t_emit, to_id)
-    kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs = lattice.log[-1]
+    u, t_emit = lattice._frame.beta * C, float(t_emit)
+    _signal(lattice._log, kind, u, magnitude, x_from, x_to, t_emit, to_id)
+    kind, emit_t, emit_x, absorb_t, absorb_x, speed_abs = lattice._log[-1]
     # _signal has checked all four coordinates finite: build the Events unchecked.
     return SignalRecord(kind, tuple.__new__(Event, (emit_t, emit_x, 0.0, 0.0, "S")),
                         tuple.__new__(Event, (absorb_t, absorb_x, 0.0, 0.0, "S")), speed_abs)
@@ -177,7 +191,7 @@ def _check_signal(lattice, from_id, to_id, kind, speed) -> tuple:
         raise ValueError(f"unknown signal kind {kind!r}")
     if from_id == to_id:
         raise ValueError("signal endpoints must differ")
-    p = lattice.positions
+    p = lattice._positions
     x_from, x_to = p[lattice.index(from_id)], p[lattice.index(to_id)]
     if speed is not None or kind == SUPERLUMINAL_FINITE:
         if not (_is_finite(speed) and speed > 0.0):
@@ -246,16 +260,16 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     m = lattice.index(master)
-    p, b, label = lattice.positions, lattice.frame.beta, lattice.frame.label
+    p, b, label = lattice._positions, lattice._frame.beta, lattice._frame.label
     rows, offsets = [], [0.0] * len(p)  # the master reads rate*t
-    lattice.offsets, lattice.log, lattice.protocol = [0.0] * len(p), rows, None
-    lattice.frame = FrameSpec(b, 0.0, label)
+    lattice._offsets, lattice._log, lattice._protocol = [0.0] * len(p), rows, None
+    lattice._frame = FrameSpec(b, 0.0, label)
     if protocol != EXTERNAL_REGULATION:  # at absolute time 0 the reference reads the master's 0
         _exchange(rows, offsets, LIGHT if protocol == EINSTEIN else INSTANTANEOUS,
                   b * C, _rate(b), p, m)
 
-    lattice.offsets, lattice.protocol = offsets, protocol
-    lattice.frame = FrameSpec(b, 0.0 if protocol == EINSTEIN else induced_synchrony(0.0, b), label)
+    lattice._offsets, lattice._protocol = offsets, protocol
+    lattice._frame = FrameSpec(b, 0.0 if protocol == EINSTEIN else induced_synchrony(0.0, b), label)
     return lattice
 
 
@@ -268,40 +282,57 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
     those of sending every leg through :func:`_signal` in index order, bit
     for bit, but the loop takes each side of the master in turn: positions
     increase, so a slave's side is its signal's direction, and the signed
-    speed and chase denominators are computed once per side.  A light slave
-    whose chase does not resolve or whose coordinate sum is not finite goes
-    through :func:`_signal`, which raises or logs it as it always has.  An
-    instantaneous signal cannot fail on a built lattice: with subnormals,
-    x > y implies x - y > 0, so every gap has its side's sign, and every
-    coordinate of its row is finite.
+    speed and chase denominators are computed once per side.
+
+    A light side is checked once, from its nearest and farthest slaves: if
+    no slave's chase can fail to resolve and no coordinate sum can overflow,
+    no slave is checked.  A side that fails that bound checks each slave,
+    and a slave that fails its check goes through :func:`_signal`, which
+    raises or logs it as it always has.  An instantaneous signal cannot fail
+    on a built lattice: with subnormals, x > y implies x - y > 0, so every
+    gap has its side's sign, and every coordinate of its row is finite.
     """
     t0, x_m, isfinite, append = 0.0, p[m], math.isfinite, rows.append
     x_emit, ut0 = x_m + u * t0, u * t0  # the master's emission, and the clocks' shift then
     for first, xs, w in ((0, p[:m], -C), (m + 1, p[m + 1:], C)):
-        if kind == LIGHT:
-            # |u| < C, so neither denominator is zero, and each carries its
-            # leg's sign: dt > 0 fails only where a tiny gap underflows.  With
-            # t0 = 0, t0 + dt is dt and the master's reading rate*t0 adds
-            # +0.0 to a reading that is not -0.0: both sums are left out.
-            w_back, d_out, d_back = -w, w - u, -w - u
-            for i, x in enumerate(xs, first):
-                dt = (x - x_m) / d_out
-                x_reflect = x_emit + w * dt
-                dt_back, x_back = (x_m - x) / d_back, x + u * dt
-                t_return, x_return = dt + dt_back, x_back + w_back * dt_back
-                # One sum: finite only if each term is, and a finite t_return and
-                # x_reflect make the other three coordinates finite too.
-                if (dt > 0.0 and dt_back > 0.0
-                        and isfinite(t_return + x_reflect + x_back + x_return)):
-                    append((LIGHT, t0, x_emit, dt, x_reflect, w))
-                    append((LIGHT, dt, x_back, t_return, x_return, w_back))
-                else:
-                    dt = _signal(rows, LIGHT, u, C, x_m, x, t0, i)
-                    t_return = _signal(rows, LIGHT, u, C, x, x_m, dt, m)
-                offsets[i] = 0.5 * (rate * t_return) - rate * dt
-        else:
+        if not xs:
+            continue
+        if kind != LIGHT:
             w *= INFINITE_SPEED
             rows += [(INSTANTANEOUS, t0, x_emit, t0, x + ut0, w) for x in xs]
+            continue
+        # |u| < C, so neither denominator is zero, and each carries its leg's
+        # sign.  With t0 = 0, t0 + dt is dt and the master's reading rate*t0
+        # adds +0.0 to a reading that is not -0.0: both sums are left out.
+        w_back, d_out, d_back = -w, w - u, -w - u
+        near, far = (xs[0], xs[-1]) if w > 0.0 else (xs[-1], xs[0])
+        # Rounding is monotone, so every slave's dt and dt_back are at least
+        # the nearest slave's and, as |d_out|, |d_back| >= 1 - |u|, at most
+        # B = |far - x_m| / (1 - |u|).  Every position lies within X =
+        # max(|x_m|, |far|) of 0, each coordinate within X + 2B, and the
+        # four-term sum within 6B + 3X: below 2**1021, no term or partial sum
+        # overflows.  A bound that overflows is inf and refuses the side.
+        sound = ((near - x_m) / d_out > 0.0 and (x_m - near) / d_back > 0.0
+                 and 6.0 * (abs(far - x_m) / (1.0 - abs(u)))
+                 + 3.0 * max(abs(x_m), abs(far)) < 2.0 ** 1021)
+        side = []
+        for x in xs:
+            dt = (x - x_m) / d_out
+            x_reflect = x_emit + w * dt
+            dt_back, x_back = (x_m - x) / d_back, x + u * dt
+            t_return, x_return = dt + dt_back, x_back + w_back * dt_back
+            # On a refused side: dt > 0 fails where a tiny gap underflows, and
+            # one sum is finite only if each term is; a finite t_return and
+            # x_reflect make the other three coordinates finite too.
+            if sound or (dt > 0.0 and dt_back > 0.0
+                         and isfinite(t_return + x_reflect + x_back + x_return)):
+                append((LIGHT, t0, x_emit, dt, x_reflect, w))
+                append((LIGHT, dt, x_back, t_return, x_return, w_back))
+            else:
+                dt = _signal(rows, LIGHT, u, C, x_m, x, t0, first + len(side))
+                t_return = _signal(rows, LIGHT, u, C, x, x_m, dt, m)
+            side.append(0.5 * (rate * t_return) - rate * dt)
+        offsets[first:first + len(xs)] = side
 
 
 def measure_one_way(
@@ -341,13 +372,13 @@ def measure_two_way(
 
 def _measure(lattice, from_id, to_id, kind, speed, two_way) -> SpeedMeasurement:
     """One-way, or out and back when ``two_way``: sync check, signal checks, then :func:`_timed`."""
-    if lattice.protocol is None:
+    if lattice._protocol is None:
         raise NotSynchronized("run a synchronization protocol before measuring")
     x_from, x_to, magnitude = _check_signal(lattice, from_id, to_id, kind, speed)
     direction = TWO_WAY if two_way else PLUS_X if x_to > x_from else MINUS_X
-    return SpeedMeasurement(direction, *_timed(lattice.log, kind, lattice.frame.beta, lattice.rate,
+    return SpeedMeasurement(direction, *_timed(lattice._log, kind, lattice._frame.beta, lattice.rate,
                                                magnitude, x_from, x_to, from_id, to_id,
-                                               lattice.offsets, two_way))
+                                               lattice._offsets, two_way))
 
 
 def _timed(rows, kind, b, rate, magnitude, x_from, x_to, from_id, to_id, offsets, two_way):

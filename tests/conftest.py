@@ -6,6 +6,7 @@ import csv
 import io
 import math
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 from synchrony_lab import cli
 from synchrony_lab.errors import ConventionOutOfRange, DegenerateConvention
@@ -131,8 +132,12 @@ class OracleKinematics:
         self.check_k(k)
         a = 1.0 + beta * k
         disc = (a - beta) * (a + beta)
-        if disc <= 0.0:
-            raise DegenerateConvention(beta, k)
+        if disc < 2.0 ** -2:
+            # Near the edge each factor is its exact value, rounded once.
+            exact = 1 + Fraction(beta) * Fraction(k)
+            disc = float(exact - Fraction(beta)) * float(exact + Fraction(beta))
+            if disc <= 0.0:
+                raise DegenerateConvention(beta, k)
         return 1.0 / math.sqrt(disc)
 
     def edwards_coeffs(self, beta, k, k_prime):

@@ -105,13 +105,14 @@ class TestTransformCommand:
 
     def test_determinant_rounding_to_zero_is_not_an_error(self):
         # The boost's determinant is 1, but its float entries give exactly 0.0 here.
+        # A 60-digit oracle gives a_tt = 71350832.76148487 and a_xt = -43042739.39305391.
         code, out, err = run_cli(
             ["transform", "--beta", "0.6626423856087286", "--k", "-0.509109621898638",
              "--k-prime", "0.6576740646065664", "--event", "1,0"]
         )
         assert (code, err) == (0, "")
         image = json.loads(out)["image"]
-        assert (image["t"], image["x"]) == (90556292.9829928, -54628527.354372)
+        assert (image["t"], image["x"]) == (71350832.7614848, -43042739.3930539)
 
     def test_bad_event_exits_3(self):
         code, _, err = run_cli(

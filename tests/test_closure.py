@@ -43,9 +43,10 @@ def closure(flip=None):
         drift = (B - u) / (1.0 - u * B)
         if flip == "drift":
             drift = -drift
-        lattice = ClockLattice.build(drift, (0.0, 1.0))
-        if flip == "frame":
-            lattice.frame = FrameSpec(-lattice.frame.beta, lattice.frame.k, lattice.frame.label)
+        if flip == "frame":  # the frame ClockLattice.build would give, sign-flipped
+            lattice = ClockLattice(FrameSpec(drift, 0.0, "lab"), (0.0, 1.0))
+        else:
+            lattice = ClockLattice.build(drift, (0.0, 1.0))
         run_protocol(lattice, SUPERLUMINAL)
         k_ok = k_ok and lattice.frame.k == drift
         delta_E = (0.5, 1.0, 2.0)[i % 3]

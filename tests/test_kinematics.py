@@ -597,6 +597,34 @@ def _near_edge(rng: random.Random) -> tuple[float, float, float]:
     return sign * edge * (1.0 - 10.0 ** -rng.uniform(13.0, 16.0)), k, k_prime
 
 
+class TestDigitsNearTheEdge:
+    """edwards_coeffs near the edge of _eta's domain, against a 60-digit oracle."""
+
+    EPS = Decimal(sys.float_info.epsilon)
+
+    @staticmethod
+    def oracle(beta, k, k_prime) -> tuple[Decimal, ...]:
+        with localcontext(Context(prec=60)):
+            b, k, kp = Decimal(beta), Decimal(k), Decimal(k_prime)
+            h = 1 / ((1 + b * k) ** 2 - b * b).sqrt()
+            return h * (1 + b * (k + kp)), h * (b * (k * k - 1) + k - kp), -h * b, h
+
+    def test_every_entry_is_within_a_few_ulps_of_the_oracle(self):
+        # eta (a_xx) and a_xt are held to their own size.  a_tt and a_tx can
+        # cancel on their own, away from the edge, so they are held to the
+        # largest entry: a normwise bound.
+        rng, far = random.Random(7), []
+        for _ in range(2000):
+            beta, k, kp = _near_edge(rng)  # every draw lies inside the edge
+            got, want = edwards_coeffs(beta, k, kp), self.oracle(beta, k, kp)
+            err = [abs(Decimal(g) - w) for g, w in zip(got, want)]
+            scale = max(map(abs, want))
+            if (max(err) > 4 * self.EPS * scale or err[2] > 4 * self.EPS * abs(want[2])
+                    or err[3] > 4 * self.EPS * want[3]):
+                far.append(((beta, k, kp), got))
+        assert not far, (len(far), far[:3])
+
+
 class TestLibraryMapsAreNotCheckedForSingularity:
     """A map the library builds has determinant 1 by construction and is not
     checked; rounding can take that determinant anywhere, 0.0 included."""

@@ -104,6 +104,21 @@ class TestBuild:
                 lat.positions = positions
             assert lat.positions == (0.0, 1.0, 2.0)
 
+    def test_protocol_state_is_set_only_by_a_protocol_run(self):
+        fresh = lattice(positions=(0.0, 1.0, 2.0))
+        synced = run_protocol(lattice(positions=(0.0, 1.0, 2.0)), EINSTEIN)
+        for lat in (fresh, synced):
+            state = (lat.frame, lat.offsets, lat.log, lat.protocol)
+            for name, value in (("frame", "lab"), ("offsets", [0.0]), ("log", []),
+                                ("protocol", SUPERLUMINAL)):
+                with pytest.raises(AttributeError):
+                    setattr(lat, name, value)
+            assert (lat.frame, lat.offsets, lat.log, lat.protocol) == state
+        with pytest.raises(NotSynchronized):
+            measure_one_way(fresh, 0, 2)
+        assert math.isclose(measure_one_way(synced, 0, 2).speed, 1.0, rel_tol=1e-12)
+        assert run_protocol(fresh, SUPERLUMINAL).frame.k == 0.6
+
     def test_ints_and_any_iterable_build_float_positions(self):
         lat = ClockLattice.build(0, iter([0, 2**60, 2**61]))
         assert lat.positions == (0.0, 2.0**60, 2.0**61)
@@ -524,6 +539,15 @@ class TestProtocolReplay:
     # Finite positions whose sum overflows, on either side of the master.
     @example(drift=0.6, positions=[0.0, 1e308, 1.5e308], protocol=SUPERLUMINAL, where="first")
     @example(drift=0.6, positions=[-1.5e308, -1e308, 0.0], protocol=SUPERLUMINAL, where="last")
+    # A light side is bounded from its nearest and farthest slaves.  Only the
+    # nearest slave's chase underflows here, so the two must not be swapped.
+    @example(drift=math.nextafter(1.0, 0.0), positions=[0.0, 5e-324, 1.0], protocol=EINSTEIN,
+             where="first")
+    # The left side passes the bound; the right side, whose chase is slow at
+    # |u| = 0.99, does not, and its slave's absorb time overflows.
+    @example(drift=-0.99, positions=[-1.0, 0.0, 1.0, 2e306], protocol=EINSTEIN, where="middle")
+    # The bound refuses this side, but each slave passes its own check.
+    @example(drift=0.0, positions=[0.0, 1e307, 2e307], protocol=EINSTEIN, where="first")
     def test_any_lattice_matches_a_propagate_replay(self, drift, positions, protocol, where):
         """Same log, and offsets or error; a zero-delay exchange never fails."""
         n = len(positions)
