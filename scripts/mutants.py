@@ -54,6 +54,8 @@ FIRST_FIT = ("tests/test_package.py::"
              "test_a_first_fit_loads_no_numpy_module_a_bare_numpy_import_does_not")
 REPLAY = "tests/test_syncsim.py::TestProtocolReplay::"
 ANY_REPLAY = f"{REPLAY}test_any_lattice_matches_a_propagate_replay"
+KERNEL = ("tests/test_syncsim.py::TestProtocols::"
+          "test_an_ordered_lattice_is_synchronized_without_the_kernel")
 #: np.unique imports numpy.ma from numpy 2.3 on; before, this mutant is equivalent.
 NUMPY_MA_MUTANT = "first fit imports numpy.ma"
 ROUND_TRIPS = ("tests/test_kinematics.py::TestTransformCoeffs::"
@@ -334,16 +336,13 @@ CATALOGUE = (
     ("exchange side speeds swapped", SYNCSIM,
      "for first, xs, w in ((0, p[:m], -C), (m + 1, p[m + 1:], C)):",
      "for first, xs, w in ((0, p[:m], C), (m + 1, p[m + 1:], -C)):",
-     ["tests/test_syncsim.py::TestProtocols::"
-      "test_an_ordered_lattice_is_synchronized_without_the_kernel"]),
-    ("exchange fast path skips the finiteness test", SYNCSIM,
-     "            if sound or (dt > 0.0 and dt_back > 0.0\n"
-     "                         and isfinite(t_return + x_reflect + x_back + x_return)):\n",
-     "            if sound or (dt > 0.0 and dt_back > 0.0):\n",
-     [ANY_REPLAY]),
+     [KERNEL]),
     ("exchange takes every light side as sound", SYNCSIM,
-     "        sound = ((near - x_m) / d_out > 0.0", "        sound = True or ((near - x_m) / d_out > 0.0",
-     [ANY_REPLAY]),
+     "        if not ((near - x_m) / d_out > 0.0", "        if False and not ((near - x_m) / d_out > 0.0",
+     [ANY_REPLAY, f"{KERNEL}[refused]"]),
+    ("a refused side emits its return leg at t0", SYNCSIM,
+     "_signal(rows, LIGHT, u, C, x, x_m, dt, m)", "_signal(rows, LIGHT, u, C, x, x_m, t0, m)",
+     [ANY_REPLAY, f"{KERNEL}[refused]"]),
     ("exchange bounds a side from its nearest and farthest slaves swapped", SYNCSIM,
      "        near, far = (xs[0], xs[-1]) if w > 0.0", "        far, near = (xs[0], xs[-1]) if w > 0.0",
      [ANY_REPLAY]),
@@ -407,6 +406,13 @@ CATALOGUE = (
      'frame = property(operator.attrgetter("_frame"),',
      'frame = property(operator.attrgetter("_frame"), lambda lat, f: setattr(lat, "_frame", f),',
      ["tests/test_syncsim.py::TestBuild::test_protocol_state_is_set_only_by_a_protocol_run"]),
+    ("lattice offsets handed out as the stored list", SYNCSIM,
+     "offsets = property(lambda self: self._offsets.copy(),",
+     'offsets = property(operator.attrgetter("_offsets"),',
+     ["tests/test_syncsim.py::TestBuild::test_the_offsets_and_log_read_are_copies"]),
+    ("lattice log handed out as the stored list", SYNCSIM,
+     "log = property(lambda self: self._log.copy(),", 'log = property(operator.attrgetter("_log"),',
+     ["tests/test_syncsim.py::TestBuild::test_the_offsets_and_log_read_are_copies"]),
     ("lattice positions made writable again", SYNCSIM,
      'property(operator.attrgetter("_positions"),',
      'property(operator.attrgetter("_positions"), lambda lat, p: setattr(lat, "_positions", p),',

@@ -26,8 +26,8 @@ A lattice is owned by one simulation run at a time; its positions are
 fixed when it is built, and only a protocol run sets its frame, offsets,
 log and protocol.  Callers check their inputs once.  A protocol's exchange
 runs in :func:`_exchange`, one loop per side of the master.  It bounds each
-light side once from its nearest and farthest slaves; a side that fails the
-bound checks each slave and hands one that would fail a check to
+light side once from its nearest and farthest slaves and logs a side inside
+the bound with no check; a side that fails the bound sends every leg through
 :func:`_signal`.  Every other signal goes through that one kernel, and
 every speed measurement through one, :func:`_timed`, which the isotropy
 scan calls with no lattice.
@@ -93,7 +93,8 @@ class ClockLattice:
     a :class:`FrameSpec` whose ``k`` is 0.  Positions are checked by the
     number rule of :mod:`~synchrony_lab.kinematics` and kept as floats.
     ``positions``, ``frame``, ``offsets``, ``log`` and ``protocol`` are
-    read-only: assigning one raises ``AttributeError``.
+    read-only: assigning one raises ``AttributeError``, and ``offsets`` and
+    ``log`` return a new list on each read.
     """
 
     def __init__(self, frame: FrameSpec, positions):
@@ -127,15 +128,16 @@ class ClockLattice:
         _check_beta(drift)
         return cls(FrameSpec(-drift, 0.0, "lab"), positions)
 
-    # Read-only: only the constructor and run_protocol set them.
+    # Read-only: only the constructor and run_protocol set them, and the two
+    # lists are handed out as copies, so changing one leaves the lattice as it is.
     positions = property(operator.attrgetter("_positions"),
                          doc="Absolute positions of the clocks at absolute time 0, as built.")
     frame = property(operator.attrgetter("_frame"),
                      doc="The hardware's kinematics frame, with the k its protocol realized.")
-    offsets = property(operator.attrgetter("_offsets"),
-                       doc="Each clock's reading at absolute time 0.")
-    log = property(operator.attrgetter("_log"),
-                   doc="Every signal since the last protocol run started, as tuples.")
+    offsets = property(lambda self: self._offsets.copy(),
+                       doc="Each clock's reading at absolute time 0, as a new list.")
+    log = property(lambda self: self._log.copy(),
+                   doc="Every signal since the last protocol run started, as a new list of tuples.")
     protocol = property(operator.attrgetter("_protocol"),
                         doc="The last protocol run if it completed, else None.")
 
@@ -284,15 +286,15 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
     increase, so a slave's side is its signal's direction, and the signed
     speed and chase denominators are computed once per side.
 
-    A light side is checked once, from its nearest and farthest slaves: if
+    A light side is bounded once, from its nearest and farthest slaves: if
     no slave's chase can fail to resolve and no coordinate sum can overflow,
-    no slave is checked.  A side that fails that bound checks each slave,
-    and a slave that fails its check goes through :func:`_signal`, which
-    raises or logs it as it always has.  An instantaneous signal cannot fail
-    on a built lattice: with subnormals, x > y implies x - y > 0, so every
-    gap has its side's sign, and every coordinate of its row is finite.
+    its rows are logged with no check.  A side that fails that bound sends
+    every leg through :func:`_signal`, which raises or logs it as it always
+    has.  An instantaneous signal cannot fail on a built lattice: with
+    subnormals, x > y implies x - y > 0, so every gap has its side's sign,
+    and every coordinate of its row is finite.
     """
-    t0, x_m, isfinite, append = 0.0, p[m], math.isfinite, rows.append
+    t0, x_m, append = 0.0, p[m], rows.append
     x_emit, ut0 = x_m + u * t0, u * t0  # the master's emission, and the clocks' shift then
     for first, xs, w in ((0, p[:m], -C), (m + 1, p[m + 1:], C)):
         if not xs:
@@ -306,32 +308,28 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
         # adds +0.0 to a reading that is not -0.0: both sums are left out.
         w_back, d_out, d_back = -w, w - u, -w - u
         near, far = (xs[0], xs[-1]) if w > 0.0 else (xs[-1], xs[0])
+        side = []
         # Rounding is monotone, so every slave's dt and dt_back are at least
         # the nearest slave's and, as |d_out|, |d_back| >= 1 - |u|, at most
         # B = |far - x_m| / (1 - |u|).  Every position lies within X =
         # max(|x_m|, |far|) of 0, each coordinate within X + 2B, and the
         # four-term sum within 6B + 3X: below 2**1021, no term or partial sum
         # overflows.  A bound that overflows is inf and refuses the side.
-        sound = ((near - x_m) / d_out > 0.0 and (x_m - near) / d_back > 0.0
-                 and 6.0 * (abs(far - x_m) / (1.0 - abs(u)))
-                 + 3.0 * max(abs(x_m), abs(far)) < 2.0 ** 1021)
-        side = []
-        for x in xs:
-            dt = (x - x_m) / d_out
-            x_reflect = x_emit + w * dt
-            dt_back, x_back = (x_m - x) / d_back, x + u * dt
-            t_return, x_return = dt + dt_back, x_back + w_back * dt_back
-            # On a refused side: dt > 0 fails where a tiny gap underflows, and
-            # one sum is finite only if each term is; a finite t_return and
-            # x_reflect make the other three coordinates finite too.
-            if sound or (dt > 0.0 and dt_back > 0.0
-                         and isfinite(t_return + x_reflect + x_back + x_return)):
-                append((LIGHT, t0, x_emit, dt, x_reflect, w))
-                append((LIGHT, dt, x_back, t_return, x_return, w_back))
-            else:
-                dt = _signal(rows, LIGHT, u, C, x_m, x, t0, first + len(side))
+        if not ((near - x_m) / d_out > 0.0 and (x_m - near) / d_back > 0.0
+                and 6.0 * (abs(far - x_m) / (1.0 - abs(u)))
+                + 3.0 * max(abs(x_m), abs(far)) < 2.0 ** 1021):
+            for i, x in enumerate(xs, first):
+                dt = _signal(rows, LIGHT, u, C, x_m, x, t0, i)
                 t_return = _signal(rows, LIGHT, u, C, x, x_m, dt, m)
-            side.append(0.5 * (rate * t_return) - rate * dt)
+                side.append(0.5 * (rate * t_return) - rate * dt)
+        else:
+            for x in xs:
+                dt = (x - x_m) / d_out
+                dt_back, x_back = (x_m - x) / d_back, x + u * dt
+                t_return = dt + dt_back
+                append((LIGHT, t0, x_emit, dt, x_emit + w * dt, w))
+                append((LIGHT, dt, x_back, t_return, x_back + w_back * dt_back, w_back))
+                side.append(0.5 * (rate * t_return) - rate * dt)
         offsets[first:first + len(xs)] = side
 
 

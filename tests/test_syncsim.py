@@ -119,6 +119,16 @@ class TestBuild:
         assert math.isclose(measure_one_way(synced, 0, 2).speed, 1.0, rel_tol=1e-12)
         assert run_protocol(fresh, SUPERLUMINAL).frame.k == 0.6
 
+    def test_the_offsets_and_log_read_are_copies(self):
+        lat = run_protocol(lattice(positions=(0.0, 1.0, 2.5)), EINSTEIN)
+        twin = run_protocol(lattice(positions=(0.0, 1.0, 2.5)), EINSTEIN)
+        for change in (lambda xs: xs.__setitem__(-1, math.nan), list.clear):
+            change(lat.offsets)
+            change(lat.log)
+        assert (lat.offsets, lat.log) == (twin.offsets, twin.log)
+        assert measure_one_way(lat, 0, 2) == measure_one_way(twin, 0, 2)
+        assert lat.log == twin.log
+
     def test_ints_and_any_iterable_build_float_positions(self):
         lat = ClockLattice.build(0, iter([0, 2**60, 2**61]))
         assert lat.positions == (0.0, 2.0**60, 2.0**61)
@@ -420,17 +430,29 @@ class TestProtocols:
             run_protocol(lat, SUPERLUMINAL, master=1)
         assert (lat.protocol, lat.frame.k, lat.offsets, len(lat.log)) == (None, 0.0, [0.0] * 3, 1)
 
-    @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
-    @pytest.mark.parametrize("drift", [0.6, -0.6])
-    def test_an_ordered_lattice_is_synchronized_without_the_kernel(self, monkeypatch, protocol,
-                                                                   drift):
-        """Only a slave whose signal would fail a check goes through ``_signal``."""
-        def kernel(*args):
-            raise AssertionError("the exchange fell back to _signal")
+    @pytest.mark.parametrize("drift, protocol, positions, master, calls", [
+        *(pytest.param(drift, protocol, (0.0, 1.0, 2.5, 4.0), 1, 0, id=f"{drift}-{protocol}")
+          for drift in (0.6, -0.6) for protocol in (EINSTEIN, SUPERLUMINAL)),
+        # Every slave passes its own checks, but 6B + 3X overflows the bound.
+        pytest.param(0.0, EINSTEIN, (0.0, 1e307, 2e307), 0, 4, id="refused"),
+    ])
+    def test_an_ordered_lattice_is_synchronized_without_the_kernel(self, monkeypatch, drift,
+                                                                   protocol, positions, master,
+                                                                   calls):
+        """Only a light side the exchange's bound refuses goes through ``_signal``, leg by leg."""
+        seen = []
 
+        def kernel(*args):
+            seen.append(args)
+            return signal(*args)
+
+        signal = syncsim._signal
         monkeypatch.setattr(syncsim, "_signal", kernel)
-        lat = run_protocol(lattice(beta=drift, positions=(0.0, 1.0, 2.5, 4.0)), protocol, 1)
-        assert len(lat.log) == (6 if protocol == EINSTEIN else 3)
+        lat = run_protocol(lattice(beta=drift, positions=positions), protocol, master)
+        assert len(seen) == calls
+        ref, offsets, _ = TestProtocolReplay.replay(drift, positions, protocol, master)
+        assert list(map(repr, lat.log)) == list(map(repr, ref.log))
+        assert list(map(repr, lat.offsets)) == list(map(repr, offsets))
 
     def test_only_a_protocol_run_marks_a_lattice_synced(self):
         lat = lattice()
