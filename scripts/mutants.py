@@ -54,6 +54,9 @@ FIRST_FIT = ("tests/test_package.py::"
              "test_a_first_fit_loads_no_numpy_module_a_bare_numpy_import_does_not")
 REPLAY = "tests/test_syncsim.py::TestProtocolReplay::"
 ANY_REPLAY = f"{REPLAY}test_any_lattice_matches_a_propagate_replay"
+FIRST_READ = f"{REPLAY}test_the_log_is_the_same_whenever_it_is_first_read"
+FAILED_RUN = ("tests/test_syncsim.py::TestProtocols::"
+              "test_a_failed_run_leaves_the_lattice_unsynchronized")
 KERNEL = ("tests/test_syncsim.py::TestProtocols::"
           "test_an_ordered_lattice_is_synchronized_without_the_kernel")
 #: np.unique imports numpy.ma from numpy 2.3 on; before, this mutant is equivalent.
@@ -91,8 +94,7 @@ CATALOGUE = (
      "    lattice._frame = FrameSpec(b, 0.0, label)\n",
      "    lattice._frame = FrameSpec(b, 0.0 if protocol == EINSTEIN"
      " else induced_synchrony(0.0, b), label)\n",
-     ["tests/test_syncsim.py::TestProtocols::"
-      "test_a_failed_run_leaves_the_lattice_unsynchronized"]),
+     [FAILED_RUN]),
     ("speed rule only for superluminal-finite signals", SYNCSIM,
      "    if speed is not None or kind == SUPERLUMINAL_FINITE:\n        if not (_is_finite",
      "    if kind == SUPERLUMINAL_FINITE:\n        if not (_is_finite",
@@ -350,10 +352,11 @@ CATALOGUE = (
      "(abs(far - x_m) / (1.0 - abs(u)))", "(abs(far - x_m) / 1.0)",
      [ANY_REPLAY]),
     ("exchange emits the return leg at t0", SYNCSIM,
-     "append((LIGHT, dt, x_back,", "append((LIGHT, t0, x_back,",
+     "append((LIGHT, dt, x_back, dt + dt_back,", "append((LIGHT, t0, x_back, dt + dt_back,",
      [f"{REPLAY}test_rows_and_offsets_match_a_propagate_replay", ANY_REPLAY]),
     ("exchange logs the bare positions of an instantaneous side", SYNCSIM,
-     "x + ut0, w) for x in xs]", "x, w) for x in xs]",
+     "return [(INSTANTANEOUS, t0, x_emit, t0, x + ut0, w) for x in xs]",
+     "return [(INSTANTANEOUS, t0, x_emit, t0, x, w) for x in xs]",
      [ANY_REPLAY]),
     ("lattice finiteness shortcut inverted", SYNCSIM,
      "if not math.isfinite(sum(positions)) and not all(",
@@ -411,8 +414,14 @@ CATALOGUE = (
      'offsets = property(operator.attrgetter("_offsets"),',
      ["tests/test_syncsim.py::TestBuild::test_the_offsets_and_log_read_are_copies"]),
     ("lattice log handed out as the stored list", SYNCSIM,
-     "log = property(lambda self: self._log.copy(),", 'log = property(operator.attrgetter("_log"),',
+     "        return log.copy()\n", "        return log\n",
      ["tests/test_syncsim.py::TestBuild::test_the_offsets_and_log_read_are_copies"]),
+    ("log read returns deferred entries unexpanded", SYNCSIM,
+     "        if self._deferred:  # build", "        if False:  # build",
+     [f"{REPLAY}test_rows_and_offsets_match_a_propagate_replay", FIRST_READ]),
+    ("deferred rows expanded after the eager ones", SYNCSIM,
+     "log[i:i + 1] = log[i]()", "log += log.pop(i)()",
+     [FAILED_RUN, FIRST_READ]),
     ("lattice positions made writable again", SYNCSIM,
      'property(operator.attrgetter("_positions"),',
      'property(operator.attrgetter("_positions"), lambda lat, p: setattr(lat, "_positions", p),',

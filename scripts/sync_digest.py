@@ -6,9 +6,12 @@ The digest covers ``run_scenario`` on the scenario files in ``tests/data``
 300 and 4000 nodes at drifts 0, +-0.6, +-0.8 and +-0.9 under every protocol
 and masters first, middle and last (offsets, frame, protocol, one-way and
 two-way measurements of every signal kind, every signal-log row), two-node
-lattices whose signals overflow, and a 181-point isotropy scan.  Floats are hashed through ``repr``, so the digest
-is bit-exact; errors are hashed by type and message.  Two source trees with
-the same digest simulate identically:
+lattices whose signals overflow, and a 181-point isotropy scan.  For the
+middle master the log is first read right after the protocol run, so the
+exchange's rows are built before the measurements append theirs; for the
+other masters they are built after.  Floats are hashed through ``repr``, so
+the digest is bit-exact; errors are hashed by type and message.  Two source
+trees with the same digest simulate identically:
 
     python scripts/sync_digest.py
 """
@@ -112,6 +115,8 @@ def main() -> None:
                     feed(n, drift, protocol, master)
                     lattice = ClockLattice.build(drift, xs)
                     syncsim.run_protocol(lattice, protocol, master)
+                    if master == n // 2:  # build the exchange's rows before any measurement's
+                        lattice.log
                     measure(feed, lattice, pairs)
                     feed_lattice(feed, lattice)
 

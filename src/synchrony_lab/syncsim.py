@@ -26,11 +26,14 @@ A lattice is owned by one simulation run at a time; its positions are
 fixed when it is built, and only a protocol run sets its frame, offsets,
 log and protocol.  Callers check their inputs once.  A protocol's exchange
 runs in :func:`_exchange`, one loop per side of the master.  It bounds each
-light side once from its nearest and farthest slaves and logs a side inside
-the bound with no check; a side that fails the bound sends every leg through
-:func:`_signal`.  Every other signal goes through that one kernel, and
-every speed measurement through one, :func:`_timed`, which the isotropy
-scan calls with no lattice.
+light side once from its nearest and farthest slaves; a side that fails the
+bound sends every leg through :func:`_signal` at once.  A side inside the
+bound, and every instantaneous side, needs no check: it sets its offsets
+and leaves one deferred entry in the log, whose rows the first read of
+``log`` builds, the same bit for bit.  So a run whose log nobody reads pays
+for its offsets only.  Every other signal goes through :func:`_signal`, and
+every speed measurement through one kernel, :func:`_timed`, which the
+isotropy scan calls with no lattice.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import operator
 import os
 from collections import namedtuple
+from functools import partial
 
 from .errors import FileInvalid, NotSynchronized, ScenarioError, UnresolvableChase
 from .kinematics import (C, INFINITE_SPEED, Event, FrameSpec, MINUS_X, PLUS_X, _check_beta,
@@ -87,11 +91,15 @@ class ClockLattice:
     ``rate*t + offsets[i]`` at absolute time t.  ``log`` lists every signal
     since the last protocol run started (its exchange, then any
     measurements) as a ``(kind, emit_t, emit_x, absorb_t, absorb_x,
-    speed_abs)`` tuple in the absolute chart.  ``protocol`` names the last
-    protocol run if it completed, else None, and then ``k`` and the offsets
-    are zero; only :func:`run_protocol` sets them.  So the constructor takes
-    a :class:`FrameSpec` whose ``k`` is 0.  Positions are checked by the
-    number rule of :mod:`~synchrony_lab.kinematics` and kept as floats.
+    speed_abs)`` tuple in the absolute chart.  The exchange's rows of a
+    bounded light side and of every instantaneous side are built on the
+    first read of ``log``, in send order and the same bit for bit, so a run
+    whose log nobody reads pays for its offsets only.  ``protocol`` names
+    the last protocol run if it completed, else None, and then ``k`` and the
+    offsets are zero; only :func:`run_protocol` sets them.  So the
+    constructor takes a :class:`FrameSpec` whose ``k`` is 0.  Positions are
+    checked by the number rule of :mod:`~synchrony_lab.kinematics` and kept
+    as floats.
     ``positions``, ``frame``, ``offsets``, ``log`` and ``protocol`` are
     read-only: assigning one raises ``AttributeError``, and ``offsets`` and
     ``log`` return a new list on each read.
@@ -113,7 +121,8 @@ class ClockLattice:
             raise ValueError("node positions must be strictly increasing")
         self._frame, self._positions = frame, positions
         self._offsets: list[float] = [0.0] * len(positions)
-        self._log: list = []
+        self._log: list = []  # rows, and until the first read of log, deferred entries
+        self._deferred = False  # whether _log may still hold a deferred entry
         self._protocol: str | None = None
 
     @classmethod
@@ -128,18 +137,27 @@ class ClockLattice:
         _check_beta(drift)
         return cls(FrameSpec(-drift, 0.0, "lab"), positions)
 
-    # Read-only: only the constructor and run_protocol set them, and the two
-    # lists are handed out as copies, so changing one leaves the lattice as it is.
+    # Read-only: only the constructor and run_protocol set them, and offsets
+    # and log are handed out as copies, so changing one leaves the lattice as it is.
     positions = property(operator.attrgetter("_positions"),
                          doc="Absolute positions of the clocks at absolute time 0, as built.")
     frame = property(operator.attrgetter("_frame"),
                      doc="The hardware's kinematics frame, with the k its protocol realized.")
     offsets = property(lambda self: self._offsets.copy(),
                        doc="Each clock's reading at absolute time 0, as a new list.")
-    log = property(lambda self: self._log.copy(),
-                   doc="Every signal since the last protocol run started, as a new list of tuples.")
     protocol = property(operator.attrgetter("_protocol"),
                         doc="The last protocol run if it completed, else None.")
+
+    @property
+    def log(self) -> list:
+        """Every signal since the last protocol run started, as a new list of tuples."""
+        log = self._log
+        if self._deferred:  # build the exchange's deferred rows in place, last entry first
+            for i in range(len(log) - 1, -1, -1):
+                if callable(log[i]):
+                    log[i:i + 1] = log[i]()
+            self._deferred = False
+        return log.copy()
 
     @property
     def rate(self) -> float:
@@ -265,6 +283,7 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
     p, b, label = lattice._positions, lattice._frame.beta, lattice._frame.label
     rows, offsets = [], [0.0] * len(p)  # the master reads rate*t
     lattice._offsets, lattice._log, lattice._protocol = [0.0] * len(p), rows, None
+    lattice._deferred = protocol != EXTERNAL_REGULATION
     lattice._frame = FrameSpec(b, 0.0, label)
     if protocol != EXTERNAL_REGULATION:  # at absolute time 0 the reference reads the master's 0
         _exchange(rows, offsets, LIGHT if protocol == EINSTEIN else INSTANTANEOUS,
@@ -288,27 +307,28 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
 
     A light side is bounded once, from its nearest and farthest slaves: if
     no slave's chase can fail to resolve and no coordinate sum can overflow,
-    its rows are logged with no check.  A side that fails that bound sends
-    every leg through :func:`_signal`, which raises or logs it as it always
+    nothing on it can raise.  A side that fails that bound sends every leg
+    through :func:`_signal` at once, which raises or logs it as it always
     has.  An instantaneous signal cannot fail on a built lattice: with
     subnormals, x > y implies x - y > 0, so every gap has its side's sign,
-    and every coordinate of its row is finite.
+    and every coordinate of its row is finite.  So a bounded light side sets
+    its offsets, an instantaneous side keeps its zero ones, and each appends
+    to ``rows`` one deferred entry in place of its rows: a callable that
+    returns them.  :attr:`ClockLattice.log` builds them on its first read,
+    the same bit for bit, so a run whose log nobody reads pays for its
+    offsets only.
     """
-    t0, x_m, append = 0.0, p[m], rows.append
+    t0, x_m = 0.0, p[m]
     x_emit, ut0 = x_m + u * t0, u * t0  # the master's emission, and the clocks' shift then
     for first, xs, w in ((0, p[:m], -C), (m + 1, p[m + 1:], C)):
         if not xs:
             continue
         if kind != LIGHT:
-            w *= INFINITE_SPEED
-            rows += [(INSTANTANEOUS, t0, x_emit, t0, x + ut0, w) for x in xs]
+            rows.append(partial(_instantaneous_rows, t0, x_emit, ut0, w * INFINITE_SPEED, xs))
             continue
-        # |u| < C, so neither denominator is zero, and each carries its leg's
-        # sign.  With t0 = 0, t0 + dt is dt and the master's reading rate*t0
-        # adds +0.0 to a reading that is not -0.0: both sums are left out.
-        w_back, d_out, d_back = -w, w - u, -w - u
+        # |u| < C, so neither denominator is zero, and each carries its leg's sign.
+        d_out, d_back = w - u, -w - u
         near, far = (xs[0], xs[-1]) if w > 0.0 else (xs[-1], xs[0])
-        side = []
         # Rounding is monotone, so every slave's dt and dt_back are at least
         # the nearest slave's and, as |d_out|, |d_back| >= 1 - |u|, at most
         # B = |far - x_m| / (1 - |u|).  Every position lies within X =
@@ -318,19 +338,37 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
         if not ((near - x_m) / d_out > 0.0 and (x_m - near) / d_back > 0.0
                 and 6.0 * (abs(far - x_m) / (1.0 - abs(u)))
                 + 3.0 * max(abs(x_m), abs(far)) < 2.0 ** 1021):
+            side = []
             for i, x in enumerate(xs, first):
                 dt = _signal(rows, LIGHT, u, C, x_m, x, t0, i)
                 t_return = _signal(rows, LIGHT, u, C, x, x_m, dt, m)
                 side.append(0.5 * (rate * t_return) - rate * dt)
         else:
-            for x in xs:
-                dt = (x - x_m) / d_out
-                dt_back, x_back = (x_m - x) / d_back, x + u * dt
-                t_return = dt + dt_back
-                append((LIGHT, t0, x_emit, dt, x_emit + w * dt, w))
-                append((LIGHT, dt, x_back, t_return, x_back + w_back * dt_back, w_back))
-                side.append(0.5 * (rate * t_return) - rate * dt)
+            # Each leg's flight is computed once, for the offsets now and the rows
+            # later.  With t0 = 0, t0 + dt is dt, and the master's reading rate*t0
+            # adds +0.0 to a reading that is not -0.0: both sums are left out.
+            dts = [(x - x_m) / d_out for x in xs]
+            dts_back = [(x_m - x) / d_back for x in xs]
+            side = [0.5 * (rate * (dt + dt_back)) - rate * dt
+                    for dt, dt_back in zip(dts, dts_back)]
+            rows.append(partial(_light_rows, t0, x_emit, u, w, xs, dts, dts_back))
         offsets[first:first + len(xs)] = side
+
+
+def _light_rows(t0, x_emit, u, w, xs, dts, dts_back) -> list:
+    """A bounded light side's rows, as :func:`_signal` logs them: per slave, out leg then return."""
+    rows, w_back = [], -w
+    append = rows.append
+    for x, dt, dt_back in zip(xs, dts, dts_back):
+        x_back = x + u * dt
+        append((LIGHT, t0, x_emit, dt, x_emit + w * dt, w))
+        append((LIGHT, dt, x_back, dt + dt_back, x_back + w_back * dt_back, w_back))
+    return rows
+
+
+def _instantaneous_rows(t0, x_emit, ut0, w, xs) -> list:
+    """An instantaneous side's rows, as :func:`_signal` logs them: one out leg per slave."""
+    return [(INSTANTANEOUS, t0, x_emit, t0, x + ut0, w) for x in xs]
 
 
 def measure_one_way(

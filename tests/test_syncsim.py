@@ -406,7 +406,9 @@ class TestProtocols:
         assert lat.protocol == EINSTEIN
 
     def test_a_failed_run_leaves_the_lattice_unsynchronized(self, monkeypatch):
-        # The return leg from x = 1e308 overflows, after one slave was set.
+        # The left side is inside the exchange's bound, so its rows are
+        # deferred; the refused right side logs its out leg to x = 1e308, and
+        # the return leg overflows.  The log keeps both sides' rows in send order.
         lat = lattice(beta=0.6, positions=(0.0, 1.0, 1e308))
         run_protocol(lat, SUPERLUMINAL, master=1)
         with pytest.raises(ValueError, match="^event component t must be finite$"):
@@ -414,14 +416,21 @@ class TestProtocols:
         assert lat.protocol is None
         assert lat.frame.k == 0.0
         assert lat.offsets == [0.0, 0.0, 0.0]
+        ref = lattice(beta=0.6, positions=(0.0, 1.0, 1e308))
+        propagate(ref, 0, 1, LIGHT, t_emit=propagate(ref, 1, 0, LIGHT).absorb.t)
+        propagate(ref, 1, 2, LIGHT)
+        assert len(ref.log) == 3
+        assert list(map(repr, lat.log)) == list(map(repr, ref.log))
         with pytest.raises(NotSynchronized):
             measure_one_way(lat, 0, 1)
 
         # A zero-delay signal cannot fail, so fail the exchange by hand after
-        # its first row: the run must not leave its realized k = 0.6 behind.
+        # its first row, whether that row was logged or deferred (reading the
+        # log builds it in the list the exchange wrote): the run must not
+        # leave its realized k = 0.6 behind.
         def fails_after_one_row(rows, *args):
             exchange(rows, *args)
-            del rows[1:]
+            rows[:] = lat.log[:1]
             raise UnresolvableChase("second signal")
 
         exchange = syncsim._exchange
@@ -520,6 +529,26 @@ class TestProtocolReplay:
             assert math.isclose(emit_x, ref.positions[i] + u * emit_t, rel_tol=0.0, abs_tol=1e-9)
             assert math.isclose(absorb_x, ref.positions[j] + u * absorb_t, rel_tol=0.0,
                                 abs_tol=1e-9)
+
+    @pytest.mark.parametrize("protocol", [EINSTEIN, SUPERLUMINAL])
+    def test_the_log_is_the_same_whenever_it_is_first_read(self, protocol):
+        """Exchange rows built on a later first read of ``log`` still precede the measurements'."""
+        drift, positions, master = -0.6, (-3.0, -1.0, 0.0, 0.5, 2.0, 4.5, 7.0), 3
+        measurements = [(0, 6, LIGHT, False), (5, 1, LIGHT, True), (2, 4, INSTANTANEOUS, False)]
+        early, late = (run_protocol(ClockLattice.build(drift, positions), protocol, master)
+                       for _ in range(2))
+        ref = self.replay(drift, positions, protocol, master)[0]
+        assert list(map(repr, early.log)) == list(map(repr, ref.log))
+        for i, j, kind, two_way in measurements:
+            for lat in (early, late):
+                (measure_two_way if two_way else measure_one_way)(lat, i, j, kind)
+            out = propagate(ref, i, j, kind)
+            if two_way:
+                propagate(ref, j, i, kind, t_emit=out.absorb.t)
+            assert list(map(repr, early.log)) == list(map(repr, ref.log))
+        unread = copy.deepcopy(late)
+        assert list(map(repr, late.log)) == list(map(repr, ref.log))
+        assert list(map(repr, unread.log)) == list(map(repr, ref.log))
 
     @staticmethod
     def outcome(drift, positions, run):
