@@ -342,21 +342,17 @@ CATALOGUE = (
     ("exchange takes every light side as sound", SYNCSIM,
      "        if not ((near - x_m) / d_out > 0.0", "        if False and not ((near - x_m) / d_out > 0.0",
      [ANY_REPLAY, f"{KERNEL}[refused]"]),
-    ("a refused side emits its return leg at t0", SYNCSIM,
-     "_signal(rows, LIGHT, u, C, x, x_m, dt, m)", "_signal(rows, LIGHT, u, C, x, x_m, t0, m)",
+    ("a sent side emits its return leg at time 0", SYNCSIM,
+     "_signal(rows, LIGHT, u, C, x, x_m, dt, m)", "_signal(rows, LIGHT, u, C, x, x_m, 0.0, m)",
      [ANY_REPLAY, f"{KERNEL}[refused]"]),
+    ("a bounded side's offsets subtract rate * d_out, not rate * dt", SYNCSIM,
+     "/ d_back)) - rate * dt", "/ d_back)) - rate * d_out",
+     [ANY_REPLAY, f"{KERNEL}[0.6-einstein]"]),
     ("exchange bounds a side from its nearest and farthest slaves swapped", SYNCSIM,
      "        near, far = (xs[0], xs[-1]) if w > 0.0", "        far, near = (xs[0], xs[-1]) if w > 0.0",
      [ANY_REPLAY]),
     ("exchange bound ignores the lattice velocity", SYNCSIM,
      "(abs(far - x_m) / (1.0 - abs(u)))", "(abs(far - x_m) / 1.0)",
-     [ANY_REPLAY]),
-    ("exchange emits the return leg at t0", SYNCSIM,
-     "append((LIGHT, dt, x_back, dt + dt_back,", "append((LIGHT, t0, x_back, dt + dt_back,",
-     [f"{REPLAY}test_rows_and_offsets_match_a_propagate_replay", ANY_REPLAY]),
-    ("exchange logs the bare positions of an instantaneous side", SYNCSIM,
-     "return [(INSTANTANEOUS, t0, x_emit, t0, x + ut0, w) for x in xs]",
-     "return [(INSTANTANEOUS, t0, x_emit, t0, x, w) for x in xs]",
      [ANY_REPLAY]),
     ("lattice finiteness shortcut inverted", SYNCSIM,
      "if not math.isfinite(sum(positions)) and not all(",
@@ -417,10 +413,10 @@ CATALOGUE = (
      "        return log.copy()\n", "        return log\n",
      ["tests/test_syncsim.py::TestBuild::test_the_offsets_and_log_read_are_copies"]),
     ("log read returns deferred entries unexpanded", SYNCSIM,
-     "        if self._deferred:  # build", "        if False:  # build",
+     "        if self._deferred:  # send", "        if False:  # send",
      [f"{REPLAY}test_rows_and_offsets_match_a_propagate_replay", FIRST_READ]),
     ("deferred rows expanded after the eager ones", SYNCSIM,
-     "log[i:i + 1] = log[i]()", "log += log.pop(i)()",
+     "log[i:i + 1] = rows", "del log[i]; log += rows",
      [FAILED_RUN, FIRST_READ]),
     ("lattice positions made writable again", SYNCSIM,
      'property(operator.attrgetter("_positions"),',

@@ -24,16 +24,12 @@ lattice chart.
 
 A lattice is owned by one simulation run at a time; its positions are
 fixed when it is built, and only a protocol run sets its frame, offsets,
-log and protocol.  Callers check their inputs once.  A protocol's exchange
-runs in :func:`_exchange`, one loop per side of the master.  It bounds each
-light side once from its nearest and farthest slaves; a side that fails the
-bound sends every leg through :func:`_signal` at once.  A side inside the
-bound, and every instantaneous side, needs no check: it sets its offsets
-and leaves one deferred entry in the log, whose rows the first read of
-``log`` builds, the same bit for bit.  So a run whose log nobody reads pays
-for its offsets only.  Every other signal goes through :func:`_signal`, and
-every speed measurement through one kernel, :func:`_timed`, which the
-isotropy scan calls with no lattice.
+log and protocol.  Callers check their inputs once.  Every signal row comes
+from one kernel, :func:`_signal`, and every speed measurement from
+:func:`_timed`, which the isotropy scan calls with no lattice.  A
+protocol's exchange sends each side of the master through :func:`_send`:
+at once if the side can fail, else on the first read of ``log``, so a run
+whose log nobody reads pays for its offsets only.
 """
 
 from __future__ import annotations
@@ -91,15 +87,14 @@ class ClockLattice:
     ``rate*t + offsets[i]`` at absolute time t.  ``log`` lists every signal
     since the last protocol run started (its exchange, then any
     measurements) as a ``(kind, emit_t, emit_x, absorb_t, absorb_x,
-    speed_abs)`` tuple in the absolute chart.  The exchange's rows of a
-    bounded light side and of every instantaneous side are built on the
-    first read of ``log``, in send order and the same bit for bit, so a run
-    whose log nobody reads pays for its offsets only.  ``protocol`` names
-    the last protocol run if it completed, else None, and then ``k`` and the
-    offsets are zero; only :func:`run_protocol` sets them.  So the
-    constructor takes a :class:`FrameSpec` whose ``k`` is 0.  Positions are
-    checked by the number rule of :mod:`~synchrony_lab.kinematics` and kept
-    as floats.
+    speed_abs)`` tuple in the absolute chart.  The first read of ``log``
+    sends the exchange's deferred sides through :func:`_signal`, in their
+    place in send order, so a run whose log nobody reads pays for its
+    offsets only.  ``protocol`` names the last protocol run if it completed,
+    else None, and then ``k`` and the offsets are zero; only
+    :func:`run_protocol` sets them.  So the constructor takes a
+    :class:`FrameSpec` whose ``k`` is 0.  Positions are checked by the
+    number rule of :mod:`~synchrony_lab.kinematics` and kept as floats.
     ``positions``, ``frame``, ``offsets``, ``log`` and ``protocol`` are
     read-only: assigning one raises ``AttributeError``, and ``offsets`` and
     ``log`` return a new list on each read.
@@ -152,10 +147,11 @@ class ClockLattice:
     def log(self) -> list:
         """Every signal since the last protocol run started, as a new list of tuples."""
         log = self._log
-        if self._deferred:  # build the exchange's deferred rows in place, last entry first
+        if self._deferred:  # send the exchange's deferred sides, last entry first
             for i in range(len(log) - 1, -1, -1):
-                if callable(log[i]):
-                    log[i:i + 1] = log[i]()
+                if callable(send := log[i]):
+                    send(rows := [])
+                    log[i:i + 1] = rows
             self._deferred = False
         return log.copy()
 
@@ -297,34 +293,25 @@ def run_protocol(lattice: ClockLattice, protocol: str, master: int = 0) -> Clock
 def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
     """:func:`run_protocol`'s exchange from master ``m``, starting at absolute time 0.
 
-    Light goes out to each slave and back (the midpoint rule sets the
-    slave); an instantaneous signal goes out only, and its slave keeps the
-    zero offset :func:`run_protocol` gave it.  The rows and offsets are
-    those of sending every leg through :func:`_signal` in index order, bit
-    for bit, but the loop takes each side of the master in turn: positions
-    increase, so a slave's side is its signal's direction, and the signed
-    speed and chase denominators are computed once per side.
-
-    A light side is bounded once, from its nearest and farthest slaves: if
-    no slave's chase can fail to resolve and no coordinate sum can overflow,
-    nothing on it can raise.  A side that fails that bound sends every leg
-    through :func:`_signal` at once, which raises or logs it as it always
-    has.  An instantaneous signal cannot fail on a built lattice: with
-    subnormals, x > y implies x - y > 0, so every gap has its side's sign,
-    and every coordinate of its row is finite.  So a bounded light side sets
-    its offsets, an instantaneous side keeps its zero ones, and each appends
-    to ``rows`` one deferred entry in place of its rows: a callable that
-    returns them.  :attr:`ClockLattice.log` builds them on its first read,
-    the same bit for bit, so a run whose log nobody reads pays for its
-    offsets only.
+    Each side of the master is sent by one :func:`_send`; positions
+    increase, so a side's signed light speed ``w`` is its out legs'.  A light
+    side is bounded once, from its nearest and farthest slaves: if no chase
+    can fail to resolve and no coordinate sum can overflow, nothing on it
+    can raise.  A side that fails the bound is sent at once, and may raise.
+    An instantaneous side cannot fail on a built lattice: with subnormals,
+    x > y implies x - y > 0, so every gap has its side's sign, and every
+    coordinate of its row is finite.  A bounded light side sets its offsets
+    by :func:`_send`'s formula, bit for bit, and an instantaneous side keeps
+    its zero ones; each appends its :func:`_send` to ``rows`` as a deferred
+    entry, which the first read of :attr:`ClockLattice.log` sends.
     """
-    t0, x_m = 0.0, p[m]
-    x_emit, ut0 = x_m + u * t0, u * t0  # the master's emission, and the clocks' shift then
+    x_m = p[m]
     for first, xs, w in ((0, p[:m], -C), (m + 1, p[m + 1:], C)):
         if not xs:
             continue
+        send = partial(_send, kind, u, rate, x_m, m, xs, first)
         if kind != LIGHT:
-            rows.append(partial(_instantaneous_rows, t0, x_emit, ut0, w * INFINITE_SPEED, xs))
+            rows.append(send)
             continue
         # |u| < C, so neither denominator is zero, and each carries its leg's sign.
         d_out, d_back = w - u, -w - u
@@ -338,37 +325,27 @@ def _exchange(rows, offsets, kind, u, rate, p, m) -> None:
         if not ((near - x_m) / d_out > 0.0 and (x_m - near) / d_back > 0.0
                 and 6.0 * (abs(far - x_m) / (1.0 - abs(u)))
                 + 3.0 * max(abs(x_m), abs(far)) < 2.0 ** 1021):
-            side = []
-            for i, x in enumerate(xs, first):
-                dt = _signal(rows, LIGHT, u, C, x_m, x, t0, i)
-                t_return = _signal(rows, LIGHT, u, C, x, x_m, dt, m)
-                side.append(0.5 * (rate * t_return) - rate * dt)
+            offsets[first:first + len(xs)] = send(rows)
         else:
-            # Each leg's flight is computed once, for the offsets now and the rows
-            # later.  With t0 = 0, t0 + dt is dt, and the master's reading rate*t0
-            # adds +0.0 to a reading that is not -0.0: both sums are left out.
-            dts = [(x - x_m) / d_out for x in xs]
-            dts_back = [(x_m - x) / d_back for x in xs]
-            side = [0.5 * (rate * (dt + dt_back)) - rate * dt
-                    for dt, dt_back in zip(dts, dts_back)]
-            rows.append(partial(_light_rows, t0, x_emit, u, w, xs, dts, dts_back))
-        offsets[first:first + len(xs)] = side
+            offsets[first:first + len(xs)] = [
+                0.5 * (rate * ((dt := (x - x_m) / d_out) + (x_m - x) / d_back)) - rate * dt
+                for x in xs]
+            rows.append(send)
 
 
-def _light_rows(t0, x_emit, u, w, xs, dts, dts_back) -> list:
-    """A bounded light side's rows, as :func:`_signal` logs them: per slave, out leg then return."""
-    rows, w_back = [], -w
-    append = rows.append
-    for x, dt, dt_back in zip(xs, dts, dts_back):
-        x_back = x + u * dt
-        append((LIGHT, t0, x_emit, dt, x_emit + w * dt, w))
-        append((LIGHT, dt, x_back, dt + dt_back, x_back + w_back * dt_back, w_back))
-    return rows
+def _send(kind, u, rate, x_m, m, xs, first, rows) -> list:
+    """Send one side of master ``m`` through :func:`_signal`, slave ``first + j`` at ``xs[j]``.
 
-
-def _instantaneous_rows(t0, x_emit, ut0, w, xs) -> list:
-    """An instantaneous side's rows, as :func:`_signal` logs them: one out leg per slave."""
-    return [(INSTANTANEOUS, t0, x_emit, t0, x + ut0, w) for x in xs]
+    Light goes out at absolute time 0 and back, and the midpoint rule gives
+    each slave's offset; an instantaneous side goes out only and returns [].
+    """
+    side = []
+    for i, x in enumerate(xs, first):
+        dt = _signal(rows, kind, u, C, x_m, x, 0.0, i)
+        if kind == LIGHT:
+            t_return = _signal(rows, LIGHT, u, C, x, x_m, dt, m)
+            side.append(0.5 * (rate * t_return) - rate * dt)
+    return side
 
 
 def measure_one_way(
@@ -507,6 +484,7 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError("at_least_two_nodes", "node_positions")
     if not all(map(_is_finite, positions)):
         raise ScenarioError("positions_finite_numbers", "node_positions")
+    positions = tuple(map(float, positions))  # as the lattice holds them
     if any(b <= a for a, b in zip(positions, positions[1:])):
         raise ScenarioError("strictly_increasing_positions", "node_positions")
 
@@ -541,7 +519,7 @@ def parse_scenario(raw: dict) -> Scenario:
                 raise ScenarioError("positive_signal_speed", f"signals[{i}].speed")
         signals.append(SignalSpec(source, target, kind, two_way,
                                   None if speed is None else float(speed)))
-    return Scenario(float(beta), tuple(float(p) for p in positions), protocol, tuple(signals))
+    return Scenario(float(beta), positions, protocol, tuple(signals))
 
 
 def load_scenario(path) -> Scenario:

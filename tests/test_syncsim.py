@@ -439,16 +439,19 @@ class TestProtocols:
             run_protocol(lat, SUPERLUMINAL, master=1)
         assert (lat.protocol, lat.frame.k, lat.offsets, len(lat.log)) == (None, 0.0, [0.0] * 3, 1)
 
-    @pytest.mark.parametrize("drift, protocol, positions, master, calls", [
-        *(pytest.param(drift, protocol, (0.0, 1.0, 2.5, 4.0), 1, 0, id=f"{drift}-{protocol}")
+    @pytest.mark.parametrize("drift, protocol, positions, master, calls, deferred", [
+        # Three slaves: two legs each under Einstein, one under superluminal.
+        *(pytest.param(drift, protocol, (0.0, 1.0, 2.5, 4.0), 1, 0,
+                       6 if protocol == EINSTEIN else 3, id=f"{drift}-{protocol}")
           for drift in (0.6, -0.6) for protocol in (EINSTEIN, SUPERLUMINAL)),
         # Every slave passes its own checks, but 6B + 3X overflows the bound.
-        pytest.param(0.0, EINSTEIN, (0.0, 1e307, 2e307), 0, 4, id="refused"),
+        pytest.param(0.0, EINSTEIN, (0.0, 1e307, 2e307), 0, 4, 0, id="refused"),
     ])
     def test_an_ordered_lattice_is_synchronized_without_the_kernel(self, monkeypatch, drift,
                                                                    protocol, positions, master,
-                                                                   calls):
-        """Only a light side the exchange's bound refuses goes through ``_signal``, leg by leg."""
+                                                                   calls, deferred):
+        """Only a refused light side goes through ``_signal`` in the run; every other row comes
+        from it on the first read of the log, one call per row."""
         seen = []
 
         def kernel(*args):
@@ -459,8 +462,10 @@ class TestProtocols:
         monkeypatch.setattr(syncsim, "_signal", kernel)
         lat = run_protocol(lattice(beta=drift, positions=positions), protocol, master)
         assert len(seen) == calls
+        log = lat.log
+        assert len(seen) == calls + deferred == len(log)
         ref, offsets, _ = TestProtocolReplay.replay(drift, positions, protocol, master)
-        assert list(map(repr, lat.log)) == list(map(repr, ref.log))
+        assert list(map(repr, log)) == list(map(repr, ref.log))
         assert list(map(repr, lat.offsets)) == list(map(repr, offsets))
 
     def test_only_a_protocol_run_marks_a_lattice_synced(self):
@@ -887,6 +892,8 @@ class TestScenario:
             ({"signals": [{"from": 0, "to": 1, "Speed": 3.0}]}, "known_field"),
             ({"signals": {}}, "signals_list"),
             ({"signals": [1]}, "signal_object"),
+            # Distinct JSON integers that round to the same float.
+            ({"node_positions": [0, 2**53, 2**53 + 1]}, "strictly_increasing_positions"),
         ],
     )
     def test_violations_name_the_invariant(self, patch, invariant):
